@@ -90,8 +90,8 @@ fn bench_service_throughput(c: &mut Criterion) {
     }
     group.finish();
 
-    // The uncached baseline: snapshot predictors evaluate the models on
-    // every query.
+    // The bare baseline: snapshot predictors evaluate without the service's
+    // handle read and telemetry count.
     let mut group = c.benchmark_group("predictor_predict_call_4096");
     for threads in [1usize, 4, 8] {
         group.bench_with_input(

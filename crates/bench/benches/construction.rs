@@ -1,13 +1,14 @@
 //! Criterion benchmarks of the model-construction path: per-region fitting,
-//! full repository builds and the hot-swap rebuild that `SharedRepository`
+//! full repository builds and the hot-swap rebuild that `ModelService`
 //! serving gates on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::Locality;
 use dla_core::mat::stats::Summary;
-use dla_core::model::{FitWorkspace, Region, RegionModel, SharedRepository};
+use dla_core::model::{FitWorkspace, Region, RegionModel};
 use dla_core::predict::modelset::{build_repository, ModelSetConfig, Workload};
+use dla_core::ModelService;
 
 /// A smooth synthetic measurement surface (no sampler in the loop, so the
 /// benches below time the *fit* itself).
@@ -86,7 +87,7 @@ fn bench_hot_swap_rebuild(c: &mut Criterion) {
     let machine = harpertown_openblas();
     let cfg = ModelSetConfig::quick(256).with_workers(1);
     let (initial, _) = build_repository(&machine, Locality::InCache, 1, &cfg, &[Workload::Trinv]);
-    let shared = SharedRepository::new(initial);
+    let service = ModelService::new(initial, machine.clone(), Locality::InCache);
     c.bench_function("hot_swap_rebuild_trinv_256", |bench| {
         bench.iter(|| {
             let (repo, _) = build_repository(
@@ -96,7 +97,7 @@ fn bench_hot_swap_rebuild(c: &mut Criterion) {
                 black_box(&cfg),
                 &[Workload::Trinv],
             );
-            shared.swap(repo)
+            service.swap(repo)
         })
     });
 }

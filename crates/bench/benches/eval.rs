@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the compiled evaluation engine against the
-//! reference (naive) evaluator: piecewise point evaluation, cold (cache-miss)
-//! trace prediction, and a block-size sweep.
+//! reference (naive) evaluator: piecewise point evaluation, trace
+//! prediction, and a block-size sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dla_core::blas::{Call, Trans};

@@ -66,7 +66,7 @@ pub use pipeline::Pipeline;
 pub use dla_algos::{SylvVariant, TrinvVariant};
 pub use dla_blas::{Call, Routine};
 pub use dla_machine::{Locality, MachineConfig};
-pub use dla_model::{CompiledRepository, ModelRepository, RefinementReport, SharedRepository};
+pub use dla_model::{CompiledRepository, ModelRepository, RefinementReport};
 pub use dla_modeler::{OnlineRefiner, OnlineRefinerConfig, RefineOutcome, Strategy};
 pub use dla_predict::modelset::Workload;
 pub use dla_predict::{EfficiencyPrediction, ModelService, Predictor};

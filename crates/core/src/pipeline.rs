@@ -106,7 +106,7 @@ impl Pipeline {
     }
 
     /// The serving layer: share it (behind an `Arc`-wrapped pipeline) to
-    /// answer memoized predictions from many threads concurrently.
+    /// answer predictions from many threads concurrently.
     pub fn service(&self) -> &ModelService {
         &self.service
     }
@@ -253,8 +253,8 @@ impl Pipeline {
     /// Predicts the efficiency of every triangular-inversion variant and
     /// returns them ranked best first (by predicted median efficiency).
     ///
-    /// Routed through the memoizing [`ModelService`], so repeated rankings
-    /// (and the shared calls between variants) hit the evaluation cache.
+    /// Routed through the [`ModelService`] in one batched pass, so the
+    /// ranking's traffic feeds the refinement telemetry.
     pub fn rank_trinv(
         &self,
         n: usize,
@@ -264,7 +264,7 @@ impl Pipeline {
     }
 
     /// Predicts the efficiency of every Sylvester variant and returns them
-    /// ranked best first (memoized through the [`ModelService`]).
+    /// ranked best first (through the [`ModelService`]).
     pub fn rank_sylv(
         &self,
         n: usize,
@@ -273,8 +273,8 @@ impl Pipeline {
         rank_sylv_variants(&self.service, n, block_size)
     }
 
-    /// Sweeps block sizes for a triangular-inversion variant (memoized
-    /// through the [`ModelService`]).
+    /// Sweeps block sizes for a triangular-inversion variant (through the
+    /// [`ModelService`]).
     pub fn tune_trinv_block_size(
         &self,
         variant: TrinvVariant,
@@ -416,21 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn rankings_are_memoized_through_the_service() {
+    fn rankings_through_the_service_match_an_uncached_predictor() {
         let p = quick_pipeline();
         let first = p.rank_trinv(224, 32).unwrap();
-        let stats_after_first = p.service().cache_stats();
-        assert!(
-            stats_after_first.hits > 0,
-            "variants share calls, so even one ranking must hit the cache"
-        );
+        let uncached =
+            dla_predict::Predictor::shared(p.repository(), p.machine().clone(), Locality::InCache);
+        let direct = dla_predict::workloads::rank_trinv_variants(&uncached, 224, 32).unwrap();
+        assert_eq!(first, direct);
+        // Ranking again answers the same bits and counts the traffic again.
+        let served = p.refinement_report().total_queries;
+        assert!(served > 0);
         let second = p.rank_trinv(224, 32).unwrap();
-        let stats_after_second = p.service().cache_stats();
-        assert_eq!(
-            stats_after_second.misses, stats_after_first.misses,
-            "a repeated ranking must be answered entirely from the cache"
-        );
         assert_eq!(first, second);
+        assert_eq!(p.refinement_report().total_queries, 2 * served);
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::collections::HashSet;
 /// The files required to take every concurrency primitive through the
 /// `dla_sync` facade (`dla_model::sync`) instead of `std::sync`, so the
 /// model checker sees the real serving code under `--cfg interleave`.
-pub const FACADE_FILES: [&str; 6] = [
-    "crates/model/src/shared.rs",
-    "crates/model/src/telemetry.rs",
+pub const FACADE_FILES: [&str; 4] = [
     "crates/predict/src/fleet.rs",
     "crates/predict/src/health.rs",
     "crates/predict/src/router.rs",
@@ -348,7 +346,7 @@ fn bump(c: &AtomicU64) {
     fn sync_facade_rule_guards_the_model_checked_files() {
         let offending = "use std::sync::RwLock;\nfn f() {}\n";
         assert_eq!(
-            rules(&scan("crates/model/src/shared.rs", offending)),
+            rules(&scan("crates/predict/src/service.rs", offending)),
             ["sync-facade"]
         );
         // PR 10 extends coverage to the router.

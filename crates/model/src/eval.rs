@@ -537,25 +537,58 @@ impl CompiledPiecewise {
             compiled.strides[d] = stride;
             stride *= cells_per_dim[d];
         }
-        // Walk every cell (odometer over per-dimension cell indices) and
-        // precompute its winner or its fallback candidate set.
-        let mut cells = vec![0u32; total_cells];
+        // Winners: every region boundary is a cut, so a region covers a
+        // whole box of cells.  Claiming each region's box in region order,
+        // replacing the holder only on a strictly better error, picks the
+        // same first-minimal-error winner `best_containing` would for every
+        // cell, without testing every region against every cell.
+        const UNCOVERED: u32 = u32::MAX;
+        let mut cells = vec![UNCOVERED; total_cells];
+        for (i, r) in compiled.regions.iter().enumerate() {
+            let mut first = [0usize; MAX_DIM];
+            let mut end = [0usize; MAX_DIM];
+            for d in 0..dim {
+                first[d] = compiled.cuts[d].partition_point(|&c| c < r.lo[d]);
+                end[d] = compiled.cuts[d].partition_point(|&c| c <= r.hi[d]);
+            }
+            let mut idx = first;
+            'cells: loop {
+                let flat: usize = (0..dim).map(|d| idx[d] * compiled.strides[d]).sum();
+                let held = cells[flat];
+                if held == UNCOVERED
+                    || error_order(r.error, compiled.regions[held as usize].error) == Ordering::Less
+                {
+                    cells[flat] = i as u32;
+                }
+                let mut d = dim;
+                loop {
+                    if d == 0 {
+                        break 'cells;
+                    }
+                    d -= 1;
+                    idx[d] += 1;
+                    if idx[d] < end[d] {
+                        break;
+                    }
+                    idx[d] = first[d];
+                }
+            }
+        }
+        // Fallback candidate sets for the uncovered cells, in row-major cell
+        // order (odometer over per-dimension cell indices).
         let mut idx = [0usize; MAX_DIM];
         for cell in cells.iter_mut() {
-            let mut rep = [0usize; MAX_DIM];
-            let mut cell_hi = [0usize; MAX_DIM];
-            for d in 0..dim {
-                rep[d] = compiled.cuts[d][idx[d]];
-                cell_hi[d] = compiled.cuts[d][idx[d] + 1] - 1;
-            }
-            *cell = match best_containing(&compiled.regions, dim, &rep[..dim]) {
-                Some(winner) => winner as u32,
-                None => {
-                    let candidates = fallback_candidates(&compiled.regions, dim, &rep, &cell_hi);
-                    compiled.fallbacks.push(candidates);
-                    (compiled.regions.len() + compiled.fallbacks.len() - 1) as u32
+            if *cell == UNCOVERED {
+                let mut rep = [0usize; MAX_DIM];
+                let mut cell_hi = [0usize; MAX_DIM];
+                for d in 0..dim {
+                    rep[d] = compiled.cuts[d][idx[d]];
+                    cell_hi[d] = compiled.cuts[d][idx[d] + 1] - 1;
                 }
-            };
+                let candidates = fallback_candidates(&compiled.regions, dim, &rep, &cell_hi);
+                compiled.fallbacks.push(candidates);
+                *cell = (compiled.regions.len() + compiled.fallbacks.len() - 1) as u32;
+            }
             // Advance the odometer (last dimension fastest, matching the
             // row-major strides).
             for d in (0..dim).rev() {
@@ -1316,9 +1349,9 @@ impl CompiledRoutineModel {
 /// A fully compiled [`ModelRepository`]: the source repository plus one
 /// [`CompiledRoutineModel`] per stored model.
 ///
-/// Compilation happens once — [`SharedRepository`](crate::SharedRepository)
-/// compiles at construction and on every swap/merge, so every reader
-/// snapshot is already compiled.
+/// Compilation happens once — the serving layer (`dla-predict`'s
+/// `ModelService`) compiles at construction and on every swap/merge, so
+/// every reader snapshot is already compiled.
 ///
 /// Binary-loaded repositories ([`crate::binfmt::decode`]) start with the
 /// compiled entries only: the source repository materialises lazily from
@@ -1586,6 +1619,62 @@ mod tests {
         // Arity mismatches surface as errors on the batch path too.
         let wrong = BatchPoints::from_rows(1, &[vec![64]]).unwrap();
         assert!(compiled.eval_batch(&wrong).is_err());
+    }
+
+    /// The cell table equals a per-cell scan: the first minimal-error region
+    /// containing the cell (NaN errors last, ties to the lower index), or —
+    /// for uncovered cells — the cell's fallback candidate set, numbered in
+    /// row-major cell order.
+    #[test]
+    fn cell_table_matches_a_per_cell_scan() {
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let boxes = [
+            ([8, 8], [200, 300], 0.2),
+            ([100, 50], [400, 256], 0.1),
+            ([150, 150], [512, 512], 0.1),
+            ([8, 400], [64, 512], f64::NAN),
+            ([300, 8], [512, 100], 0.05),
+            ([8, 280], [120, 450], f64::NAN),
+        ];
+        let regions: Vec<RegionModel> = boxes
+            .iter()
+            .map(|(lo, hi, error)| {
+                let mut rm = fitted_region(&Region::new(lo.to_vec(), hi.to_vec()), 3);
+                rm.error = *error;
+                rm
+            })
+            .collect();
+        let model = PiecewiseModel::new(space, regions, 54);
+        let compiled = CompiledPiecewise::compile(&model).unwrap();
+        assert!(compiled.is_indexed());
+        let n = compiled.regions.len();
+        let per_dim: Vec<usize> = compiled.cuts.iter().map(|c| c.len() - 1).collect();
+        let mut fallbacks_seen = 0;
+        for i in 0..per_dim[0] {
+            for j in 0..per_dim[1] {
+                let rep = [compiled.cuts[0][i], compiled.cuts[1][j], 0, 0];
+                let hi = [
+                    compiled.cuts[0][i + 1] - 1,
+                    compiled.cuts[1][j + 1] - 1,
+                    0,
+                    0,
+                ];
+                let cell = compiled.cells[i * compiled.strides[0] + j] as usize;
+                match best_containing(&compiled.regions, 2, &rep[..2]) {
+                    Some(winner) => assert_eq!(cell, winner, "cell at {rep:?}"),
+                    None => {
+                        assert_eq!(cell, n + fallbacks_seen, "fallback order at {rep:?}");
+                        assert_eq!(
+                            compiled.fallbacks[cell - n],
+                            fallback_candidates(&compiled.regions, 2, &rep, &hi)
+                        );
+                        fallbacks_seen += 1;
+                    }
+                }
+            }
+        }
+        assert!(fallbacks_seen > 0, "the layout leaves uncovered cells");
+        assert_eq!(fallbacks_seen, compiled.fallbacks.len());
     }
 
     #[test]

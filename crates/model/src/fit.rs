@@ -9,7 +9,7 @@
 //! then re-evaluate the fitted polynomial pointwise to obtain the fit error.
 //! That is fine for one-off fits, but the Modeler's adaptive refinement loop
 //! fits hundreds of regions per submodel, so construction — the dominant
-//! offline cost, and the latency `SharedRepository` rebuild/hot-swap is gated
+//! offline cost, and the latency a `ModelService` rebuild/hot-swap is gated
 //! on — has to be fast.
 //!
 //! [`FitWorkspace`] is the construction-side analogue of the compiled

@@ -25,10 +25,8 @@
 //!
 //! Models are stored in a [`ModelRepository`], which persists to a plain-text,
 //! versioned format so that a model built once can be reused by later runs —
-//! the paper's "repository of models".  For concurrent serving,
-//! [`SharedRepository`] wraps a repository in an atomically hot-swappable
-//! handle: readers take cheap `Arc` snapshots while a rebuilt repository can
-//! be swapped in underneath them.
+//! the paper's "repository of models".  Concurrent serving and hot swaps
+//! live one layer up, in `dla-predict`'s `ModelService`.
 //!
 //! Evaluation has two implementations: the allocating *reference* path on the
 //! model types themselves ([`PiecewiseModel::eval`],
@@ -57,7 +55,6 @@ mod poly;
 mod region;
 mod repo;
 mod routine_model;
-mod shared;
 pub mod sync;
 mod telemetry;
 mod validate;
@@ -72,8 +69,7 @@ pub use poly::{monomial_exponents, Polynomial};
 pub use region::Region;
 pub use repo::{ModelKey, ModelRepository, RepositoryFormat};
 pub use routine_model::{submodel_key, submodel_key_fixed, FlagKey, RoutineModel};
-pub use shared::{LastGoodSnapshot, SharedRepository};
-pub use telemetry::{HotRegion, RefinementReport, TelemetryCounters};
+pub use telemetry::{HotRegion, RefinementReport};
 pub use validate::RepositoryValidator;
 
 /// Errors raised while building, evaluating or (de)serialising models.

@@ -1,15 +1,15 @@
 //! `dla_sync`: the workspace's single point of entry for concurrency
 //! primitives (the facade the `dla-lint` `sync-facade` rule enforces).
 //!
-//! Serving-path code (`shared.rs`, `telemetry.rs`, and
-//! `dla-predict`'s `service.rs`) imports *all* of its atomics and locks from
-//! here instead of `std::sync`.  That buys two things:
+//! Serving-path code (`dla-predict`'s `service.rs`, `fleet.rs`, `health.rs`
+//! and `router.rs`) imports *all* of its atomics and locks from here instead
+//! of `std::sync`.  That buys two things:
 //!
 //! * **Model checking.**  Under `--cfg interleave` (set via `RUSTFLAGS` by
 //!   the `interleave` CI job) the atomics and locks become the shim types of
 //!   the vendored [`interleave`] model checker, so the concurrency tests in
-//!   `tests/interleave_models.rs` (and `dla-predict`'s
-//!   `tests/interleave_service.rs`) exhaustively explore the interleavings —
+//!   `dla-predict`'s `tests/interleave_service.rs` and
+//!   `tests/interleave_fleet.rs` exhaustively explore the interleavings —
 //!   and the weak-memory store visibilities — of the real serving code, not
 //!   of a transliteration that could drift.
 //!
@@ -17,13 +17,12 @@
 //!   [`std::sync::PoisonError`]: `read`/`write`/`lock` return guards
 //!   directly, recovering the inner value if a previous holder panicked.
 //!   Recovery is sound for every lock routed through here because no critical
-//!   section leaves data torn: `SharedRepository` writers only *replace* an
-//!   `Arc` (a panic can abandon the replacement, never half-apply it), the
-//!   service's cache shards only insert/clear whole entries into a `HashMap`
-//!   (which guards its own internal consistency against unwinds), and the
-//!   resolver slot is likewise replaced wholesale.  Before this policy, a
-//!   panicking background rebuild could poison a shard and take the whole
-//!   serving tier down with `PoisonError` unwraps on every later query —
+//!   section leaves data torn: the service's published generation and the
+//!   fleet's last-good slot are only ever *replaced* as a whole `Arc` (a
+//!   panic can abandon the replacement, never half-apply it).  Without this
+//!   policy, a panicking background rebuild could poison the service's lock
+//!   and take the whole serving tier down with `PoisonError` unwraps on
+//!   every later query —
 //!   degrading to "serve what we have" is strictly better.
 //!
 //! [`Arc`] is deliberately `std::sync::Arc` under **both** cfgs: it appears

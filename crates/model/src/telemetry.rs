@@ -14,11 +14,8 @@
 //! through the normal fit fast paths.
 //!
 //! The report is a plain value: producing it does not pause serving, and
-//! consuming it requires nothing but a model repository snapshot.
-//!
-//! The counters themselves live here too ([`TelemetryCounters`]), built on
-//! the [`crate::sync`] facade so the model checker can drive them under
-//! `--cfg interleave`.
+//! consuming it requires nothing but a model repository snapshot.  The
+//! counters themselves belong to the serving layer's published generation.
 
 use std::cmp::Ordering;
 
@@ -26,81 +23,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 
 use crate::piecewise::error_order;
-use crate::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use crate::sync::Arc;
 use crate::Region;
-
-/// One repository generation's per-region query counters.
-///
-/// Each slot is an individually `Arc`'d relaxed counter so a serving cache
-/// entry can hold a direct handle on the counter of the region that answered
-/// it — the cache-hit telemetry path is then a single relaxed increment with
-/// no lock and no lookup.  The block is rebuilt from scratch for every
-/// repository generation (counters are *per-generation* by design: a rebuilt
-/// region must re-earn its place in the next report).
-#[derive(Debug)]
-pub struct TelemetryCounters {
-    counters: Vec<Arc<AtomicU64>>,
-}
-
-impl TelemetryCounters {
-    /// A block of `len` zeroed counters.
-    pub fn new(len: usize) -> TelemetryCounters {
-        TelemetryCounters {
-            counters: (0..len).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-        }
-    }
-
-    /// Number of counter slots.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Returns `true` when the block has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
-    /// The counter handle of `slot`, if it exists.  Cloning the returned
-    /// `Arc` is how cache entries keep a region's counter alive across their
-    /// own lifetime.
-    pub fn handle(&self, slot: usize) -> Option<&Arc<AtomicU64>> {
-        self.counters.get(slot)
-    }
-
-    /// The current count of `slot` (0 for out-of-range slots).
-    pub fn count(&self, slot: usize) -> u64 {
-        // ordering: Relaxed — each counter is an independent statistic; the
-        // report consumer needs magnitudes, not a cross-counter snapshot, and
-        // the generation check above the report provides the only ordering
-        // that matters (counters of a dead generation are never read).
-        self.counters
-            .get(slot)
-            .map_or(0, |c| c.load(AtomicOrdering::Relaxed))
-    }
-
-    /// The hot-path increment: a relaxed load + store, **deliberately not an
-    /// RMW**.  A lock-prefixed `fetch_add` costs several times more than the
-    /// rest of a cache hit combined, and a concurrently lost increment only
-    /// perturbs a best-effort statistic (the refinement ranking needs
-    /// magnitudes, not exact counts).
-    pub fn bump_lossy(counter: &AtomicU64) {
-        // ordering: Relaxed on both halves — no other memory depends on this
-        // value; see the method docs for why losing an increment is fine.
-        counter.store(
-            counter.load(AtomicOrdering::Relaxed) + 1,
-            AtomicOrdering::Relaxed,
-        );
-    }
-
-    /// The cold-path increment: a real `fetch_add`.  Misses already pay a
-    /// model evaluation, so the exact (never-lost) count is free here.
-    pub fn bump_exact(counter: &AtomicU64) {
-        // ordering: Relaxed — the count is a standalone statistic; only the
-        // atomicity of the RMW matters, not its ordering.
-        counter.fetch_add(1, AtomicOrdering::Relaxed);
-    }
-}
 
 /// One queried `(routine, flags, region)` cell of a [`RefinementReport`].
 #[derive(Debug, Clone, PartialEq)]

@@ -1,14 +1,14 @@
 //! Test-of-the-tool: prove the `interleave` checker actually catches the
 //! bug class the ordering audit guards against.
 //!
-//! `SharedRepository::swap` publishes a new repository and then bumps the
-//! generation tag with `Ordering::Release`, pairing with the `Acquire` load
-//! in `generation()` (see the `// ordering:` comments in
-//! `crates/model/src/shared.rs`).  Here we model that publish protocol on
-//! bare atomics, *seed the exact weakening a careless refactor could
-//! introduce* — demoting the generation store to `Relaxed` — and assert the
-//! checker reports a violation, while the real `Release` protocol verifies
-//! clean and exhaustively.
+//! The classic lock-free publish protocol installs a new value and then
+//! bumps a generation tag with `Ordering::Release`, pairing with an
+//! `Acquire` load of the tag.  Here we model that protocol on bare atomics,
+//! *seed the exact weakening a careless refactor could introduce* —
+//! demoting the generation store to `Relaxed` — and assert the checker
+//! reports a violation, while the `Release` protocol verifies clean and
+//! exhaustively.  (The serving layer itself publishes each generation as one
+//! `Arc` under a lock, which the model suites in `dla-predict` check.)
 //!
 //! Unlike the `#![cfg(interleave)]` model suites, this file compiles under
 //! the normal cfg, so tier-1 `cargo test` re-validates the tool itself on
@@ -18,10 +18,10 @@ use interleave::sync::atomic::{AtomicU64, Ordering};
 use interleave::sync::Arc;
 use interleave::{Outcome, ViolationKind};
 
-/// The swap publish protocol on bare atomics: install the repository slot,
-/// then publish the generation tag with `publish` ordering.  The reader is
-/// `generation()`'s contract: observing tag 1 must imply seeing the
-/// repository installed before the bump.
+/// The publish protocol on bare atomics: install the repository slot, then
+/// publish the generation tag with `publish` ordering.  The reader's
+/// contract: observing tag 1 must imply seeing the repository installed
+/// before the bump.
 fn check_generation_publish(publish: Ordering) -> Outcome {
     interleave::check(move || {
         // Stands in for the compiled-repository slot (0 = seed, 42 = new).
@@ -61,8 +61,7 @@ fn relaxed_generation_publish_is_caught() {
 }
 
 /// The real protocol: a `Release` publish paired with the `Acquire` read is
-/// clean across the *entire* explored space (no truncation), which is what
-/// entitles `shared.rs` to its `// ordering:` justifications.
+/// clean across the *entire* explored space (no truncation).
 #[test]
 fn release_generation_publish_is_exhaustively_clean() {
     let outcome = check_generation_publish(Ordering::Release);

@@ -19,9 +19,6 @@ pub struct BlockSizeSweep {
     /// Total per-call model evaluations behind the sweep (all candidate
     /// traces combined, degenerate calls excluded).
     pub evaluated_calls: usize,
-    /// Model queries per second achieved by the batched evaluation pass —
-    /// the sweep's throughput figure (0 when nothing was evaluated).
-    pub queries_per_sec: f64,
 }
 
 impl BlockSizeSweep {
@@ -59,8 +56,7 @@ pub fn default_block_size_candidates() -> Vec<usize> {
 ///
 /// Generic over the evaluator: pass a [`Predictor`](crate::Predictor) for
 /// one-shot evaluation or a [`ModelService`](crate::ModelService) for
-/// memoized serving (a sweep re-evaluates many shared calls, so the cache
-/// pays off here).
+/// concurrent serving with refinement telemetry.
 pub fn optimize_block_size_trinv<E: TraceEvaluator>(
     evaluator: &E,
     variant: TrinvVariant,
@@ -79,15 +75,8 @@ pub fn optimize_block_size_trinv<E: TraceEvaluator>(
         .map(|&b| trinv_trace(variant, n, b, n))
         .collect();
     let trace_refs: Vec<&[Call]> = traces.iter().map(|t| t.as_slice()).collect();
-    let started = std::time::Instant::now();
     let predictions = evaluator.predict_traces(&trace_refs)?;
-    let elapsed = started.elapsed().as_secs_f64();
     let evaluated_calls: usize = predictions.iter().map(|p| p.predicted_calls).sum();
-    let queries_per_sec = if elapsed > 0.0 && evaluated_calls > 0 {
-        evaluated_calls as f64 / elapsed
-    } else {
-        0.0
-    };
     let useful_flops = trinv_useful_flops(n);
     let results = kept
         .into_iter()
@@ -104,7 +93,6 @@ pub fn optimize_block_size_trinv<E: TraceEvaluator>(
         n,
         candidates: results,
         evaluated_calls,
-        queries_per_sec,
     })
 }
 
@@ -129,7 +117,6 @@ mod tests {
             n: 128,
             candidates: vec![(32, nan), (64, nan)],
             evaluated_calls: 0,
-            queries_per_sec: 0.0,
         };
         assert_eq!(sweep.best_block_size(), None);
         assert_eq!(sweep.best_efficiency(), None);

@@ -23,8 +23,9 @@
 //!    Down, with half-open probing after a cooldown: exactly one query wins
 //!    the probe slot, everyone else is rejected without touching the shard.
 //! 4. **Degraded serving.**  When the direct path fails or is not admitted,
-//!    the query is answered from the shard's retained **last-good compiled
-//!    snapshot** if one exists ([`Served::Stale`]); otherwise it is
+//!    the query is answered from the shard's retained **last-good
+//!    generation** ([`LastGoodSnapshot`]) if one exists ([`Served::Stale`]);
+//!    otherwise it is
 //!    **proxied** through the nearest healthy machine's model, scaled by a
 //!    calibrated cross-machine efficiency ratio ([`Served::Proxied`]) — the
 //!    paper's cross-platform transfer result (fig. IV.3/IV.4) turned into a
@@ -57,13 +58,12 @@ use dla_blas::{Call, Routine};
 use dla_machine::{derive_stream_seed, ChaosConfig, FaultCounts};
 use dla_mat::stats::Summary;
 use dla_model::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use dla_model::sync::Arc;
-use dla_model::LastGoodSnapshot;
+use dla_model::sync::{Arc, RwLock};
 
 use crate::health::ServiceHealth;
 use crate::predictor::Predictor;
 use crate::router::Router;
-use crate::service::ModelService;
+use crate::service::{ModelService, Published};
 
 // ---------------------------------------------------------------------------
 // Queries and responses
@@ -908,7 +908,7 @@ pub struct ShardHealth {
     pub probes: u64,
     /// Queries currently inside the shard.
     pub in_flight: u64,
-    /// Generation of the retained last-good snapshot, if any.
+    /// Generation of the retained last-good handle, if any.
     pub last_good_generation: Option<u64>,
     /// The shard service's own fault-tolerance ledger.
     pub service: ServiceHealth,
@@ -996,6 +996,69 @@ pub struct ShardBudget {
 // ---------------------------------------------------------------------------
 // Fleet internals
 // ---------------------------------------------------------------------------
+
+/// A retention slot for the most recent **known-good** published generation
+/// of a serving shard — the degraded-serving fallback of the fleet tier.
+///
+/// The fleet's query path retains the shard's [`Published`] handle after
+/// every successful fresh answer; when the shard later trips its circuit
+/// breaker or misses its deadline, queries are answered from the retained
+/// handle and explicitly tagged *stale* with its generation.  The handle is
+/// one `Arc`, so the generation tag and the models that answer can never
+/// disagree.  The slot is monotone in the generation:
+/// [`retain`](LastGoodSnapshot::retain) only replaces the held handle with
+/// one of a **newer** generation, so two racing retainers can never regress
+/// the slot to an older repository (the generation check runs under the
+/// write lock; model-checked under `--cfg interleave` in
+/// `tests/interleave_fleet.rs`).
+///
+/// Like the rest of the serving tier, the lock comes from the
+/// [`dla_model::sync`] facade and is non-poisoning: a panicking retainer can
+/// only abandon its replacement handle, never half-apply it.
+#[derive(Debug, Default)]
+pub struct LastGoodSnapshot {
+    slot: RwLock<Option<Arc<Published>>>,
+}
+
+impl LastGoodSnapshot {
+    /// An empty slot (nothing known-good yet).
+    pub fn new() -> LastGoodSnapshot {
+        LastGoodSnapshot::default()
+    }
+
+    /// Retains `published` as the last-good generation, unless the slot
+    /// already holds the same or a newer generation.  Returns `true` when
+    /// the slot was updated.
+    pub fn retain(&self, published: Arc<Published>) -> bool {
+        let generation = published.generation();
+        // Cheap fast path: most fresh answers come from an unchanged
+        // generation, which never needs the write lock.
+        if self.generation().is_some_and(|held| held >= generation) {
+            return false;
+        }
+        let mut guard = self.slot.write();
+        // Re-check under the write lock: a racing retainer with a newer
+        // generation must win regardless of who gets the lock first.
+        if guard
+            .as_ref()
+            .is_some_and(|held| held.generation() >= generation)
+        {
+            return false;
+        }
+        *guard = Some(published);
+        true
+    }
+
+    /// The retained handle, if any — a cheap `Arc` clone.
+    pub fn get(&self) -> Option<Arc<Published>> {
+        self.slot.read().clone()
+    }
+
+    /// The generation of the retained handle, if any.
+    pub fn generation(&self) -> Option<u64> {
+        self.slot.read().as_ref().map(|held| held.generation())
+    }
+}
 
 /// Per-shard fleet-side counters.  Relaxed throughout: each field is an
 /// independent statistic folded in exactly once per query.
@@ -1509,21 +1572,20 @@ impl FleetService {
             CallOutcome::Failed | CallOutcome::NotAdmitted => {}
         }
 
-        // 2. Stale path: the retained last-good snapshot, if any.
+        // 2. Stale path: the retained last-good generation, if any.  Its
+        // predictor counts no telemetry: stale answers are not traffic of
+        // the served generation.
         if stats.elapsed + self.config.local_eval_cost <= query.deadline {
-            if let Some((generation, snapshot)) = shard.last_good.get() {
-                let predictor = Predictor::from_compiled(
-                    snapshot,
-                    shard.service.machine().clone(),
-                    shard.service.locality(),
-                );
-                if let Ok(summary) = predictor.predict_call(&query.call) {
+            if let Some(held) = shard.last_good.get() {
+                if let Ok(summary) = held.predictor().predict_call(&query.call) {
                     if summary.median.is_finite() && summary.mean.is_finite() {
                         stats.elapsed += self.config.local_eval_cost;
                         return Ok(self.finish(
                             shard,
                             Some(summary),
-                            Served::Stale { generation },
+                            Served::Stale {
+                                generation: held.generation(),
+                            },
                             stats,
                         ));
                     }
@@ -1633,9 +1695,11 @@ impl FleetService {
                     } else {
                         stats.elapsed += reply.cost;
                         shard.breaker.record_success();
-                        let snapshot = shard.service.compiled_snapshot();
-                        let generation = shard.service.generation();
-                        shard.last_good.retain(generation, snapshot);
+                        // One handle: the retained generation number and
+                        // models cannot disagree, whatever swap lands now.
+                        let published = shard.service.published();
+                        let generation = published.generation();
+                        shard.last_good.retain(published);
                         return CallOutcome::Answered(reply.summary, generation);
                     }
                 }
@@ -1880,6 +1944,9 @@ impl FleetService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dla_machine::presets::harpertown_openblas;
+    use dla_machine::Locality;
+    use dla_model::ModelRepository;
 
     fn breaker_config() -> BreakerConfig {
         BreakerConfig {
@@ -2000,5 +2067,40 @@ mod tests {
         assert!(Priority::Low < Priority::Normal);
         assert!(Priority::Normal < Priority::High);
         assert_eq!(Priority::default(), Priority::Normal);
+    }
+
+    #[test]
+    fn last_good_slot_and_published_handle_are_sync() {
+        fn assert_sync<T: Sync + Send>() {}
+        assert_sync::<LastGoodSnapshot>();
+        assert_sync::<Published>();
+    }
+
+    #[test]
+    fn last_good_slot_is_monotone_in_the_generation() {
+        let service = ModelService::new(
+            ModelRepository::new(),
+            harpertown_openblas(),
+            Locality::InCache,
+        );
+        let slot = LastGoodSnapshot::new();
+        assert!(slot.get().is_none());
+        assert_eq!(slot.generation(), None);
+
+        let old = service.published();
+        service.swap(ModelRepository::new()).unwrap();
+        let new = service.published();
+        assert!(slot.retain(Arc::clone(&old)));
+        assert_eq!(slot.generation(), Some(0));
+
+        // The same generation is refused.
+        assert!(!slot.retain(Arc::clone(&old)));
+        // A newer generation replaces...
+        assert!(slot.retain(Arc::clone(&new)));
+        // ...and an older one never regresses the slot.
+        assert!(!slot.retain(Arc::clone(&old)));
+        let held = slot.get().expect("slot holds a generation");
+        assert_eq!(held.generation(), 1);
+        assert!(Arc::ptr_eq(&held, &new));
     }
 }

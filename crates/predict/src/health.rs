@@ -128,8 +128,8 @@ impl HealthCounters {
     /// Records an accepted publication of `generation`.
     pub(crate) fn record_accepted(&self, generation: u64) {
         // ordering: Relaxed — standalone statistic; the repository handoff
-        // itself synchronises through `SharedRepository`, not through this
-        // counter.
+        // itself synchronises through the service's publication lock, not
+        // through this counter.
         self.publishes_accepted.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — generations are monotone, and `fetch_max` keeps
         // the ledger monotone too when two accepted publishes race (the later

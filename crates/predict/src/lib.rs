@@ -24,9 +24,10 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-//! For concurrent serving, [`ModelService`] wraps the repository behind an
-//! atomically hot-swappable handle with a sharded evaluation cache, handing
-//! out snapshot-owning [`Predictor`]s to any number of threads.
+//! For concurrent serving, [`ModelService`] publishes each repository
+//! generation as one atomically hot-swappable [`Published`] handle, answers
+//! every query straight from the compiled engine, and hands out
+//! snapshot-owning [`Predictor`]s to any number of threads.
 //!
 //! All evaluators run on the compiled evaluation engine
 //! ([`dla_model::CompiledRepository`]): repositories are compiled once (at
@@ -46,11 +47,11 @@ pub mod workloads;
 
 pub use fleet::{
     Admission, BreakerConfig, BreakerState, ChaosShard, CircuitBreaker, FleetBuilder, FleetConfig,
-    FleetError, FleetHealth, FleetQuery, FleetResponse, FleetService, Priority, RetryPolicy,
-    Served, ServiceClient, ShardBudget, ShardCall, ShardClient, ShardError, ShardHealth,
-    ShardReply, ShedReason,
+    FleetError, FleetHealth, FleetQuery, FleetResponse, FleetService, LastGoodSnapshot, Priority,
+    RetryPolicy, Served, ServiceClient, ShardBudget, ShardCall, ShardClient, ShardError,
+    ShardHealth, ShardReply, ShedReason,
 };
 pub use health::ServiceHealth;
 pub use predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePrediction};
 pub use router::Router;
-pub use service::{CacheStats, ModelService};
+pub use service::{ModelService, Published};

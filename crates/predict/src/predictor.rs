@@ -4,12 +4,12 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use dla_blas::flops::is_empty_call;
-use dla_blas::Call;
+use dla_blas::{Call, Routine};
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
 use dla_model::{
-    submodel_key_fixed, BatchPoints, CompiledRepository, FlagKey, ModelError, ModelRepository,
-    Result, RoutineTable, MAX_DIM,
+    submodel_key_fixed, BatchPoints, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError,
+    ModelRepository, Result, RoutineTable, MAX_DIM,
 };
 
 /// The predicted execution time of a whole trace.
@@ -43,12 +43,12 @@ pub struct EfficiencyPrediction {
 }
 
 /// Anything that can predict the performance of a call trace: the plain
-/// [`Predictor`] (uncached model evaluation over one repository snapshot) or
-/// the memoizing [`ModelService`](crate::ModelService) serving layer.
+/// [`Predictor`] (model evaluation over one repository snapshot) or the
+/// hot-swappable [`ModelService`](crate::ModelService) serving layer.
 ///
 /// Workload-level prediction helpers ([`predict_trinv`],
 /// [`optimize_block_size_trinv`], ...) are generic over this trait, so the
-/// same code path serves both one-shot scripts and cached concurrent serving.
+/// same code path serves both one-shot scripts and concurrent serving.
 ///
 /// [`predict_trinv`]: crate::workloads::predict_trinv
 /// [`optimize_block_size_trinv`]: crate::blocksize::optimize_block_size_trinv
@@ -108,12 +108,8 @@ pub trait TraceEvaluator {
 }
 
 /// The error returned when a repository holds no model for a routine on a
-/// machine/locality combination (shared by every evaluator).
-pub(crate) fn missing_model_error(
-    routine: dla_blas::Routine,
-    machine_id: &str,
-    locality: Locality,
-) -> ModelError {
+/// machine/locality combination.
+fn missing_model_error(routine: Routine, machine_id: &str, locality: Locality) -> ModelError {
     ModelError::MissingSubmodel(format!(
         "no model for {routine} on {machine_id} ({locality})"
     ))
@@ -127,6 +123,7 @@ pub(crate) fn missing_model_error(
 /// from a [`ModelService`](crate::ModelService) snapshot), and the
 /// machine/locality combination is pre-resolved into a routing table, so the
 /// per-call path performs no allocation and no hashing.
+#[derive(Clone)]
 pub struct Predictor<'a> {
     compiled: Arc<CompiledRepository>,
     table: RoutineTable,
@@ -210,14 +207,22 @@ impl<'a> Predictor<'a> {
     /// fast path: routing-table lookup, fixed-size submodel key, indexed
     /// region location, fused polynomial evaluation).
     pub fn predict_call(&self, call: &Call) -> Result<Summary> {
-        let model = self
-            .table
-            .slot(call.routine())
+        self.model(call.routine())?.estimate(call)
+    }
+
+    /// [`predict_call`](Predictor::predict_call), additionally reporting the
+    /// submodel (flag key) and region index that answered — the hook behind
+    /// the service's per-region telemetry.
+    pub(crate) fn predict_call_traced(&self, call: &Call) -> Result<(Summary, FlagKey, u32)> {
+        self.model(call.routine())?.estimate_traced(call)
+    }
+
+    /// The compiled model serving `routine`, through the routing table.
+    fn model(&self, routine: Routine) -> Result<&CompiledRoutineModel> {
+        self.table
+            .slot(routine)
             .map(|slot| self.compiled.model_at(slot))
-            .ok_or_else(|| {
-                missing_model_error(call.routine(), &self.machine.id(), self.locality)
-            })?;
-        model.estimate(call)
+            .ok_or_else(|| missing_model_error(routine, &self.machine.id(), self.locality))
     }
 
     /// Predicts the performance of a whole trace (see
@@ -231,22 +236,35 @@ impl<'a> Predictor<'a> {
         TraceEvaluator::predict_traces(self, traces)
     }
 
-    /// The batched trace path: groups every call of every trace by
-    /// (routine, flag key, arity) into flat [`BatchPoints`] column stores,
-    /// evaluates each group through the SoA block kernel, then accumulates
-    /// per trace in original call order — bit-identical results to the
-    /// pointwise path, at batch-evaluation throughput.
-    fn predict_traces_batched(&self, traces: &[&[Call]]) -> Result<Vec<TracePrediction>> {
+    /// The batched trace path, shared by [`Predictor`] and
+    /// [`ModelService`](crate::ModelService): groups every call of every
+    /// trace by (routine, flag key, arity) into flat [`BatchPoints`] column
+    /// stores, evaluates each group through the SoA block kernel, then
+    /// accumulates per trace in original call order — bit-identical results
+    /// to the pointwise path.
+    ///
+    /// When `answered` is given it is called once per predicted call, in
+    /// trace order, with the routine, submodel and region that answered —
+    /// exactly the sequence a call-by-call walk over
+    /// [`predict_call_traced`](Predictor::predict_call_traced) would see,
+    /// collapsed duplicates included.
+    pub(crate) fn predict_traces_batched(
+        &self,
+        traces: &[&[Call]],
+        mut answered: Option<&mut dyn FnMut(Routine, FlagKey, u32)>,
+    ) -> Result<Vec<TracePrediction>> {
         enum Placement {
             Skip,
             At(usize, usize),
         }
         struct Group {
             slot: usize,
+            routine: Routine,
             key: FlagKey,
             dim: usize,
             points: BatchPoints,
             summaries: Vec<Summary>,
+            regions: Vec<u32>,
         }
         let mut groups: Vec<Group> = Vec::new();
         let mut placements: Vec<Vec<Placement>> = Vec::with_capacity(traces.len());
@@ -284,10 +302,12 @@ impl<'a> Predictor<'a> {
                     None => {
                         groups.push(Group {
                             slot,
+                            routine: call.routine(),
                             key,
                             dim: len,
                             points: BatchPoints::new(len),
                             summaries: Vec::new(),
+                            regions: Vec::new(),
                         });
                         groups.len() - 1
                     }
@@ -309,12 +329,13 @@ impl<'a> Predictor<'a> {
             }
             placements.push(places);
         }
+        let want_regions = answered.is_some();
         for g in &mut groups {
             self.compiled.model_at(g.slot).estimate_batch_clamped(
                 g.key,
                 &g.points,
                 &mut g.summaries,
-                None,
+                want_regions.then_some(&mut g.regions),
             )?;
         }
         let mut out = Vec::with_capacity(traces.len());
@@ -327,7 +348,11 @@ impl<'a> Predictor<'a> {
                 match place {
                     Placement::Skip => skipped += 1,
                     Placement::At(g, i) => {
-                        ticks.accumulate(&groups[*g].summaries[*i]);
+                        let group = &groups[*g];
+                        ticks.accumulate(&group.summaries[*i]);
+                        if let Some(answered) = answered.as_mut() {
+                            answered(group.routine, group.key, group.regions[*i]);
+                        }
                         flops += call.flops();
                         predicted += 1;
                     }
@@ -364,7 +389,7 @@ impl TraceEvaluator for Predictor<'_> {
     }
 
     fn predict_traces(&self, traces: &[&[Call]]) -> Result<Vec<TracePrediction>> {
-        self.predict_traces_batched(traces)
+        self.predict_traces_batched(traces, None)
     }
 }
 

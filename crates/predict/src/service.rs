@@ -1,33 +1,35 @@
-//! The serving layer: a thread-safe, read-optimized front end to the model
+//! The serving layer: a thread-safe front end to a hot-swappable model
 //! repository.
 //!
 //! The paper's repository is a long-lived asset: models are built once and
 //! then answer many downstream queries.  [`ModelService`] is the concurrent
 //! embodiment of that shape:
 //!
-//! * it shares the repository behind a
-//!   [`SharedRepository`](dla_model::SharedRepository), so any number of
-//!   threads can take consistent snapshots and obtain [`Predictor`]s while a
-//!   freshly rebuilt repository is hot-swapped in underneath them;
-//! * it memoizes repeated `(routine, flags, sizes)` evaluations behind a
-//!   sharded cache — algorithm traces re-evaluate the same calls constantly
-//!   (every iteration of a blocked algorithm issues the same small set of
-//!   distinct calls), so a warm cache answers most queries without touching
-//!   the polynomial evaluator;
-//! * cache *misses* — the cold path — run on the compiled evaluation engine
-//!   ([`CompiledRepository`](dla_model::CompiledRepository)): repositories
-//!   are compiled once per swap/merge inside the shared handle, so even the
-//!   first evaluation of a call is an indexed, allocation-free lookup;
+//! * every repository generation is compiled once and published as one
+//!   [`Published`] handle: the generation number, a [`Predictor`] over the
+//!   compiled snapshot ([`CompiledRepository`]) with its machine/locality
+//!   routing table, and the generation's telemetry counters.  The handle is
+//!   built outside the lock by [`new`](ModelService::new),
+//!   [`swap`](ModelService::swap), [`merge`](ModelService::merge) and
+//!   [`swap_compiled`](ModelService::swap_compiled), and only the `Arc` is
+//!   replaced under one `RwLock`, so readers never wait on compilation and
+//!   a reader holding a handle sees one consistent generation;
+//! * every query is answered by the compiled engine directly:
+//!   [`predict_call`](ModelService::predict_call) is one read of the handle,
+//!   one traced evaluation and one relaxed counter increment, and
+//!   [`predict_traces`](ModelService::predict_traces) runs the
+//!   [`Predictor`]'s batched trace path with a callback that counts each
+//!   answering region.  There is no memo cache: a compiled evaluation costs
+//!   less than hashing the call into one;
 //! * it keeps lightweight **refinement telemetry**: the compiled evaluators
 //!   report which `(routine, flags, region)` cell answered each query, and
-//!   the service counts queries per cell with relaxed atomics (near-zero
-//!   overhead, lock-free on the counting itself).
+//!   the service counts queries per cell with relaxed atomics.
 //!   [`refinement_report`](ModelService::refinement_report) snapshots the
 //!   counters into a [`RefinementReport`] ranked by `queries × fit_error` —
 //!   the input an online refiner needs to re-sample exactly where serving
-//!   traffic meets model error.  Counters are scoped to one repository
-//!   generation and restart after every swap/merge, so a freshly published
-//!   region starts with a clean slate.
+//!   traffic meets model error.  The counters belong to the published
+//!   handle, so every swap/merge starts the next generation with a clean
+//!   slate and no query can count into a generation it did not evaluate.
 //!
 //! The service is `Sync`: wrap it in an `Arc` and clone the handle into as
 //! many threads as needed.
@@ -35,17 +37,11 @@
 //! All concurrency primitives come from the `dla_sync` facade
 //! ([`dla_model::sync`]): under `--cfg interleave` they become the vendored
 //! model checker's shims, and `tests/interleave_service.rs` exhaustively
-//! explores this file's races (racing resolvers, counter reset on swap,
-//! telemetry toggles).  The facade's locks are non-poisoning: every critical
-//! section here replaces or inserts whole values (shard entries, the resolver
-//! slot), so recovering from a panicked holder serves consistent — at worst
-//! slightly stale — data instead of unwinding the serving tier.
+//! explores this file's races (torn publications, merge retries, telemetry
+//! toggles).  The facade's locks are non-poisoning: the only critical
+//! section here replaces one `Arc`, so recovering from a panicked holder
+//! serves a consistent generation instead of unwinding the serving tier.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
-use dla_blas::flops::is_empty_call;
 use dla_blas::{Call, Routine};
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
@@ -55,80 +51,17 @@ use dla_mat::stats::Summary;
 use dla_model::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use dla_model::sync::{Arc, RwLock};
 use dla_model::{
-    submodel_key, submodel_key_fixed, BatchPoints, FlagKey, HotRegion, ModelError, ModelRepository,
-    RefinementReport, Region, RepositoryValidator, SharedRepository, TelemetryCounters, MAX_DIM,
+    CompiledRepository, FlagKey, HotRegion, ModelRepository, RefinementReport, Region,
+    RepositoryValidator,
 };
 use dla_modeler::RefineOutcome;
 
 use crate::health::{HealthCounters, ServiceHealth};
 use crate::predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePrediction};
 
-/// Number of cache shards when none is given: enough to keep writer
-/// contention negligible at typical thread counts.
-const DEFAULT_SHARDS: usize = 16;
-
-/// The model parameters a cached estimate depends on.  Scalars and leading
-/// dimensions are deliberately absent — the models drop them too.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CallKey {
-    routine: Routine,
-    flags: Vec<usize>,
-    sizes: Vec<usize>,
-}
-
-impl CallKey {
-    fn new(call: &Call) -> CallKey {
-        CallKey {
-            routine: call.routine(),
-            flags: submodel_key(call),
-            sizes: call.sizes(),
-        }
-    }
-
-    fn shard(&self, shards: usize) -> usize {
-        let mut hasher = DefaultHasher::new();
-        self.hash(&mut hasher);
-        (hasher.finish() as usize) % shards
-    }
-}
-
-/// Hit/miss counters of the service's evaluation cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Evaluations answered from the cache.
-    pub hits: u64,
-    /// Evaluations that had to consult the models.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Fraction of evaluations answered from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// A memoized evaluation: the repository generation it belongs to, the
-/// summary, and a handle on the answering region's telemetry counter — so a
-/// cache *hit* keeps feeding the per-region query counts with one relaxed
-/// increment and nothing else (no extra lock, no lookup).
-#[derive(Debug, Clone)]
-struct CachedPrediction {
-    generation: u64,
-    summary: Summary,
-    counter: Option<Arc<AtomicU64>>,
-}
-
-type Shard = RwLock<HashMap<CallKey, CachedPrediction>>;
-
 /// Static metadata of one telemetry cell: the `(routine, flags, region)`
 /// identity a query counter belongs to, plus the region's recorded fit error
-/// and provenance at resolve time.
+/// and provenance at publication time.
 struct TelemetryCell {
     routine: Routine,
     flags: Vec<usize>,
@@ -137,23 +70,22 @@ struct TelemetryCell {
     revision: u32,
 }
 
-/// Per-generation refinement telemetry: one relaxed atomic query counter per
-/// region served for this machine/locality, plus the slot layout that maps a
-/// traced evaluation `(routine, flag key, region index)` to its counter.
-/// Counters are individually `Arc`'d so cache entries can hold a direct
-/// handle on theirs, keeping the cache-hit path a single relaxed increment.
+/// Per-generation refinement telemetry: one relaxed query counter per region
+/// served for this machine/locality, plus the slot layout that maps a traced
+/// evaluation `(routine, flag key, region index)` to its counter.
 struct Telemetry {
     /// Per routine (indexed by [`Routine::index`]): the flag keys of its
     /// submodels with each key's base slot and region count.
     index: Vec<Vec<(FlagKey, u32, u32)>>,
-    counters: TelemetryCounters,
+    /// One counter per entry of `cells`, same order.
+    counters: Box<[AtomicU64]>,
     cells: Vec<TelemetryCell>,
 }
 
 impl Telemetry {
     /// Builds the slot layout for every region the snapshot serves under
-    /// `machine_id`/`locality`.  Runs once per repository generation (at the
-    /// same point the routing table is resolved), never on the query path.
+    /// `machine_id`/`locality`.  Runs once per repository generation, next
+    /// to the routing-table resolution, never on the query path.
     fn build(snapshot: &ModelRepository, machine_id: &str, locality: Locality) -> Telemetry {
         let mut index: Vec<Vec<(FlagKey, u32, u32)>> = vec![Vec::new(); Routine::ALL.len()];
         let mut cells: Vec<TelemetryCell> = Vec::new();
@@ -173,9 +105,7 @@ impl Telemetry {
                 let Some(fixed) = FlagKey::from_slice(flags) else {
                     continue;
                 };
-                // lint: allow(panic-free): the key was just drawn from this map's keys
                 let submodel = &model.submodels[flags];
-                // lint: allow(panic-free): routine.index() < Routine::ALL.len(), the vec's length
                 index[routine.index()].push((
                     fixed,
                     cells.len() as u32,
@@ -192,7 +122,7 @@ impl Telemetry {
                 }
             }
         }
-        let counters = TelemetryCounters::new(cells.len());
+        let counters = cells.iter().map(|_| AtomicU64::new(0)).collect();
         Telemetry {
             index,
             counters,
@@ -200,38 +130,100 @@ impl Telemetry {
         }
     }
 
-    /// The counter of a traced evaluation's cell, if the layout covers it.
-    fn counter(&self, routine: Routine, key: FlagKey, region: u32) -> Option<&Arc<AtomicU64>> {
-        // lint: allow(panic-free): routine.index() < Routine::ALL.len(), the vec's length
-        self.index[routine.index()]
-            .iter()
-            .find(|(k, _, count)| *k == key && region < *count)
-            .and_then(|(_, base, _)| self.counters.handle((base + region) as usize))
+    /// Counts one query answered by `region` of `routine`'s submodel `key`;
+    /// a cell outside the layout is not counted.
+    ///
+    /// The increment is a relaxed load + store, **deliberately not an RMW**:
+    /// a lock-prefixed `fetch_add` costs a sizable share of the compiled
+    /// evaluation it counts, and an increment lost to a concurrent one only
+    /// perturbs a best-effort statistic (refinement ranks by magnitudes, not
+    /// exact counts).  Counts from a single thread are exact.
+    fn count(&self, routine: Routine, key: FlagKey, region: u32) {
+        let slot = self
+            .index
+            .get(routine.index())
+            .and_then(|keys| {
+                keys.iter()
+                    .find(|(k, _, count)| *k == key && region < *count)
+            })
+            .map(|(_, base, _)| (base + region) as usize);
+        if let Some(counter) = slot.and_then(|slot| self.counters.get(slot)) {
+            // ordering: Relaxed on both halves — no other memory depends on
+            // this value; see the method docs for why losing an increment is
+            // fine.
+            counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
     }
 }
 
-/// The service's pre-resolved evaluation state for one repository
-/// generation: the compiled snapshot together with its machine/locality
-/// routing table (so the cache-miss path is a plain array index — no string
-/// comparison, no allocation) and the generation's telemetry counters.
-struct Resolved {
+/// One published repository generation: everything a query needs, behind
+/// one `Arc` — the generation number, a [`Predictor`] over the compiled
+/// snapshot (routing table resolved for the service's machine and locality)
+/// and the generation's telemetry counters.
+///
+/// A handle pins one consistent generation: its number, models and counters
+/// can never disagree, however many publications land while it is held.
+/// Evaluating through [`predictor`](Published::predictor) counts no
+/// telemetry, which is how the fleet answers stale queries from a retained
+/// generation without mixing them into the served generation's traffic.
+pub struct Published {
     generation: u64,
-    compiled: Arc<dla_model::CompiledRepository>,
-    table: dla_model::RoutineTable,
-    telemetry: Arc<Telemetry>,
+    predictor: Predictor<'static>,
+    telemetry: Telemetry,
+}
+
+impl Published {
+    /// Resolves the routing table and lays out the telemetry for an already
+    /// compiled repository.  The generation number is assigned at
+    /// publication, under the service's lock.
+    fn build(
+        compiled: Arc<CompiledRepository>,
+        machine: &MachineConfig,
+        locality: Locality,
+    ) -> Published {
+        let telemetry = Telemetry::build(compiled.source(), &machine.id(), locality);
+        Published {
+            generation: 0,
+            predictor: Predictor::from_compiled(compiled, machine.clone(), locality),
+            telemetry,
+        }
+    }
+
+    /// The repository generation this handle was published as (0 for the
+    /// constructor's repository, +1 per accepted swap/merge).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The generation's compiled repository.
+    pub fn compiled(&self) -> &Arc<CompiledRepository> {
+        self.predictor.compiled()
+    }
+
+    /// An evaluator over the generation's models; it counts no telemetry.
+    pub fn predictor(&self) -> &Predictor<'static> {
+        &self.predictor
+    }
+}
+
+impl std::fmt::Debug for Published {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Published")
+            .field("generation", &self.generation)
+            .field("models", &self.compiled().len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// A thread-safe prediction service over a hot-swappable model repository.
 pub struct ModelService {
-    shared: SharedRepository,
     machine: MachineConfig,
     locality: Locality,
-    shards: Vec<Shard>,
-    resolved: RwLock<Option<Resolved>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Gates the per-query telemetry counting (the slot bookkeeping itself is
-    /// always maintained, so telemetry can be flipped on without a rebuild).
+    /// The served generation.  Publications build the replacement outside
+    /// the lock and only swap the `Arc` under it.
+    current: RwLock<Arc<Published>>,
+    /// Gates the per-query telemetry counting (the counter layout itself is
+    /// always published, so telemetry can be flipped on without a rebuild).
     telemetry_enabled: AtomicBool,
     /// Pre-publication gate: every swap/merge validates the incoming models
     /// before they can reach readers (see [`RepositoryValidator`]).
@@ -242,88 +234,26 @@ pub struct ModelService {
 
 impl ModelService {
     /// Creates a service over a repository, for one machine and locality.
+    ///
+    /// The constructor-supplied repository is trusted (it is typically the
+    /// service's own offline build, and an intentionally empty service is
+    /// legitimate); validation gates *publications* — see
+    /// [`swap`](ModelService::swap).
     pub fn new(
         repository: ModelRepository,
         machine: MachineConfig,
         locality: Locality,
     ) -> ModelService {
-        ModelService::with_shards(repository, machine, locality, DEFAULT_SHARDS)
-    }
-
-    /// Creates a service with an explicit cache shard count.
-    pub fn with_shards(
-        repository: ModelRepository,
-        machine: MachineConfig,
-        locality: Locality,
-        shards: usize,
-    ) -> ModelService {
-        let shared = SharedRepository::new(repository);
-        // The constructor-supplied repository is trusted (it is typically the
-        // service's own offline build, and an intentionally empty service is
-        // legitimate); validation gates *publications* — see
-        // [`swap`](ModelService::swap).
-        let initial_generation = shared.generation();
+        let compiled = Arc::new(CompiledRepository::compile(repository));
+        let first = Published::build(compiled, &machine, locality);
         ModelService {
-            shared,
             machine,
             locality,
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            resolved: RwLock::new(None),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            current: RwLock::new(Arc::new(first)),
             telemetry_enabled: AtomicBool::new(true),
             validator: RepositoryValidator::new(),
-            health: HealthCounters::new(initial_generation),
+            health: HealthCounters::new(0),
         }
-    }
-
-    /// The compiled snapshot and routing table for `generation`, from the
-    /// resolver cache when fresh, re-resolved (and re-cached) after a
-    /// swap/merge.  The returned pair is always internally consistent (the
-    /// table was computed from that exact compiled snapshot).
-    fn resolved(
-        &self,
-        generation: u64,
-    ) -> (
-        Arc<dla_model::CompiledRepository>,
-        dla_model::RoutineTable,
-        Arc<Telemetry>,
-    ) {
-        if let Some(r) = self.resolved.read().as_ref() {
-            if r.generation == generation {
-                return (Arc::clone(&r.compiled), r.table, Arc::clone(&r.telemetry));
-            }
-        }
-        let compiled = self.shared.compiled();
-        let machine_id = self.machine.id();
-        let table = compiled.resolve(&machine_id, self.locality);
-        let telemetry = Arc::new(Telemetry::build(
-            compiled.source(),
-            &machine_id,
-            self.locality,
-        ));
-        // Only cache when no swap happened since the caller observed
-        // `generation`; a racing entry must not outlive the swap.
-        if self.shared.generation() == generation {
-            let mut guard = self.resolved.write();
-            // Re-check under the write lock: a racing resolver may have
-            // installed this generation already.  Its state must win —
-            // overwriting it would orphan every counter handle (and count)
-            // the other thread's cache entries already carry, silently
-            // dropping those regions from all future reports.
-            if let Some(r) = guard.as_ref() {
-                if r.generation == generation {
-                    return (Arc::clone(&r.compiled), r.table, Arc::clone(&r.telemetry));
-                }
-            }
-            *guard = Some(Resolved {
-                generation,
-                compiled: Arc::clone(&compiled),
-                table,
-                telemetry: Arc::clone(&telemetry),
-            });
-        }
-        (compiled, table, telemetry)
     }
 
     /// The machine configuration predictions refer to.
@@ -336,26 +266,67 @@ impl ModelService {
         self.locality
     }
 
+    /// The currently published generation, as a cheap `Arc` clone.  The
+    /// handle stays valid (and internally consistent) across later
+    /// publications.
+    pub fn published(&self) -> Arc<Published> {
+        Arc::clone(&self.current.read())
+    }
+
     /// A consistent snapshot of the current repository.
     pub fn snapshot(&self) -> Arc<ModelRepository> {
-        self.shared.snapshot()
+        Arc::clone(self.published().compiled().source())
+    }
+
+    /// The current compiled snapshot, as a cheap `Arc` clone — what binary
+    /// persistence encodes without recompiling anything.
+    pub fn compiled_snapshot(&self) -> Arc<CompiledRepository> {
+        Arc::clone(self.published().compiled())
+    }
+
+    /// A predictor over the current snapshot.
+    ///
+    /// The predictor owns its snapshot (`'static`), so it can be handed to
+    /// other threads and outlives later [`swap`](ModelService::swap)s.  It is
+    /// a clone of the published generation's own predictor: nothing is
+    /// compiled or resolved.  It counts no telemetry.
+    pub fn predictor(&self) -> Predictor<'static> {
+        self.published().predictor().clone()
+    }
+
+    /// Runs the pre-publication gate, accounting a rejection in the health
+    /// ledger.
+    fn admit(&self, repository: &ModelRepository) -> dla_model::Result<()> {
+        let verdict = self.validator.validate(repository);
+        if verdict.is_err() {
+            self.health.record_rejected();
+        }
+        verdict
+    }
+
+    /// Installs `next` as the successor of the generation in `current` (a
+    /// held write guard), returning the replaced handle.
+    fn install_next(&self, current: &mut Arc<Published>, mut next: Published) -> Arc<Published> {
+        next.generation = current.generation + 1;
+        self.health.record_accepted(next.generation);
+        std::mem::replace(current, Arc::new(next))
+    }
+
+    /// Builds the handle of `compiled` outside the lock and publishes it as
+    /// the next generation, returning the replaced generation's source.
+    fn publish(&self, compiled: Arc<CompiledRepository>) -> Arc<ModelRepository> {
+        let next = Published::build(compiled, &self.machine, self.locality);
+        let mut current = self.current.write();
+        let previous = self.install_next(&mut current, next);
+        // Release the lock before the replaced generation is freed.
+        drop(current);
+        Arc::clone(previous.compiled().source())
     }
 
     /// Atomically replaces the repository (hot swap), returning the previous
-    /// one.  In-flight predictors keep their snapshot; cached evaluations are
-    /// invalidated.
+    /// one.  In-flight predictors and published handles keep their
+    /// generation; new queries see the replacement.
     ///
-    /// The cache is invalidated *before* the generation bump, not after.
-    /// Invalidating afterwards opens a window the model checker caught (see
-    /// `tests/interleave_service.rs`, `swap_racing_predict_never_orphans_telemetry`):
-    /// a query racing the swap can observe the new generation and install its
-    /// resolver state — counter block included — only for the trailing
-    /// invalidation to wipe it while the query's cache entry keeps a handle
-    /// on the now-orphaned counters, silently dropping those queries from
-    /// every future refinement report.  Cleared-then-bumped, anything a
-    /// racing query installs either carries the old generation (dead on
-    /// arrival once the bump lands: the tag mismatch makes it a plain miss)
-    /// or legitimately belongs to the new generation and survives.
     /// Every publication passes the [`RepositoryValidator`] first: a
     /// repository carrying non-finite coefficients, empty submodels or a
     /// degenerate region cover is **rejected** — the service keeps serving
@@ -364,31 +335,35 @@ impl ModelService {
     /// error back.  (An intentionally *empty* repository is a valid
     /// publication: it clears the service.)
     pub fn swap(&self, repository: ModelRepository) -> dla_model::Result<Arc<ModelRepository>> {
-        if let Err(e) = self.validator.validate(&repository) {
-            self.health.record_rejected();
-            return Err(e);
-        }
-        self.clear_cache();
-        let previous = self.shared.swap(repository);
-        self.health.record_accepted(self.shared.generation());
-        Ok(previous)
+        self.admit(&repository)?;
+        Ok(self.publish(Arc::new(CompiledRepository::compile(repository))))
     }
 
     /// Merges freshly built models into the served repository (hot swap).
     ///
-    /// Invalidation precedes the generation bump for the same reason as in
-    /// [`swap`](ModelService::swap), and the incoming delta passes the same
-    /// pre-publication validation: a rejected delta changes nothing — the
-    /// served generation, its cache and its telemetry all stay in place.
+    /// The merge and its compilation run *outside* the lock; a generation
+    /// check under the write lock detects a racing publication, in which
+    /// case the merge is redone against the newer repository, so two racing
+    /// merges both land.  The incoming delta passes the same
+    /// pre-publication validation as [`swap`](ModelService::swap): a
+    /// rejected delta changes nothing — the served generation and its
+    /// telemetry stay in place.
     pub fn merge(&self, other: ModelRepository) -> dla_model::Result<()> {
-        if let Err(e) = self.validator.validate(&other) {
-            self.health.record_rejected();
-            return Err(e);
+        self.admit(&other)?;
+        loop {
+            let base = self.published();
+            let mut merged = (**base.compiled().source()).clone();
+            merged.merge(other.clone());
+            let compiled = Arc::new(CompiledRepository::compile(merged));
+            let next = Published::build(compiled, &self.machine, self.locality);
+            let mut current = self.current.write();
+            if current.generation == base.generation {
+                // `base` still holds the replaced generation, so it is freed
+                // on return, after the lock is released.
+                self.install_next(&mut current, next);
+                return Ok(());
+            }
         }
-        self.clear_cache();
-        self.shared.merge(other);
-        self.health.record_accepted(self.shared.generation());
-        Ok(())
     }
 
     /// Atomically replaces the repository with an **already compiled** one —
@@ -396,22 +371,15 @@ impl ModelService {
     /// `.dlapb` shard deserializes straight into its compiled form; see
     /// [`dla_model::binfmt`]).  Returns the previous source repository.
     ///
-    /// Invalidation precedes the generation bump for the same reason as in
-    /// [`swap`](ModelService::swap), and the compiled repository's source is
-    /// validated like any other publication (binary shards come from disk —
-    /// exactly where corruption enters).
+    /// The compiled repository's source is validated like any other
+    /// publication (binary shards come from disk — exactly where corruption
+    /// enters).
     pub fn swap_compiled(
         &self,
-        compiled: Arc<dla_model::CompiledRepository>,
+        compiled: Arc<CompiledRepository>,
     ) -> dla_model::Result<Arc<ModelRepository>> {
-        if let Err(e) = self.validator.validate(compiled.source()) {
-            self.health.record_rejected();
-            return Err(e);
-        }
-        self.clear_cache();
-        let previous = self.shared.swap_compiled(compiled);
-        self.health.record_accepted(self.shared.generation());
-        Ok(previous)
+        self.admit(compiled.source())?;
+        Ok(self.publish(compiled))
     }
 
     /// A point-in-time snapshot of the service's fault-tolerance ledger:
@@ -437,13 +405,6 @@ impl ModelService {
         self.health.record_query_timeout();
     }
 
-    /// The generation of the currently served repository — the tag fleet
-    /// callers pair with [`compiled_snapshot`](ModelService::compiled_snapshot)
-    /// when retaining a last-good fallback.
-    pub fn generation(&self) -> u64 {
-        self.shared.generation()
-    }
-
     /// Folds one refinement round's [`RefineOutcome`] into the health
     /// ledger (quarantined-region count, recoveries, fit failures, sampler
     /// retry/discard totals).  The refinement loop calls this once per round,
@@ -452,87 +413,14 @@ impl ModelService {
         self.health.record_refinement(outcome);
     }
 
-    /// The current compiled snapshot, as a cheap `Arc` clone — what binary
-    /// persistence encodes without recompiling anything.
-    pub fn compiled_snapshot(&self) -> Arc<dla_model::CompiledRepository> {
-        self.shared.compiled()
-    }
-
-    /// A predictor over the current snapshot.
-    ///
-    /// The predictor owns its snapshot (`'static`), so it can be handed to
-    /// other threads and outlives later [`swap`](ModelService::swap)s.  The
-    /// snapshot is already compiled (compilation happened at the last
-    /// swap/merge), so this is cheap.
-    pub fn predictor(&self) -> Predictor<'static> {
-        Predictor::from_compiled(self.shared.compiled(), self.machine.clone(), self.locality)
-    }
-
-    /// Predicts the performance of a single call, memoized.
+    /// Predicts the performance of a single call on the compiled engine,
+    /// counting the answering region in the served generation's telemetry.
     // lint: panic-free
     pub fn predict_call(&self, call: &Call) -> dla_model::Result<Summary> {
-        let key = CallKey::new(call);
-        // lint: allow(panic-free): CallKey::shard reduces modulo the shard count
-        let shard = &self.shards[key.shard(self.shards.len())];
-        let generation = self.shared.generation();
-        if let Some(cached) = shard.read().get(&key) {
-            if cached.generation == generation {
-                // ordering: Relaxed — hit/miss totals are standalone
-                // statistics; nothing is published through them.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // The entry carries its region's counter: telemetry on the
-                // hit path is one lossy relaxed increment, nothing else (see
-                // `TelemetryCounters::bump_lossy` for why not an RMW).
-                // ordering: Relaxed — the flag gates a best-effort statistic;
-                // a toggle may take effect a query late, by design.
-                if self.telemetry_enabled.load(Ordering::Relaxed) {
-                    if let Some(counter) = &cached.counter {
-                        TelemetryCounters::bump_lossy(counter);
-                    }
-                }
-                return Ok(cached.summary);
-            }
-        }
-        // ordering: Relaxed — same standalone-statistic reasoning as `hits`.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Cache miss: evaluate on the compiled engine through the cached
-        // routing table (the snapshot was compiled at the last swap/merge
-        // and the table resolved once per generation, so the cold path does
-        // no compilation, no hashing and no string comparison).
-        let (compiled, table, telemetry) = self.resolved(generation);
-        let model = table
-            .slot(call.routine())
-            .map(|slot| compiled.model_at(slot))
-            .ok_or_else(|| {
-                crate::predictor::missing_model_error(
-                    call.routine(),
-                    &self.machine.id(),
-                    self.locality,
-                )
-            })?;
-        // Traced evaluation: same work as `estimate`, plus the identity of
-        // the answering submodel/region, which resolves to a counter handle
-        // once here and rides along in the cache entry for all later hits.
-        let (summary, flag_key, region) = model.estimate_traced(call)?;
-        let counter = telemetry.counter(call.routine(), flag_key, region).cloned();
-        // ordering: Relaxed — see the hit path; the cold path uses the exact
-        // RMW increment because it already pays a model evaluation.
-        if self.telemetry_enabled.load(Ordering::Relaxed) {
-            if let Some(counter) = &counter {
-                TelemetryCounters::bump_exact(counter);
-            }
-        }
-        // Only cache if no swap happened while we evaluated; a racing entry
-        // from a stale snapshot must not survive the swap's invalidation.
-        if self.shared.generation() == generation {
-            shard.write().insert(
-                key,
-                CachedPrediction {
-                    generation,
-                    summary,
-                    counter,
-                },
-            );
+        let current = self.current.read();
+        let (summary, key, region) = current.predictor.predict_call_traced(call)?;
+        if self.telemetry_enabled() {
+            current.telemetry.count(call.routine(), key, region);
         }
         Ok(summary)
     }
@@ -545,8 +433,8 @@ impl ModelService {
     }
 
     /// Enables or disables per-query telemetry counting.  Disabling removes
-    /// the per-query counter increment (the slot bookkeeping in the cache is
-    /// kept, so re-enabling takes effect immediately, warm cache included).
+    /// the per-query counter increment; re-enabling takes effect
+    /// immediately.
     pub fn set_telemetry_enabled(&self, enabled: bool) {
         // ordering: Relaxed — concurrent `predict_call`s may count (or skip)
         // a query that straddles the toggle; either outcome is a valid
@@ -558,23 +446,22 @@ impl ModelService {
     /// Snapshots the current generation's telemetry into a ranked
     /// [`RefinementReport`]: every `(routine, flags, region)` cell that
     /// answered at least one query since the served repository generation was
-    /// installed, hottest (`queries × fit_error`, `NaN` first) first.
+    /// published, hottest (`queries × fit_error`, `NaN` first) first.
     ///
     /// Producing the report does not pause serving — it reads the relaxed
     /// counters in place.  The report is empty when nothing was queried since
     /// the last swap/merge (counters are per-generation by design: a rebuilt
     /// region must re-earn its place in the next report).
     pub fn refinement_report(&self) -> RefinementReport {
-        let generation = self.shared.generation();
-        let guard = self.resolved.read();
-        let Some(resolved) = guard.as_ref().filter(|r| r.generation == generation) else {
-            return RefinementReport::empty(self.machine.id(), self.locality, generation);
-        };
-        let telemetry = &resolved.telemetry;
+        let current = self.published();
+        let telemetry = &current.telemetry;
         let mut total_queries = 0u64;
         let mut cells = Vec::new();
-        for (slot, cell) in telemetry.cells.iter().enumerate() {
-            let queries = telemetry.counters.count(slot);
+        for (cell, counter) in telemetry.cells.iter().zip(telemetry.counters.iter()) {
+            // ordering: Relaxed — each counter is an independent statistic;
+            // the report needs magnitudes, not a cross-counter snapshot, and
+            // the handle pins the generation the counts belong to.
+            let queries = counter.load(Ordering::Relaxed);
             total_queries += queries;
             if queries > 0 {
                 cells.push(HotRegion {
@@ -590,308 +477,42 @@ impl ModelService {
         RefinementReport::ranked(
             self.machine.id(),
             self.locality,
-            generation,
+            current.generation,
             total_queries,
             cells,
         )
     }
 
-    /// Predicts a whole trace by accumulating memoized per-call estimates
-    /// (see [`TraceEvaluator::predict_trace`]).
+    /// Predicts a whole trace by accumulating per-call estimates (see
+    /// [`TraceEvaluator::predict_trace`]).
     pub fn predict_trace(&self, trace: &[Call]) -> dla_model::Result<TracePrediction> {
         TraceEvaluator::predict_trace(self, trace)
     }
 
-    /// Predicts a batch of traces, memoized per call (see
-    /// [`TraceEvaluator::predict_traces`]).
-    ///
-    /// Cache-cold calls are grouped by (routine, flag key, arity) and
-    /// evaluated through the compiled engine's SoA batch kernel instead of
-    /// one at a time; hit/miss statistics, telemetry counting and cache
-    /// population behave exactly as a call-by-call walk would.
+    /// Predicts a batch of traces against one generation, through the
+    /// [`Predictor`]'s batched trace path (see
+    /// [`TraceEvaluator::predict_traces`]).  Telemetry counts every predicted
+    /// call exactly as a call-by-call walk would.
     pub fn predict_traces(&self, traces: &[&[Call]]) -> dla_model::Result<Vec<TracePrediction>> {
-        self.predict_traces_batched(traces)
-    }
-
-    /// The batched trace path behind [`predict_traces`].  One pass places
-    /// every call (cache hit, batch-duplicate, or pending group member), one
-    /// batched evaluation per group answers the cold calls, then telemetry /
-    /// cache bookkeeping and per-trace accumulation run in original order.
-    ///
-    /// [`predict_traces`]: ModelService::predict_traces
-    fn predict_traces_batched(
-        &self,
-        traces: &[&[Call]],
-    ) -> dla_model::Result<Vec<TracePrediction>> {
-        /// Where a call's estimate comes from.
-        enum Place {
-            /// Degenerate call, skipped at zero cost.
-            Skip,
-            /// Answered from the memo cache (or an earlier batch duplicate).
-            Ready(Summary),
-            /// Awaiting the group evaluation; index into `pending`.
-            Pending(usize),
+        let current = self.published();
+        if !self.telemetry_enabled() {
+            return current.predictor.predict_traces_batched(traces, None);
         }
-        /// One cache-cold call awaiting its group's batched evaluation.
-        struct PendingEntry {
-            key: CallKey,
-            group: usize,
-            index: usize,
-            /// Later occurrences of the same key in this batch, deduplicated
-            /// onto this evaluation; they count as cache hits and owe the
-            /// telemetry counter one lossy bump each.
-            extra_hits: u64,
-        }
-        /// Calls sharing (routine, flag key, arity): one flat column store,
-        /// answered by one batched submodel evaluation.
-        struct Group {
-            slot: usize,
-            routine: Routine,
-            flag_key: FlagKey,
-            dim: usize,
-            points: BatchPoints,
-            summaries: Vec<Summary>,
-            regions: Vec<u32>,
-        }
-        /// Batch-local dedup state for one call key.
-        enum Seen {
-            Ready(Summary, Option<Arc<AtomicU64>>),
-            Pending(usize),
-        }
-
-        let generation = self.shared.generation();
-        let mut resolved = None;
-        let mut groups: Vec<Group> = Vec::new();
-        let mut pending: Vec<PendingEntry> = Vec::new();
-        let mut seen: HashMap<CallKey, Seen> = HashMap::new();
-        let mut placements: Vec<Vec<Place>> = Vec::with_capacity(traces.len());
-
-        for trace in traces {
-            let mut places = Vec::with_capacity(trace.len());
-            for call in *trace {
-                if is_empty_call(call) {
-                    places.push(Place::Skip);
-                    continue;
-                }
-                let key = CallKey::new(call);
-                // Batch-local dedup first: a repeated key is a cache hit
-                // whether its first occurrence was itself a hit or is still
-                // pending (a call-by-call walk would find the entry the
-                // first miss inserted).
-                if let Some(s) = seen.get(&key) {
-                    // ordering: Relaxed — hit/miss totals are standalone
-                    // statistics; nothing is published through them.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    match s {
-                        Seen::Ready(summary, counter) => {
-                            // ordering: Relaxed — the flag gates a
-                            // best-effort statistic (see `predict_call`).
-                            if self.telemetry_enabled.load(Ordering::Relaxed) {
-                                if let Some(counter) = counter {
-                                    TelemetryCounters::bump_lossy(counter);
-                                }
-                            }
-                            places.push(Place::Ready(*summary));
-                        }
-                        Seen::Pending(pi) => {
-                            pending[*pi].extra_hits += 1;
-                            places.push(Place::Pending(*pi));
-                        }
-                    }
-                    continue;
-                }
-                let shard = &self.shards[key.shard(self.shards.len())];
-                let cached = shard.read().get(&key).and_then(|cached| {
-                    (cached.generation == generation)
-                        .then(|| (cached.summary, cached.counter.clone()))
-                });
-                if let Some((summary, counter)) = cached {
-                    // ordering: Relaxed — standalone statistic, as above.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    // ordering: Relaxed — best-effort statistic gate.
-                    if self.telemetry_enabled.load(Ordering::Relaxed) {
-                        if let Some(counter) = &counter {
-                            TelemetryCounters::bump_lossy(counter);
-                        }
-                    }
-                    places.push(Place::Ready(summary));
-                    seen.insert(key, Seen::Ready(summary, counter));
-                    continue;
-                }
-                // ordering: Relaxed — standalone statistic, as above.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let (compiled, table, _) =
-                    resolved.get_or_insert_with(|| self.resolved(generation));
-                let slot = table.slot(call.routine()).ok_or_else(|| {
-                    crate::predictor::missing_model_error(
-                        call.routine(),
-                        &self.machine.id(),
-                        self.locality,
-                    )
-                })?;
-                let model = compiled.model_at(slot);
-                let flag_key = submodel_key_fixed(call);
-                if !model.has_submodel(flag_key) {
-                    // Reproduce the exact pointwise error (with the call's
-                    // flag characters) by asking the scalar path.
-                    return match model.estimate(call) {
-                        Err(e) => Err(e),
-                        Ok(_) => Err(ModelError::MissingSubmodel(format!(
-                            "submodel for {} appeared mid-batch",
-                            call.routine()
-                        ))),
-                    };
-                }
-                let (sizes, len) = call.sizes_fixed();
-                let mut clamped = [0usize; MAX_DIM];
-                model.clamp_sizes(&sizes[..len], &mut clamped);
-                let group = match groups
-                    .iter()
-                    .position(|g| g.slot == slot && g.flag_key == flag_key && g.dim == len)
-                {
-                    Some(g) => g,
-                    None => {
-                        groups.push(Group {
-                            slot,
-                            routine: call.routine(),
-                            flag_key,
-                            dim: len,
-                            points: BatchPoints::new(len),
-                            summaries: Vec::new(),
-                            regions: Vec::new(),
-                        });
-                        groups.len() - 1
-                    }
-                };
-                let index = groups[group].points.len();
-                groups[group].points.push(&clamped[..len]);
-                pending.push(PendingEntry {
-                    key: key.clone(),
-                    group,
-                    index,
-                    extra_hits: 0,
-                });
-                seen.insert(key, Seen::Pending(pending.len() - 1));
-                places.push(Place::Pending(pending.len() - 1));
-            }
-            placements.push(places);
-        }
-
-        // One batched evaluation per group, on the compiled engine.
-        if let Some((compiled, _, _)) = &resolved {
-            for g in &mut groups {
-                compiled.model_at(g.slot).estimate_batch_clamped(
-                    g.flag_key,
-                    &g.points,
-                    &mut g.summaries,
-                    Some(&mut g.regions),
-                )?;
-            }
-        }
-
-        // Telemetry and cache population for the cold calls, exactly as the
-        // scalar miss path would have done them one at a time.
-        if let Some((_, _, telemetry)) = &resolved {
-            for entry in &pending {
-                let g = &groups[entry.group];
-                let summary = g.summaries[entry.index];
-                let region = g.regions[entry.index];
-                let counter = telemetry.counter(g.routine, g.flag_key, region).cloned();
-                // ordering: Relaxed — best-effort statistic gate, as above.
-                if self.telemetry_enabled.load(Ordering::Relaxed) {
-                    if let Some(counter) = &counter {
-                        // The cold evaluation counts exactly; its batch
-                        // duplicates count lossily, like cache hits do.
-                        TelemetryCounters::bump_exact(counter);
-                        for _ in 0..entry.extra_hits {
-                            TelemetryCounters::bump_lossy(counter);
-                        }
-                    }
-                }
-                // Only cache if no swap happened while we evaluated; a
-                // racing entry from a stale snapshot must not survive the
-                // swap's invalidation (see `predict_call`).
-                if self.shared.generation() == generation {
-                    let shard = &self.shards[entry.key.shard(self.shards.len())];
-                    shard.write().insert(
-                        entry.key.clone(),
-                        CachedPrediction {
-                            generation,
-                            summary,
-                            counter,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Accumulate per trace in original call order.
-        let mut out = Vec::with_capacity(traces.len());
-        for (trace, places) in traces.iter().zip(&placements) {
-            let mut ticks = Summary::zero();
-            let mut flops = 0.0;
-            let mut predicted = 0;
-            let mut skipped = 0;
-            for (call, place) in trace.iter().zip(places) {
-                let summary = match place {
-                    Place::Skip => {
-                        skipped += 1;
-                        continue;
-                    }
-                    Place::Ready(summary) => summary,
-                    Place::Pending(pi) => {
-                        let entry = &pending[*pi];
-                        &groups[entry.group].summaries[entry.index]
-                    }
-                };
-                ticks.accumulate(summary);
-                flops += call.flops();
-                predicted += 1;
-            }
-            out.push(TracePrediction {
-                ticks,
-                flops,
-                predicted_calls: predicted,
-                skipped_calls: skipped,
-            });
-        }
-        Ok(out)
+        let telemetry = &current.telemetry;
+        current.predictor.predict_traces_batched(
+            traces,
+            Some(&mut |routine, key, region| telemetry.count(routine, key, region)),
+        )
     }
 
     /// Predicts the efficiency of a trace for an operation with the given
-    /// useful flop count (memoized per call).
+    /// useful flop count.
     pub fn predict_efficiency(
         &self,
         trace: &[Call],
         useful_flops: f64,
     ) -> dla_model::Result<EfficiencyPrediction> {
         TraceEvaluator::predict_efficiency(self, trace, useful_flops)
-    }
-
-    /// Hit/miss counters of the evaluation cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            // ordering: Relaxed on both — independent statistics; a reader
-            // racing an increment sees a momentarily stale total, which is
-            // what a statistics snapshot means.
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of entries currently cached across all shards.
-    pub fn cached_evaluations(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Drops every cached evaluation and the resolver cache (the hit/miss
-    /// counters are kept).  Called on swap/merge, which also releases the
-    /// resolver's reference to the previous compiled snapshot.
-    pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        *self.resolved.write() = None;
     }
 }
 
@@ -905,7 +526,7 @@ impl TraceEvaluator for ModelService {
     }
 
     fn predict_traces(&self, traces: &[&[Call]]) -> dla_model::Result<Vec<TracePrediction>> {
-        self.predict_traces_batched(traces)
+        ModelService::predict_traces(self, traces)
     }
 }
 
@@ -914,9 +535,7 @@ impl std::fmt::Debug for ModelService {
         f.debug_struct("ModelService")
             .field("machine", &self.machine.id())
             .field("locality", &self.locality)
-            .field("models", &self.snapshot().len())
-            .field("shards", &self.shards.len())
-            .field("cache", &self.cache_stats())
+            .field("published", &*self.published())
             .finish()
     }
 }
@@ -925,14 +544,34 @@ impl std::fmt::Debug for ModelService {
 mod tests {
     use super::*;
     use crate::modelset::{build_repository, ModelSetConfig, Workload};
+    use dla_blas::flops::is_empty_call;
     use dla_blas::Trans;
     use dla_machine::presets::harpertown_openblas;
+    use dla_model::{submodel_key, ModelError};
 
     fn quick_service() -> ModelService {
         let machine = harpertown_openblas();
         let cfg = ModelSetConfig::quick(128);
         let (repo, _) = build_repository(&machine, Locality::InCache, 1, &cfg, &[Workload::Trinv]);
         ModelService::new(repo, machine, Locality::InCache)
+    }
+
+    fn empty_service() -> ModelService {
+        ModelService::new(
+            ModelRepository::new(),
+            harpertown_openblas(),
+            Locality::InCache,
+        )
+    }
+
+    /// A predictor compiled afresh from the service's source repository —
+    /// shares nothing with the service's published handle.
+    fn uncached_predictor(service: &ModelService) -> Predictor<'static> {
+        Predictor::shared(
+            service.snapshot(),
+            service.machine().clone(),
+            Locality::InCache,
+        )
     }
 
     fn gemm(n: usize) -> Call {
@@ -943,56 +582,116 @@ mod tests {
     fn service_is_sync_and_send() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<ModelService>();
+        assert_sync::<Published>();
     }
 
     #[test]
-    fn memoized_predictions_match_the_predictor() {
+    fn predictions_match_an_uncached_predictor() {
         let service = quick_service();
-        let predictor = service.predictor();
-        let call = gemm(96);
-        let direct = predictor.predict_call(&call).unwrap();
-        let first = service.predict_call(&call).unwrap();
-        let second = service.predict_call(&call).unwrap();
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
-        let stats = service.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
-        assert_eq!(service.cached_evaluations(), 1);
+        let predictor = uncached_predictor(&service);
+        for n in [8, 32, 96, 128, 4096] {
+            let call = gemm(n);
+            let direct = predictor.predict_call(&call).unwrap();
+            // Repeated queries answer the same bits every time.
+            assert_eq!(service.predict_call(&call).unwrap(), direct);
+            assert_eq!(service.predict_call(&call).unwrap(), direct);
+        }
     }
 
     #[test]
-    fn scalars_and_leading_dims_do_not_split_cache_entries() {
+    fn scalars_and_leading_dims_do_not_change_predictions() {
         let service = quick_service();
         let a = Call::gemm(Trans::NoTrans, Trans::NoTrans, 96, 96, 64, 1.0, 1.0);
         let b = Call::gemm(Trans::NoTrans, Trans::NoTrans, 96, 96, 64, -2.5, 0.0)
             .with_leading_dims(4000);
-        let _ = service.predict_call(&a).unwrap();
-        let _ = service.predict_call(&b).unwrap();
-        assert_eq!(service.cache_stats().hits, 1);
-        assert_eq!(service.cached_evaluations(), 1);
+        assert_eq!(
+            service.predict_call(&a).unwrap(),
+            service.predict_call(&b).unwrap()
+        );
+        // Both land in the same telemetry cell.
+        let report = service.refinement_report();
+        assert_eq!(report.cells.len(), 1);
+        assert_eq!(report.cells[0].queries, 2);
     }
 
     #[test]
-    fn swap_invalidates_the_cache_but_not_snapshots() {
+    fn swap_replaces_the_served_models_but_not_snapshots() {
         let service = quick_service();
         let call = gemm(80);
         let expected = service.predict_call(&call).unwrap();
         let old_predictor = service.predictor();
+        let old_handle = service.published();
         // An intentionally empty repository is a *valid* publication: it
         // clears the service.
         let old = service.swap(ModelRepository::new()).unwrap();
         assert!(!old.is_empty());
-        assert_eq!(service.cached_evaluations(), 0);
+        assert_eq!(
+            service.published().generation(),
+            old_handle.generation() + 1
+        );
         // The service now serves the empty repository...
         assert!(service.predict_call(&call).is_err());
         assert!(service.snapshot().is_empty());
-        // ...but the predictor handed out before the swap still answers.
+        // ...but the predictor and the handle taken before the swap still
+        // answer from their own generation.
         assert_eq!(old_predictor.predict_call(&call).unwrap(), expected);
+        assert_eq!(
+            old_handle.predictor().predict_call(&call).unwrap(),
+            expected
+        );
         // Swapping the old repository back restores service.
         service.swap((*old).clone()).unwrap();
         assert_eq!(service.predict_call(&call).unwrap(), expected);
+    }
+
+    #[test]
+    fn snapshots_survive_swaps() {
+        let service = empty_service();
+        let before = service.snapshot();
+        assert!(before.is_empty());
+        assert_eq!(service.published().generation(), 0);
+        let old = service.swap(ModelRepository::new()).unwrap();
+        assert!(Arc::ptr_eq(&before, &old));
+        assert_eq!(service.published().generation(), 1);
+        // The old snapshot is still usable after the swap.
+        assert!(before.is_empty());
+        assert!(!Arc::ptr_eq(&before, &service.snapshot()));
+    }
+
+    #[test]
+    fn compiled_handle_tracks_the_source() {
+        let service = empty_service();
+        let compiled = service.compiled_snapshot();
+        assert!(compiled.is_empty());
+        assert!(Arc::ptr_eq(compiled.source(), &service.snapshot()));
+        service.swap(ModelRepository::new()).unwrap();
+        // A fresh handle follows the swap; the old one keeps its view.
+        assert!(!Arc::ptr_eq(compiled.source(), &service.snapshot()));
+    }
+
+    #[test]
+    fn concurrent_snapshots_and_swaps_do_not_panic() {
+        let service = Arc::new(empty_service());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let service = Arc::clone(&service);
+                scope.spawn(move || {
+                    for _ in 0..200 {
+                        let published = service.published();
+                        assert!(published.compiled().is_empty());
+                        assert!(service.snapshot().is_empty());
+                    }
+                });
+            }
+            let swapper = Arc::clone(&service);
+            scope.spawn(move || {
+                for _ in 0..50 {
+                    swapper.swap(ModelRepository::new()).unwrap();
+                }
+            });
+        });
+        assert_eq!(service.published().generation(), 50);
+        assert_eq!(service.health().last_good_generation, 50);
     }
 
     #[test]
@@ -1007,6 +706,7 @@ mod tests {
         let before = service.snapshot().len();
         service.merge(sylv_repo).unwrap();
         assert!(service.snapshot().len() > before);
+        assert_eq!(service.published().generation(), 1);
         let sylv_call = Call::sylv_unb(64, 64);
         assert!(service.predict_call(&sylv_call).is_ok());
     }
@@ -1018,7 +718,7 @@ mod tests {
         // Nothing queried yet: the report is empty.
         assert!(service.refinement_report().is_empty());
 
-        // 7 queries on one call, 2 on another; cache hits must keep counting.
+        // 7 queries on one call, 2 on another; every repeat counts.
         for _ in 0..7 {
             let _ = service.predict_call(&gemm(96)).unwrap();
         }
@@ -1069,13 +769,15 @@ mod tests {
         let _ = service.predict_call(&gemm(96)).unwrap();
         assert_eq!(service.refinement_report().total_queries, 1);
 
-        // Disabling telemetry stops counting on both hit and miss paths...
+        // Disabling telemetry stops counting on both the call and the batch
+        // path...
         service.set_telemetry_enabled(false);
         assert!(!service.telemetry_enabled());
-        let _ = service.predict_call(&gemm(96)).unwrap(); // hit
-        let _ = service.predict_call(&gemm(48)).unwrap(); // miss
+        let _ = service.predict_call(&gemm(96)).unwrap();
+        let trace = [gemm(48)];
+        let _ = service.predict_traces(&[&trace[..]]).unwrap();
         assert_eq!(service.refinement_report().total_queries, 1);
-        // ...and re-enabling picks up immediately, warm cache included.
+        // ...and re-enabling picks up immediately.
         service.set_telemetry_enabled(true);
         let _ = service.predict_call(&gemm(48)).unwrap();
         assert_eq!(service.refinement_report().total_queries, 2);
@@ -1162,16 +864,49 @@ mod tests {
     }
 
     #[test]
-    fn trace_prediction_uses_the_cache() {
+    fn trace_predictions_match_an_uncached_predictor() {
         let service = quick_service();
-        let trace: Vec<Call> = (0..50).map(|_| gemm(96)).collect();
+        let predictor = uncached_predictor(&service);
+        let trace: Vec<Call> = (0..50).map(|i| gemm(32 + 16 * (i % 3))).collect();
         let prediction = service.predict_trace(&trace).unwrap();
         assert_eq!(prediction.predicted_calls, 50);
-        let stats = service.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 49);
-        let predictor = service.predictor();
-        let direct = predictor.predict_trace(&trace).unwrap();
-        assert_eq!(prediction, direct);
+        assert_eq!(prediction, predictor.predict_trace(&trace).unwrap());
+        let short = [gemm(96), gemm(8)];
+        let traces: Vec<&[Call]> = vec![&trace, &short, &[]];
+        assert_eq!(
+            service.predict_traces(&traces).unwrap(),
+            predictor.predict_traces(&traces).unwrap()
+        );
+    }
+
+    #[test]
+    fn batched_traces_count_telemetry_like_a_call_by_call_walk() {
+        let walked = quick_service();
+        let batched = quick_service();
+        let empty = Call::gemm(Trans::NoTrans, Trans::NoTrans, 0, 64, 32, 1.0, 1.0);
+        let traces: Vec<Vec<Call>> = vec![
+            // Consecutive repeats (collapsed onto one batch slot)...
+            (0..20).map(|_| gemm(96)).collect(),
+            // ...non-consecutive repeats, within and across traces, and a
+            // degenerate call that must not count.
+            vec![gemm(32), gemm(96), gemm(32), empty, gemm(4096), gemm(32)],
+            vec![gemm(96), gemm(64), gemm(96)],
+        ];
+        let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
+        for trace in &slices {
+            for call in trace.iter().filter(|c| !is_empty_call(c)) {
+                walked.predict_call(call).unwrap();
+            }
+        }
+        batched.predict_traces(&slices).unwrap();
+        let expected_calls = traces
+            .iter()
+            .flatten()
+            .filter(|c| !is_empty_call(c))
+            .count();
+        let report = batched.refinement_report();
+        assert_eq!(report.total_queries, expected_calls as u64);
+        // Same totals, same cells, same per-cell counts.
+        assert_eq!(report, walked.refinement_report());
     }
 }

@@ -110,7 +110,7 @@ pub fn sylv_useful_flops_total(m: usize, n: usize) -> f64 {
 ///
 /// Generic over the evaluator: pass a [`Predictor`](crate::Predictor) for
 /// one-shot evaluation or a [`ModelService`](crate::ModelService) for
-/// memoized serving.
+/// concurrent serving.
 pub fn predict_trinv<E: TraceEvaluator>(
     evaluator: &E,
     variant: TrinvVariant,

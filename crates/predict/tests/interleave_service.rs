@@ -1,9 +1,10 @@
-//! Model-checked concurrency invariants of [`ModelService`]'s serving hot
-//! path, explored exhaustively by the vendored `interleave` checker.
+//! Model-checked concurrency invariants of [`ModelService`]'s publication
+//! protocol and serving hot path, explored exhaustively by the vendored
+//! `interleave` checker.
 //!
 //! Only compiled under `--cfg interleave` (the `dla_sync` facade then routes
-//! the service's shards, resolver lock and counters through the checker's
-//! shim types, so these tests explore the *real* serving code):
+//! the service's publication lock, telemetry counters and toggle through the
+//! checker's shim types, so these tests explore the *real* serving code):
 //!
 //! ```text
 //! RUSTFLAGS="--cfg interleave" cargo test -p dla-predict --test interleave_service
@@ -17,6 +18,10 @@ use dla_mat::stats::Summary;
 use dla_model::sync::Arc;
 use dla_model::{ModelRepository, PiecewiseModel, Region, RegionModel, RoutineModel};
 use dla_predict::ModelService;
+
+fn has(repo: &ModelRepository, routine: Routine, machine_id: &str) -> bool {
+    repo.get(routine, machine_id, Locality::InCache).is_some()
+}
 
 fn sample_summary(p: &[usize]) -> Summary {
     let x = p[0] as f64;
@@ -79,52 +84,22 @@ fn trmm_call() -> Call {
     )
 }
 
-/// Invariant: generation-reset never loses or double-counts telemetry when a
-/// racing resolver reuses installed counters.  Two cold queries racing to
-/// resolve the same fresh generation must end with exactly two counted
-/// queries — the write-lock re-check in `ModelService::resolved` makes the
-/// losing resolver adopt the winner's counter block instead of orphaning it.
-#[test]
-fn racing_resolvers_count_every_query() {
-    let machine = harpertown_openblas();
-    let repo = repo_with(Routine::Trsm, &machine.id());
-    interleave::model(|| {
-        let service = Arc::new(ModelService::with_shards(
-            repo.clone(),
-            machine.clone(),
-            Locality::InCache,
-            1,
-        ));
-        let racer = Arc::clone(&service);
-        let other = interleave::thread::spawn(move || {
-            racer.predict_call(&trsm_call()).unwrap();
-        });
-        service.predict_call(&trsm_call()).unwrap();
-        other.join().unwrap();
-        assert_eq!(
-            service.refinement_report().total_queries,
-            2,
-            "a racing resolver orphaned the other resolver's count"
-        );
-    });
-}
-
 /// Invariant: a hot swap racing a query never strands that query's telemetry
 /// in a counter block no report will ever read.  After the race settles, the
 /// report reflects at most the one racing query, and the *next* query is
 /// counted exactly once on top of it — whatever interleaving the swap's
-/// generation bump and cache invalidation took against the query's resolve,
-/// count and cache-insert steps.
+/// publication took against the query's handle read and count.  (The
+/// counters travel inside the published handle, so a query can only count
+/// into the generation that answered it.)
 #[test]
 fn swap_racing_predict_never_orphans_telemetry() {
     let machine = harpertown_openblas();
     let repo = repo_with(Routine::Trsm, &machine.id());
     interleave::model(|| {
-        let service = Arc::new(ModelService::with_shards(
+        let service = Arc::new(ModelService::new(
             repo.clone(),
             machine.clone(),
             Locality::InCache,
-            1,
         ));
         service.predict_call(&trsm_call()).unwrap();
         let swapper_service = Arc::clone(&service);
@@ -142,14 +117,127 @@ fn swap_racing_predict_never_orphans_telemetry() {
             "the racing query counted {settled} times against the new generation"
         );
         // A fresh query after the race must land in the served generation's
-        // counters: if it bumps a counter block the resolver no longer owns,
-        // its count is silently lost to every future refinement report.
+        // counters: if it bumped a counter block no published handle owns,
+        // its count would be silently lost to every future refinement report.
         service.predict_call(&trsm_call()).unwrap();
         let after = service.refinement_report().total_queries;
         assert_eq!(
             after,
             settled + 1,
-            "a post-swap query's count was orphaned by the swap's cache invalidation"
+            "a post-swap query's count was orphaned by the swap"
+        );
+    });
+}
+
+/// Invariant: hot-swap never serves a torn generation.  A reader's handle
+/// always pairs the generation number with exactly the repository published
+/// under it — generation 0 is the (empty) seed, generation 1 the (non-empty)
+/// replacement — in every interleaving with the racing swap.
+#[test]
+fn hot_swap_never_serves_torn_state() {
+    let machine = harpertown_openblas();
+    let swapped = repo_with(Routine::Trsm, &machine.id());
+    interleave::model(|| {
+        let service = Arc::new(ModelService::new(
+            ModelRepository::new(),
+            machine.clone(),
+            Locality::InCache,
+        ));
+        let writer_service = Arc::clone(&service);
+        let repo = swapped.clone();
+        let writer = interleave::thread::spawn(move || {
+            writer_service.swap(repo).unwrap();
+        });
+        let published = service.published();
+        assert_eq!(
+            published.generation() == 1,
+            !published.compiled().is_empty(),
+            "generation {} served with the wrong repository",
+            published.generation()
+        );
+        assert_eq!(
+            published.generation() == 1,
+            published.predictor().predict_call(&trsm_call()).is_ok(),
+            "generation {} answered from the wrong models",
+            published.generation()
+        );
+        writer.join().unwrap();
+        assert_eq!(service.published().generation(), 1);
+    });
+}
+
+/// Invariant: merge-during-swap linearizes.  Whatever the interleaving, the
+/// outcome must be *some* serial order of the two operations: the swapped-in
+/// repository always survives (a merge may never resurrect a replaced base),
+/// and the merged-in model appears iff the merge serialized after the swap.
+#[test]
+fn merge_during_swap_linearizes() {
+    let machine = harpertown_openblas();
+    let machine_id = machine.id();
+    let swap_repo = repo_with(Routine::Gemm, &machine_id);
+    let merge_repo = repo_with(Routine::Trsm, &machine_id);
+    interleave::model(|| {
+        let service = Arc::new(ModelService::new(
+            ModelRepository::new(),
+            machine.clone(),
+            Locality::InCache,
+        ));
+        let swapper_service = Arc::clone(&service);
+        let repo = swap_repo.clone();
+        let swapper = interleave::thread::spawn(move || {
+            swapper_service.swap(repo).unwrap();
+        });
+        service.merge(merge_repo.clone()).unwrap();
+        swapper.join().unwrap();
+        assert_eq!(
+            service.published().generation(),
+            2,
+            "each operation publishes exactly once"
+        );
+        let final_repo = service.snapshot();
+        assert!(
+            has(&final_repo, Routine::Gemm, &machine_id),
+            "the swapped-in repository must survive every interleaving"
+        );
+        // merge-then-swap leaves {gemm}; swap-then-merge (including a merge
+        // that started early and redid itself) leaves {gemm, trsm}.
+        assert!(
+            final_repo.len() == 1
+                || (final_repo.len() == 2 && has(&final_repo, Routine::Trsm, &machine_id)),
+            "not a serialization of swap and merge: {} models",
+            final_repo.len()
+        );
+    });
+}
+
+/// Invariant: concurrent merges lose nothing.  The generation check under
+/// the publication lock must make two racing merges both land, whichever
+/// wins the lock.
+#[test]
+fn concurrent_merges_lose_nothing() {
+    let machine = harpertown_openblas();
+    let machine_id = machine.id();
+    let merge_a = repo_with(Routine::Trsm, &machine_id);
+    let merge_b = repo_with(Routine::Gemm, &machine_id);
+    interleave::model(|| {
+        let service = Arc::new(ModelService::new(
+            ModelRepository::new(),
+            machine.clone(),
+            Locality::InCache,
+        ));
+        let merger_service = Arc::clone(&service);
+        let repo = merge_a.clone();
+        let merger = interleave::thread::spawn(move || {
+            merger_service.merge(repo).unwrap();
+        });
+        service.merge(merge_b.clone()).unwrap();
+        merger.join().unwrap();
+        assert_eq!(service.published().generation(), 2);
+        let final_repo = service.snapshot();
+        assert!(
+            has(&final_repo, Routine::Trsm, &machine_id)
+                && has(&final_repo, Routine::Gemm, &machine_id),
+            "a racing merge was lost"
         );
     });
 }
@@ -164,11 +252,10 @@ fn merge_during_predict_linearizes() {
     let repo = repo_with(Routine::Trsm, &machine.id());
     let merged = repo_with(Routine::Trmm, &machine.id());
     interleave::model(|| {
-        let service = Arc::new(ModelService::with_shards(
+        let service = Arc::new(ModelService::new(
             repo.clone(),
             machine.clone(),
             Locality::InCache,
-            1,
         ));
         service.predict_call(&trsm_call()).unwrap();
         let merger_service = Arc::clone(&service);
@@ -199,11 +286,10 @@ fn telemetry_toggle_races_predict_and_report() {
     let machine = harpertown_openblas();
     let repo = repo_with(Routine::Trsm, &machine.id());
     interleave::model(|| {
-        let service = Arc::new(ModelService::with_shards(
+        let service = Arc::new(ModelService::new(
             repo.clone(),
             machine.clone(),
             Locality::InCache,
-            1,
         ));
         service.predict_call(&trsm_call()).unwrap();
         let toggler_service = Arc::clone(&service);
@@ -263,11 +349,10 @@ fn rejected_publish_racing_predict_keeps_serving_last_good_generation() {
     let repo = repo_with(Routine::Trsm, &machine.id());
     let machine_id = machine.id();
     interleave::model(move || {
-        let service = Arc::new(ModelService::with_shards(
+        let service = Arc::new(ModelService::new(
             repo.clone(),
             machine.clone(),
             Locality::InCache,
-            1,
         ));
         let baseline = service.predict_call(&trsm_call()).unwrap();
         assert!(baseline.median.is_finite());

@@ -15,7 +15,8 @@
 //!    deserializes straight into the compiled layout, no re-parse and no
 //!    re-compile);
 //! 3. hot-swap the binary-loaded repository into the serving pipeline and
-//!    sweep trinv block sizes from it, reporting queries/sec;
+//!    sweep trinv block sizes from it, checking the sweep matches the built
+//!    repository's exactly;
 //! 4. verify the save→load→save cycle is byte-identical.
 
 use std::time::Instant;
@@ -64,11 +65,9 @@ fn main() {
         .expect("sweep from binary-loaded models");
     let best = sweep.best_block_size().expect("a finite best block size");
     println!(
-        "swept {} block sizes for n = {n}: best b = {best} \
-         ({} model queries at {:.2e} queries/sec)",
+        "swept {} block sizes for n = {n}: best b = {best} ({} model queries)",
         sweep.candidates.len(),
         sweep.evaluated_calls,
-        sweep.queries_per_sec
     );
 
     // The binary-loaded models must predict exactly what the builder's did.
