@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the online-refinement subsystem: the telemetry
-//! overhead on the serving hot path (the acceptance bar is ≤ 5%), and the
+//! Criterion benchmarks of the online-refinement subsystem: the serving hot
+//! path with telemetry against a bare predictor, and the
 //! latency of a full refine-and-swap round
 //! (report → targeted re-sampling → submodel-granular merge + hot swap).
 
@@ -44,12 +44,12 @@ fn service_and_calls() -> (ModelService, Vec<Call>) {
 }
 
 /// Telemetry overhead on the serving hot path: the same prediction loop
-/// with per-region query counting on and off.  The on/off ratio is the
-/// overhead the acceptance criterion bounds at 5%.
+/// through the service (handle read plus per-region query counting) and
+/// through a bare predictor (neither).  The service/bare ratio bounds what
+/// counting costs.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let (service, calls) = service_and_calls();
     let mut group = c.benchmark_group("telemetry_overhead");
-    service.set_telemetry_enabled(true);
     group.bench_function("predict_call_telemetry_on", |bench| {
         bench.iter(|| {
             let mut acc = 0.0;
@@ -59,19 +59,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             acc
         });
     });
-    service.set_telemetry_enabled(false);
-    group.bench_function("predict_call_telemetry_off", |bench| {
-        bench.iter(|| {
-            let mut acc = 0.0;
-            for call in &calls {
-                acc += service.predict_call(black_box(call)).unwrap().median;
-            }
-            acc
-        });
-    });
-    service.set_telemetry_enabled(true);
-    // Context: the same loop through a bare predictor (no handle read, no
-    // counting).
+    // The same loop through a bare predictor (no handle read, no counting).
     let predictor = service.predictor();
     group.bench_function("predict_call_bare_predictor", |bench| {
         bench.iter(|| {

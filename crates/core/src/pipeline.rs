@@ -241,7 +241,7 @@ impl Pipeline {
     ///
     /// The predictor owns its snapshot, so it can be moved to other threads
     /// and keeps answering consistently across later rebuilds.
-    pub fn predictor(&self) -> Predictor<'static> {
+    pub fn predictor(&self) -> Predictor {
         self.service.predictor()
     }
 

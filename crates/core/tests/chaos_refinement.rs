@@ -246,7 +246,6 @@ fn chaotic_refinement_converges_within_2x_of_fault_free() {
     // merges advanced it, so the generation IS the accepted-publish count.
     let generation = service.refinement_report().generation;
     assert!(generation > 0, "at least one round must publish a delta");
-    assert_eq!(health.publishes_accepted, generation);
     assert_eq!(health.last_good_generation, generation);
     assert_eq!(
         health.sample_retries,
@@ -317,8 +316,7 @@ fn quarantined_cells_recover_through_the_service_once_the_harness_heals() {
     let quarantined: usize = broken_outcomes.iter().map(|o| o.cells_quarantined).sum();
     assert!(quarantined > 0, "a dead harness must trip circuit breakers");
     let health = service.health();
-    assert_eq!(health.publishes_accepted, 0);
-    assert_eq!(health.last_good_generation, 0);
+    assert_eq!(health.last_good_generation, 0, "nothing was published");
     assert_eq!(health.quarantined_regions, quarantined as u64);
     assert_eq!(
         error_broken, error_before,
@@ -343,7 +341,7 @@ fn quarantined_cells_recover_through_the_service_once_the_harness_heals() {
     let health = service.health();
     assert_eq!(health.cells_recovered, recovered as u64);
     assert_eq!(health.quarantined_regions, 0);
-    assert!(health.publishes_accepted > 0);
+    assert!(health.last_good_generation > 0);
     assert!(
         error_healed * 2.0 <= error_before,
         "recovered cells must pull the drift back \

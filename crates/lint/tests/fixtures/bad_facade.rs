@@ -1,9 +1,9 @@
 //! Direct `std::sync` use in a file the model checker requires to go
 //! through the `dla_sync` facade.  The corpus scans this content under the
-//! router's workspace path to pin the facade list.
+//! health ledger's workspace path to pin the facade list.
 
 use std::sync::Mutex;
 
-pub struct FixtureRouter {
+pub struct FixtureLedger {
     table: Mutex<u64>,
 }

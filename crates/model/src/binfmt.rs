@@ -48,6 +48,8 @@
 //! structural invariants do not hold — always with a structured
 //! [`ModelError`], never a panic.
 
+use std::sync::Arc;
+
 use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
@@ -555,37 +557,18 @@ fn validate_frame(bytes: &[u8]) -> Result<[&[u8]; SECTION_COUNT]> {
 }
 
 /// Deserialises a binary repository: one validated bulk decode per numeric
-/// section, then a structural walk that reassembles the compiled layout with
-/// **zero re-compilation** — the stored artefacts *are* the compiled
-/// representation.
-///
-/// The source [`ModelRepository`] is *not* rebuilt here: the returned
-/// repository keeps the validated bytes and materialises its source lazily
-/// on first [`source()`](CompiledRepository::source) access (merge, save and
-/// reference-evaluation paths), so the load-to-serve-ready path pays only
-/// for the compiled structures it actually serves from.
+/// section, then one structural walk that rebuilds the source models and
+/// reassembles the compiled layout with **zero re-compilation** — the stored
+/// artefacts *are* the compiled representation.
 pub fn decode(bytes: &[u8]) -> Result<CompiledRepository> {
-    let (_, entries) = decode_impl(bytes, false)?;
-    Ok(CompiledRepository::from_encoded(bytes.to_vec(), entries))
+    let (source, entries) = decode_parts(bytes)?;
+    Ok(CompiledRepository::from_parts(source, entries))
 }
 
-/// Rebuilds the source [`ModelRepository`] from validated bytes — the lazy
-/// half of [`decode`], run on first `source()` access.  Performs the same
-/// full validation walk, so it is safe to call on arbitrary bytes too.
-pub(crate) fn decode_source(bytes: &[u8]) -> Result<ModelRepository> {
-    let (repo, _) = decode_impl(bytes, true)?;
-    Ok(repo)
-}
-
-/// The shared decode walk.  With `want_source` the source models are
-/// reconstructed alongside the compiled entries (the slow, rare path);
-/// without it every source-only artefact — per-term exponent vectors,
-/// canonical quantity polynomials, region models — is skipped while the
-/// cursors still consume exactly the same data, keeping validation
-/// identical on both paths.
-fn decode_impl(
+/// The decode walk behind [`decode`]: the source repository and the
+/// compiled entries, in one pass over the validated sections.
+pub(crate) fn decode_parts(
     bytes: &[u8],
-    want_source: bool,
 ) -> Result<(ModelRepository, Vec<(ModelKey, CompiledRoutineModel)>)> {
     let sections = validate_frame(bytes)?;
     // Bulk-decode the numeric sections (the only per-element work on the
@@ -619,8 +602,7 @@ fn decode_impl(
     let mut entries: Vec<(ModelKey, CompiledRoutineModel)> = Vec::new();
     let mut prev_key: Option<ModelKey> = None;
     for _ in 0..model_count {
-        let (model, key, compiled) =
-            decode_model(&mut d, &mut u64s, &mut f64s, &mut u32s, want_source)?;
+        let (model, key, compiled) = decode_model(&mut d, &mut u64s, &mut f64s, &mut u32s)?;
         // Models must be stored in strictly ascending key order (the order
         // the writer and `compile_arc` both produce), which also rules out
         // duplicates silently overwriting each other.
@@ -633,9 +615,7 @@ fn decode_impl(
             }
         }
         prev_key = Some(key.clone());
-        if let Some(model) = model {
-            repo.insert(model);
-        }
+        repo.insert(model);
         entries.push((key, compiled));
     }
     d.meta.cursor.finish()?;
@@ -654,8 +634,7 @@ fn decode_model(
     u64s: &mut Cursor<'_, u64>,
     f64s: &mut Cursor<'_, f64>,
     u32s: &mut Cursor<'_, u32>,
-    want_source: bool,
-) -> Result<(Option<RoutineModel>, ModelKey, CompiledRoutineModel)> {
+) -> Result<(RoutineModel, ModelKey, CompiledRoutineModel)> {
     let routine_idx = d.meta.count("routine index")?;
     let routine = *Routine::ALL
         .get(routine_idx)
@@ -679,8 +658,7 @@ fn decode_model(
     let space = decode_region(u64s, dim)?;
     let submodel_count = d.meta.count("submodel count")?;
     let key = ModelKey::new(routine, &machine_id, locality);
-    let mut model =
-        want_source.then(|| RoutineModel::new(routine, machine_id, locality, space.clone()));
+    let mut model = RoutineModel::new(routine, machine_id, locality, space.clone());
     let mut compiled_subs: Vec<(FlagKey, CompiledSubmodel)> = Vec::new();
     let mut prev_flags: Option<Vec<usize>> = None;
     for _ in 0..submodel_count {
@@ -704,19 +682,9 @@ fn decode_model(
             MODE_FAST => {
                 let fk = FlagKey::from_slice(&flags)
                     .ok_or_else(|| perr("fast submodel with an unrepresentable flag key"))?;
-                let (sub, fast) = decode_fast_submodel(
-                    d,
-                    u64s,
-                    f64s,
-                    u32s,
-                    dim,
-                    region_count,
-                    total_samples,
-                    want_source,
-                )?;
-                if let (Some(m), Some(sub)) = (model.as_mut(), sub) {
-                    m.insert_submodel(flags, sub);
-                }
+                let (sub, fast) =
+                    decode_fast_submodel(d, u64s, f64s, u32s, dim, region_count, total_samples)?;
+                model.insert_submodel(flags, sub);
                 compiled_subs.push((fk, CompiledSubmodel::Fast(fast)));
             }
             MODE_REFERENCE => {
@@ -736,9 +704,7 @@ fn decode_model(
                 if let Some(fk) = FlagKey::from_slice(&flags) {
                     compiled_subs.push((fk, CompiledSubmodel::Reference(sub.clone())));
                 }
-                if let Some(m) = model.as_mut() {
-                    m.insert_submodel(flags, sub);
-                }
+                model.insert_submodel(flags, sub);
             }
             other => return Err(perr(format!("unknown submodel mode {other}"))),
         }
@@ -756,7 +722,6 @@ fn decode_region(u64s: &mut Cursor<'_, u64>, dim: usize) -> Result<Region> {
     Ok(Region::new(lo, hi))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn decode_fast_submodel(
     d: &mut Decoded<'_>,
     u64s: &mut Cursor<'_, u64>,
@@ -765,8 +730,7 @@ fn decode_fast_submodel(
     dim: usize,
     region_count: usize,
     total_samples: usize,
-    want_source: bool,
-) -> Result<(Option<PiecewiseModel>, CompiledPiecewise)> {
+) -> Result<(PiecewiseModel, CompiledPiecewise)> {
     let mut cuts = Vec::with_capacity(dim.min(crate::MAX_DIM));
     for _ in 0..dim {
         let n = d.meta.count("cut count")?;
@@ -806,62 +770,54 @@ fn decode_fast_submodel(
             .ok_or_else(|| perr("coefficient matrix size overflows"))?;
         let coefficients = f64s.take(coeff_len)?.to_vec();
         let plan = CompiledVectorPolynomial::from_raw_parts(dim, exponents, coefficients)?;
-        let mut polys = Vec::with_capacity(if want_source { Quantity::ALL.len() } else { 0 });
+        let mut polys = Vec::with_capacity(Quantity::ALL.len());
+        let mut plan_exponents: Option<Arc<Vec<Vec<u32>>>> = None;
         for q in 0..Quantity::ALL.len() {
             match d.meta.u32()? {
                 QMODE_CANONICAL => {
                     // The quantity polynomial is the shared plan plus the
-                    // q-th SoA column, bit-for-bit.  Nothing to read and —
-                    // on the compiled-only path — nothing to build: the
-                    // plan already validated the shared monomial data.
-                    if want_source {
-                        let exps: Vec<Vec<u32>> = plan
-                            .exponent_bytes()
-                            .chunks_exact(dim.max(1))
-                            .map(|t| t.iter().map(|&b| b as u32).collect())
-                            .collect();
-                        let coeffs: Vec<f64> = (0..plan.term_count())
-                            .map(|t| plan.coefficient_matrix()[t * 5 + q])
-                            .collect();
-                        polys.push(
-                            Polynomial::new(dim, exps, coeffs)
-                                .map_err(|e| perr(format!("invalid canonical polynomial: {e}")))?,
-                        );
-                    }
+                    // q-th SoA column, bit-for-bit: nothing to read.  The
+                    // canonical quantities share one exponent table, as
+                    // they do when the fit engine builds them.
+                    let exps = plan_exponents.get_or_insert_with(|| {
+                        Arc::new(
+                            plan.exponent_bytes()
+                                .chunks_exact(dim.max(1))
+                                .map(|t| t.iter().map(|&b| b as u32).collect())
+                                .collect(),
+                        )
+                    });
+                    let coeffs: Vec<f64> = (0..plan.term_count())
+                        .map(|t| plan.coefficient_matrix()[t * 5 + q])
+                        .collect();
+                    polys.push(
+                        Polynomial::from_shared(dim, Arc::clone(exps), coeffs)
+                            .map_err(|e| perr(format!("invalid canonical polynomial: {e}")))?,
+                    );
                 }
-                QMODE_EXPLICIT => {
-                    // Always decoded (and hence validated), so both walk
-                    // modes accept exactly the same files.
-                    let poly = decode_explicit_poly(d, f64s, u32s, dim)?;
-                    if want_source {
-                        polys.push(poly);
-                    }
-                }
+                QMODE_EXPLICIT => polys.push(decode_explicit_poly(d, f64s, u32s, dim)?),
                 other => return Err(perr(format!("unknown quantity mode {other}"))),
             }
         }
-        if want_source {
-            for dd in 0..dim {
-                space_lo[dd] = space_lo[dd].min(region.lo()[dd]);
-                space_hi[dd] = space_hi[dd].max(region.hi()[dd]);
-            }
-            regions.push(RegionModel {
-                region: region.clone(),
-                poly: VectorPolynomial::new(polys)
-                    .map_err(|e| perr(format!("invalid vector polynomial: {e}")))?,
-                error,
-                samples_used,
-                // Provenance is runtime-only (same rule as the text format):
-                // reloaded regions restart at revision 0.
-                revision: 0,
-            });
+        for dd in 0..dim {
+            space_lo[dd] = space_lo[dd].min(region.lo()[dd]);
+            space_hi[dd] = space_hi[dd].max(region.hi()[dd]);
         }
         compiled_regions.push(CompiledRegion::compile(&region, plan, error));
+        regions.push(RegionModel {
+            region,
+            poly: VectorPolynomial::new(polys)
+                .map_err(|e| perr(format!("invalid vector polynomial: {e}")))?,
+            error,
+            samples_used,
+            // Provenance is runtime-only (same rule as the text format):
+            // reloaded regions restart at revision 0.
+            revision: 0,
+        });
     }
     let fast =
         CompiledPiecewise::from_raw_parts(dim, compiled_regions, cuts, cells, fallbacks, indexed)?;
-    let source = want_source
-        .then(|| PiecewiseModel::new(Region::new(space_lo, space_hi), regions, total_samples));
+    let source = PiecewiseModel::new(Region::new(space_lo, space_hi), regions, total_samples);
     Ok((source, fast))
 }
 

@@ -38,7 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dla_blas::{Call, Routine};
 use dla_machine::Locality;
@@ -1351,19 +1351,12 @@ impl CompiledRoutineModel {
 ///
 /// Compilation happens once — the serving layer (`dla-predict`'s
 /// `ModelService`) compiles at construction and on every swap/merge, so
-/// every reader snapshot is already compiled.
-///
-/// Binary-loaded repositories ([`crate::binfmt::decode`]) start with the
-/// compiled entries only: the source repository materialises lazily from
-/// the retained (already validated) bytes on first
-/// [`source()`](CompiledRepository::source) access, so the serving path
-/// never pays for structures only merge/save/reference evaluation need.
+/// every reader snapshot is already compiled.  Binary-loaded repositories
+/// ([`crate::binfmt::decode`]) rebuild both halves in one decode pass, with
+/// no re-compilation.
 #[derive(Debug, Clone)]
 pub struct CompiledRepository {
-    source: OnceLock<Arc<ModelRepository>>,
-    /// The validated encoded form, kept only by the binary loader so the
-    /// lazy `source()` rebuild has something to decode from.
-    raw: Option<Vec<u8>>,
+    source: Arc<ModelRepository>,
     entries: Vec<(ModelKey, CompiledRoutineModel)>,
 }
 
@@ -1379,24 +1372,17 @@ impl CompiledRepository {
             .iter()
             .map(|(key, model)| (key.clone(), CompiledRoutineModel::compile(model)))
             .collect();
-        CompiledRepository {
-            source: OnceLock::from(source),
-            raw: None,
-            entries,
-        }
+        CompiledRepository { source, entries }
     }
 
-    /// Assembles a compiled repository straight from its validated encoded
-    /// form (the binary loader's entry point): the source stays
-    /// unmaterialised until [`source()`](CompiledRepository::source) asks
-    /// for it.
-    pub(crate) fn from_encoded(
-        raw: Vec<u8>,
+    /// Assembles a compiled repository from a decoded source and its
+    /// decoded compiled entries (the binary loader's entry point).
+    pub(crate) fn from_parts(
+        source: ModelRepository,
         entries: Vec<(ModelKey, CompiledRoutineModel)>,
     ) -> CompiledRepository {
         CompiledRepository {
-            source: OnceLock::new(),
-            raw: Some(raw),
+            source: Arc::new(source),
             entries,
         }
     }
@@ -1406,24 +1392,8 @@ impl CompiledRepository {
     }
 
     /// The uncompiled source repository (the reference implementation).
-    ///
-    /// For binary-loaded repositories the first call rebuilds the source
-    /// from the retained bytes (concurrent callers are serialised by the
-    /// cell); every other constructor fills the cell up front.
-    // lint: allow(panic-free): lazy re-decode of bytes that already passed the
-    // full decode validation when this repository was built
     pub fn source(&self) -> &Arc<ModelRepository> {
-        self.source.get_or_init(|| {
-            // lint: allow(unwrap): every constructor either fills the cell or stores the bytes
-            let raw = self
-                .raw
-                .as_ref()
-                .expect("unmaterialised source without retained bytes");
-            // lint: allow(unwrap): these exact bytes passed the full decode validation already
-            let repo =
-                crate::binfmt::decode_source(raw).expect("validated bytes failed to re-decode");
-            Arc::new(repo)
-        })
+        &self.source
     }
 
     /// Number of compiled models.

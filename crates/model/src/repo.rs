@@ -253,7 +253,7 @@ impl ModelRepository {
     /// Parses a repository from its binary form, discarding the compiled
     /// layout (use [`crate::binfmt::decode`] to keep it).
     pub fn from_binary(bytes: &[u8]) -> Result<ModelRepository> {
-        Ok(crate::binfmt::decode(bytes)?.source().as_ref().clone())
+        crate::binfmt::decode_parts(bytes).map(|(source, _)| source)
     }
 
     /// Writes the repository to a file in the codec

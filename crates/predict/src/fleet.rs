@@ -2,27 +2,24 @@
 //! degraded-mode prediction.
 //!
 //! A [`FleetService`] owns one [`ModelService`] **shard** per machine preset
-//! (Harpertown, Sandy Bridge, their threaded variants, …) behind a
-//! [`Router`] keyed by machine id.  Every query carries a **deadline
-//! budget** in deterministic virtual cost units; against that budget the
-//! fleet runs a layered defence:
+//! (Harpertown, Sandy Bridge, their threaded variants, …), routed by machine
+//! id through an immutable id → shard-index table built once at
+//! construction, so the same query always lands on the same shard.  Every
+//! query carries a **deadline budget** in deterministic virtual cost units;
+//! against that budget the fleet runs a layered defence:
 //!
-//! 1. **Admission control.**  A fleet-wide in-flight bound sheds the
-//!    lowest-priority queries first as occupancy climbs
-//!    ([`Priority`], [`ShedReason::FleetOverloaded`]); a per-shard in-flight
-//!    bound keeps one slow shard from absorbing the whole fleet's capacity.
-//! 2. **Bounded retry.**  Shard calls get up to
+//! 1. **Bounded retry.**  Shard calls get up to
 //!    [`RetryPolicy::max_retries`] retries with seeded exponential backoff
 //!    plus deterministic jitter — the schedule is a pure function of
 //!    `(fleet seed, query id, attempt)`, so it is reproducible across runs
 //!    *and across worker counts*.
-//! 3. **Circuit breaking.**  A per-shard [`CircuitBreaker`] driven by query
+//! 2. **Circuit breaking.**  A per-shard [`CircuitBreaker`] driven by query
 //!    failures and by the shard's [`ServiceHealth`] ledger (rejected
-//!    publishes, quarantine pressure; see
-//!    [`FleetService::apply_ledger_pressure`]) trips Healthy → Degraded →
-//!    Down, with half-open probing after a cooldown: exactly one query wins
-//!    the probe slot, everyone else is rejected without touching the shard.
-//! 4. **Degraded serving.**  When the direct path fails or is not admitted,
+//!    publishes; see [`FleetService::apply_ledger_pressure`]) trips
+//!    Healthy → Degraded → Down, with half-open probing after a cooldown:
+//!    exactly one query wins the probe slot, everyone else is rejected
+//!    without touching the shard.
+//! 3. **Degraded serving.**  When the direct path fails or is not admitted,
 //!    the query is answered from the shard's retained **last-good
 //!    generation** ([`LastGoodSnapshot`]) if one exists ([`Served::Stale`]);
 //!    otherwise it is
@@ -48,9 +45,8 @@
 //! query sees which fault.
 //!
 //! Concurrency primitives come from the [`dla_model::sync`] facade: under
-//! `--cfg interleave` the breaker word, the in-flight gauges and the
-//! last-good slot run on the vendored model checker's shims
-//! (see `tests/interleave_fleet.rs`).
+//! `--cfg interleave` the breaker word and the last-good slot run on the
+//! vendored model checker's shims (see `tests/interleave_fleet.rs`).
 
 use std::collections::HashMap;
 
@@ -62,23 +58,22 @@ use dla_model::sync::{Arc, RwLock};
 
 use crate::health::ServiceHealth;
 use crate::predictor::Predictor;
-use crate::router::Router;
 use crate::service::{ModelService, Published};
 
 // ---------------------------------------------------------------------------
 // Queries and responses
 // ---------------------------------------------------------------------------
 
-/// Load-shedding priority of a fleet query.  Under fleet-wide pressure the
-/// lowest priorities are shed first (see [`FleetConfig::fleet_in_flight_limit`]).
+/// Caller-declared priority of a fleet query.  The fleet does not read it:
+/// every query runs the same degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
-    /// Sheddable background traffic (sweeps, speculative rankings).
+    /// Background traffic (sweeps, speculative rankings).
     Low,
     /// Ordinary interactive traffic.
     #[default]
     Normal,
-    /// Traffic that must only be shed when the fleet is completely full.
+    /// Traffic the caller marks as urgent.
     High,
 }
 
@@ -96,7 +91,7 @@ pub struct FleetQuery {
     /// Total budget for this query, in virtual cost units.  Attempts,
     /// backoff pauses and degraded-mode evaluation all spend from it.
     pub deadline: u64,
-    /// Load-shedding priority.
+    /// Caller-declared priority; unread by the fleet.
     pub priority: Priority,
 }
 
@@ -139,9 +134,6 @@ impl Served {
 /// Why a query was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// Fleet-wide admission control dropped the query before any shard was
-    /// tried (occupancy at or above the priority's cutoff).
-    FleetOverloaded,
     /// The deadline budget ran out before any layer could answer.
     DeadlineExhausted,
     /// Direct, stale and every proxy candidate failed within budget.
@@ -249,7 +241,7 @@ impl RetryPolicy {
 // Circuit breaker
 // ---------------------------------------------------------------------------
 
-/// Circuit-breaker thresholds and the ledger pressure rule.
+/// Circuit-breaker thresholds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failed queries that trip Healthy → Degraded.
@@ -258,10 +250,6 @@ pub struct BreakerConfig {
     pub down_threshold: u32,
     /// Queries rejected while Down before one half-open probe is admitted.
     pub cooldown: u32,
-    /// Quarantined-region count in the shard's [`ServiceHealth`] ledger at
-    /// or above which [`FleetService::apply_ledger_pressure`] strikes the
-    /// breaker; 0 disables the quarantine rule.
-    pub ledger_quarantine_limit: u64,
 }
 
 impl Default for BreakerConfig {
@@ -270,7 +258,6 @@ impl Default for BreakerConfig {
             degraded_threshold: 2,
             down_threshold: 4,
             cooldown: 8,
-            ledger_quarantine_limit: 0,
         }
     }
 }
@@ -822,32 +809,28 @@ impl<C: ShardClient> ShardClient for ChaosShard<C> {
 // Fleet configuration
 // ---------------------------------------------------------------------------
 
+/// Per-attempt budget cap, in virtual cost units; attempts costing more
+/// count as timeouts.
+const ATTEMPT_TIMEOUT: u64 = 64;
+
+/// Cost of a local degraded answer (stale evaluation or proxy scaling).  The
+/// direct and proxy phases always leave this much headroom in the deadline
+/// so a degraded answer still fits.
+const LOCAL_EVAL_COST: u64 = 1;
+
 /// Fleet-wide serving knobs.  All durations are deterministic virtual cost
-/// units (the same currency as [`FleetQuery::deadline`]).
+/// units (the same currency as [`FleetQuery::deadline`]); each attempt is
+/// capped at 64 units, and a local degraded answer costs 1.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Root seed for per-query backoff streams.
     pub seed: u64,
     /// Nominal cost charged per [`ServiceClient`] answer.
     pub nominal_cost: u64,
-    /// Per-attempt budget cap; attempts costing more count as timeouts.
-    pub attempt_timeout: u64,
-    /// Cost of a local degraded answer (stale evaluation or proxy scaling).
-    /// The direct and proxy phases always leave this much headroom in the
-    /// deadline so a degraded answer still fits.
-    pub local_eval_cost: u64,
     /// Retry/backoff policy for shard attempts.
     pub retry: RetryPolicy,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Per-shard in-flight bound; 0 = unlimited.  Attempts beyond the bound
-    /// skip the shard (degraded path) instead of queueing.
-    pub shard_in_flight_limit: u64,
-    /// Fleet-wide in-flight bound; 0 = unlimited.  As occupancy climbs,
-    /// [`Priority::Low`] queries are shed at `limit − limit/2`,
-    /// [`Priority::Normal`] at `limit − limit/4`, [`Priority::High`] only
-    /// at the full limit.
-    pub fleet_in_flight_limit: u64,
     /// Calls used to calibrate cross-machine efficiency ratios at build
     /// time.  Empty ⇒ uncalibrated proxying (ratio 1.0 between all pairs).
     pub calibration_calls: Vec<Call>,
@@ -858,12 +841,8 @@ impl Default for FleetConfig {
         FleetConfig {
             seed: 0x5eed_f1ee_7000_0001,
             nominal_cost: 8,
-            attempt_timeout: 64,
-            local_eval_cost: 1,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            shard_in_flight_limit: 0,
-            fleet_in_flight_limit: 0,
             calibration_calls: Vec::new(),
         }
     }
@@ -896,8 +875,6 @@ pub struct ShardHealth {
     pub timeouts: u64,
     /// Attempt errors observed on this shard's queries.
     pub errors: u64,
-    /// Attempts skipped because the shard hit its in-flight bound.
-    pub saturation_skips: u64,
     /// Healthy → Degraded trips.
     pub trips_degraded: u64,
     /// Degraded → Down trips.
@@ -906,8 +883,6 @@ pub struct ShardHealth {
     pub recoveries: u64,
     /// Half-open probes admitted.
     pub probes: u64,
-    /// Queries currently inside the shard.
-    pub in_flight: u64,
     /// Generation of the retained last-good handle, if any.
     pub last_good_generation: Option<u64>,
     /// The shard service's own fault-tolerance ledger.
@@ -941,9 +916,7 @@ pub struct FleetHealth {
     pub recoveries: u64,
     /// Half-open probes (Σ shards).
     pub probes: u64,
-    /// Queries currently in flight fleet-wide.
-    pub in_flight: u64,
-    /// Per-shard slices, in shard-index order.
+    /// Per-shard slices, in registration order.
     pub shards: Vec<ShardHealth>,
 }
 
@@ -1071,7 +1044,6 @@ struct ShardCounters {
     retries: AtomicU64,
     timeouts: AtomicU64,
     errors: AtomicU64,
-    saturation_skips: AtomicU64,
 }
 
 impl ShardCounters {
@@ -1085,7 +1057,6 @@ impl ShardCounters {
             retries: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            saturation_skips: AtomicU64::new(0),
         }
     }
 }
@@ -1096,34 +1067,10 @@ struct Shard {
     client: Arc<dyn ShardClient>,
     breaker: CircuitBreaker,
     last_good: LastGoodSnapshot,
-    in_flight: AtomicU64,
     counters: ShardCounters,
     /// Watermark of `publishes_rejected` last seen by
     /// [`FleetService::apply_ledger_pressure`].
     rejected_seen: AtomicU64,
-}
-
-/// RAII occupancy guard over an in-flight gauge.
-struct InFlightGuard<'a> {
-    gauge: &'a AtomicU64,
-}
-
-impl<'a> InFlightGuard<'a> {
-    fn enter(gauge: &'a AtomicU64) -> InFlightGuard<'a> {
-        // ordering: Relaxed — the gauge is an admission heuristic, not a
-        // synchronisation point: a racing reader seeing the count one step
-        // stale admits/sheds one borderline query, which the admission
-        // contract explicitly tolerates.
-        gauge.fetch_add(1, Ordering::Relaxed);
-        InFlightGuard { gauge }
-    }
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        // ordering: Relaxed — see `enter`; the pair never protects data.
-        self.gauge.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// Per-query running totals, folded into the target shard's counters once
@@ -1141,8 +1088,8 @@ enum CallOutcome {
     Answered(Summary, u64),
     /// Attempts ran and all failed (the breaker was struck).
     Failed,
-    /// The breaker rejected the query or the shard was saturated before any
-    /// attempt ran (no strike: nothing new was learnt about the shard).
+    /// The breaker rejected the query or no attempt fit the deadline (no
+    /// strike: nothing new was learnt about the shard).
     NotAdmitted,
 }
 
@@ -1187,49 +1134,42 @@ impl FleetBuilder {
         self
     }
 
-    /// Builds the fleet: routes by machine id, calibrates cross-machine
-    /// efficiency ratios over [`FleetConfig::calibration_calls`], and orders
-    /// each shard's proxy fallbacks nearest-efficiency-first.
+    /// Builds the fleet: indexes shards by machine id in registration
+    /// order, calibrates cross-machine efficiency ratios over
+    /// [`FleetConfig::calibration_calls`], and orders each shard's proxy
+    /// fallbacks nearest-efficiency-first.  A fleet without shards, or with
+    /// two shards for one machine id, is a build error.
     pub fn build(self) -> Result<FleetService, FleetError> {
         if self.shards.is_empty() {
             return Err(FleetError::EmptyFleet);
         }
-        let ids: Vec<String> = self
-            .shards
-            .iter()
-            .map(|(service, _)| service.machine().id())
-            .collect();
-        let (router, duplicates) = Router::new(ids);
-        if let Some(duplicate) = duplicates.into_iter().next() {
-            return Err(FleetError::DuplicateMachine(duplicate));
-        }
-
-        let shards: Vec<Shard> = self
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(index, (service, client))| Shard {
-                machine_id: router.ids()[index].clone(),
+        let mut index = HashMap::with_capacity(self.shards.len());
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for (service, client) in self.shards {
+            let machine_id = service.machine().id();
+            if index.insert(machine_id.clone(), shards.len()).is_some() {
+                return Err(FleetError::DuplicateMachine(machine_id));
+            }
+            shards.push(Shard {
+                machine_id,
                 service,
                 client,
                 breaker: CircuitBreaker::new(),
                 last_good: LastGoodSnapshot::new(),
-                in_flight: AtomicU64::new(0),
                 counters: ShardCounters::new(),
                 rejected_seen: AtomicU64::new(0),
-            })
-            .collect();
+            });
+        }
 
         let calibration = calibrate_ratios(&shards, &self.config.calibration_calls);
         let fallbacks = order_fallbacks(&calibration.global);
 
         Ok(FleetService {
             config: self.config,
-            router,
+            index,
             shards,
             calibration,
             fallbacks,
-            in_flight: AtomicU64::new(0),
         })
     }
 }
@@ -1255,8 +1195,8 @@ impl Calibration {
     /// The scale for standing in for shard `a` with shard `b`'s answer to
     /// `call`: the routine's calibrated surface interpolated at the call's
     /// sizes, else the global geometric mean.
-    // lint: allow(panic-free): a and b are router-validated shard indices; the
-    // square tables cover every shard
+    // lint: allow(panic-free): a and b are routed shard indices; the square
+    // tables cover every shard
     fn ratio(&self, a: usize, b: usize, call: &Call) -> f64 {
         let Some(curve) = self.curves[a][b].get(&call.routine()) else {
             return self.global[a][b];
@@ -1406,8 +1346,7 @@ fn calibrate_ratios(shards: &[Shard], calls: &[Call]) -> Calibration {
             curves: vec![vec![HashMap::new(); n]; n],
         };
     }
-    let predictors: Vec<Predictor<'static>> =
-        shards.iter().map(|s| s.service.predictor()).collect();
+    let predictors: Vec<Predictor> = shards.iter().map(|s| s.service.predictor()).collect();
     let ticks: Vec<Vec<Option<f64>>> = predictors
         .iter()
         .map(|p| {
@@ -1481,87 +1420,38 @@ fn order_fallbacks(ratios: &[Vec<f64>]) -> Vec<Vec<usize>> {
 /// degradation ladder.
 pub struct FleetService {
     config: FleetConfig,
-    router: Router,
+    /// Machine id → shard index; immutable after build, so routing is
+    /// reproducible across runs and worker counts.
+    index: HashMap<String, usize>,
     shards: Vec<Shard>,
     calibration: Calibration,
     fallbacks: Vec<Vec<usize>>,
-    in_flight: AtomicU64,
 }
 
 impl std::fmt::Debug for FleetService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let machines: Vec<&str> = self.shards.iter().map(|s| s.machine_id.as_str()).collect();
         f.debug_struct("FleetService")
-            .field("machines", &self.router.ids())
+            .field("machines", &machines)
             .finish_non_exhaustive()
     }
 }
 
 impl FleetService {
-    /// The fleet's router (machine id → shard index).
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// The fleet's configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// The shard service for `machine_id`, if registered.
-    pub fn shard_service(&self, machine_id: &str) -> Option<&Arc<ModelService>> {
-        self.router
-            .route(machine_id)
-            .map(|index| &self.shards[index].service)
-    }
-
-    /// The calibrated whole-mix efficiency ratio `ticks(target) /
-    /// ticks(via)`, if both machines are registered and the pair calibrated.
-    /// Proxied answers use the tighter per-routine refinement of this ratio
-    /// when the query's routine was covered by the calibration calls.
-    pub fn efficiency_ratio(&self, target: &str, via: &str) -> Option<f64> {
-        let a = self.router.route(target)?;
-        let b = self.router.route(via)?;
-        let ratio = self.calibration.global[a][b];
-        ratio.is_finite().then_some(ratio)
-    }
-
     /// Answers one query; see the [module docs](self) for the degradation
     /// ladder.  Only an unroutable machine id is an error — everything else
     /// is a tagged [`FleetResponse`].
     // lint: panic-free
     pub fn query(&self, query: &FleetQuery) -> Result<FleetResponse, FleetError> {
-        let Some(target) = self.router.route(&query.machine_id) else {
+        let Some(&target) = self.index.get(&query.machine_id) else {
             return Err(FleetError::UnknownMachine(query.machine_id.clone()));
         };
-        // lint: allow(panic-free): Router::route only returns in-range shard indices
+        // lint: allow(panic-free): the id index only holds in-range shard indices
         let shard = &self.shards[target];
         // ordering: Relaxed — standalone statistic.
         shard.counters.queries.fetch_add(1, Ordering::Relaxed);
 
         let mut stats = QueryStats::default();
-
-        // Fleet-wide admission: shed the lowest priorities first.
-        let fleet_limit = self.config.fleet_in_flight_limit;
-        if fleet_limit > 0 {
-            let cutoff = match query.priority {
-                Priority::Low => fleet_limit - fleet_limit / 2,
-                Priority::Normal => fleet_limit - fleet_limit / 4,
-                Priority::High => fleet_limit,
-            };
-            // ordering: Relaxed — admission heuristic; see `InFlightGuard`.
-            if self.in_flight.load(Ordering::Relaxed) >= cutoff {
-                return Ok(self.finish(
-                    shard,
-                    None,
-                    Served::Shed {
-                        reason: ShedReason::FleetOverloaded,
-                    },
-                    stats,
-                ));
-            }
-        }
-        let _fleet_guard = InFlightGuard::enter(&self.in_flight);
-
         let backoff_seed = derive_stream_seed(self.config.seed, query.id);
 
         // 1. Direct path.
@@ -1575,11 +1465,11 @@ impl FleetService {
         // 2. Stale path: the retained last-good generation, if any.  Its
         // predictor counts no telemetry: stale answers are not traffic of
         // the served generation.
-        if stats.elapsed + self.config.local_eval_cost <= query.deadline {
+        if stats.elapsed + LOCAL_EVAL_COST <= query.deadline {
             if let Some(held) = shard.last_good.get() {
                 if let Ok(summary) = held.predictor().predict_call(&query.call) {
                     if summary.median.is_finite() && summary.mean.is_finite() {
-                        stats.elapsed += self.config.local_eval_cost;
+                        stats.elapsed += LOCAL_EVAL_COST;
                         return Ok(self.finish(
                             shard,
                             Some(summary),
@@ -1596,17 +1486,17 @@ impl FleetService {
         // 3. Proxy path: nearest healthy machine, efficiency-scaled.
         // lint: allow(panic-free): fallback lists are built with one entry per shard
         for &via in &self.fallbacks[target] {
-            if stats.elapsed + self.config.local_eval_cost > query.deadline {
+            if stats.elapsed + LOCAL_EVAL_COST > query.deadline {
                 break;
             }
             let via_seed = derive_stream_seed(backoff_seed, 0x9e37_79b9_7f4a_7c15 ^ via as u64);
             if let CallOutcome::Answered(summary, _) =
                 self.call_shard(via, query, via_seed, &mut stats)
             {
-                if stats.elapsed + self.config.local_eval_cost > query.deadline {
+                if stats.elapsed + LOCAL_EVAL_COST > query.deadline {
                     break;
                 }
-                stats.elapsed += self.config.local_eval_cost;
+                stats.elapsed += LOCAL_EVAL_COST;
                 let ratio = self.calibration.ratio(target, via, &query.call);
                 return Ok(self.finish(
                     shard,
@@ -1622,7 +1512,7 @@ impl FleetService {
         }
 
         // 4. Shed — still a tagged answer, accounted like everything else.
-        let reason = if stats.elapsed + self.config.local_eval_cost > query.deadline {
+        let reason = if stats.elapsed + LOCAL_EVAL_COST > query.deadline {
             ShedReason::DeadlineExhausted
         } else {
             ShedReason::NoFallback
@@ -1631,8 +1521,8 @@ impl FleetService {
     }
 
     /// Runs the bounded-retry attempt loop against shard `index`.  The loop
-    /// always leaves [`FleetConfig::local_eval_cost`] units of deadline
-    /// headroom so a degraded answer still fits afterwards.
+    /// always leaves [`LOCAL_EVAL_COST`] units of deadline headroom so a
+    /// degraded answer still fits afterwards.
     fn call_shard(
         &self,
         index: usize,
@@ -1640,42 +1530,29 @@ impl FleetService {
         backoff_seed: u64,
         stats: &mut QueryStats,
     ) -> CallOutcome {
-        // lint: allow(panic-free): callers pass router-validated shard indices
+        // lint: allow(panic-free): callers pass routed shard indices
         let shard = &self.shards[index];
         let admission = shard.breaker.admit(&self.config.breaker);
         if admission == Admission::Reject {
             return CallOutcome::NotAdmitted;
         }
-        let shard_limit = self.config.shard_in_flight_limit;
         let mut attempt: u32 = 0;
         let mut attempted = false;
         loop {
             let headroom = query
                 .deadline
                 .saturating_sub(stats.elapsed)
-                .saturating_sub(self.config.local_eval_cost);
-            let budget = headroom.min(self.config.attempt_timeout);
+                .saturating_sub(LOCAL_EVAL_COST);
+            let budget = headroom.min(ATTEMPT_TIMEOUT);
             if budget == 0 {
                 break;
             }
-            // ordering: Relaxed — admission heuristic; see `InFlightGuard`.
-            if shard_limit > 0 && shard.in_flight.load(Ordering::Relaxed) >= shard_limit {
-                // ordering: Relaxed — standalone statistic.
-                shard
-                    .counters
-                    .saturation_skips
-                    .fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            let outcome = {
-                let _guard = InFlightGuard::enter(&shard.in_flight);
-                shard.client.predict(&ShardCall {
-                    call: &query.call,
-                    query_id: query.id,
-                    attempt,
-                    budget,
-                })
-            };
+            let outcome = shard.client.predict(&ShardCall {
+                call: &query.call,
+                query_id: query.id,
+                attempt,
+                budget,
+            });
             attempted = true;
             let mut retryable = true;
             match outcome {
@@ -1685,13 +1562,11 @@ impl FleetService {
                         // waiting at the budget boundary.
                         stats.elapsed += budget;
                         stats.timeouts += 1;
-                        shard.service.record_query_timeout();
                     } else if !(reply.summary.median.is_finite() && reply.summary.mean.is_finite())
                     {
                         // Corrupt reply: paid for, but unusable.
                         stats.elapsed += reply.cost;
                         stats.errors += 1;
-                        shard.service.record_query_error();
                     } else {
                         stats.elapsed += reply.cost;
                         shard.breaker.record_success();
@@ -1706,13 +1581,9 @@ impl FleetService {
                 Err(error) => {
                     stats.elapsed += error.cost().min(budget);
                     match &error {
-                        ShardError::Timeout { .. } => {
-                            stats.timeouts += 1;
-                            shard.service.record_query_timeout();
-                        }
+                        ShardError::Timeout { .. } => stats.timeouts += 1,
                         ShardError::Unavailable { .. } | ShardError::Failed { .. } => {
                             stats.errors += 1;
-                            shard.service.record_query_error();
                         }
                     }
                     retryable = error.is_retryable();
@@ -1725,7 +1596,7 @@ impl FleetService {
             let headroom = query
                 .deadline
                 .saturating_sub(stats.elapsed)
-                .saturating_sub(self.config.local_eval_cost);
+                .saturating_sub(LOCAL_EVAL_COST);
             if pause >= headroom {
                 break;
             }
@@ -1784,9 +1655,8 @@ impl FleetService {
     }
 
     /// Feeds each shard's [`ServiceHealth`] ledger into its breaker: a
-    /// publish rejected since the last application, or quarantine pressure
-    /// at/above [`BreakerConfig::ledger_quarantine_limit`], each strike the
-    /// breaker once.  Returns the post-application breaker states, in shard
+    /// publish rejected since the last application strikes the breaker
+    /// once.  Returns the post-application breaker states, in shard
     /// order.  Call this from the same maintenance loop that publishes
     /// refinement deltas.
     pub fn apply_ledger_pressure(&self) -> Vec<BreakerState> {
@@ -1801,10 +1671,6 @@ impl FleetService {
                     .rejected_seen
                     .swap(health.publishes_rejected, Ordering::Relaxed);
                 if health.publishes_rejected > seen {
-                    shard.breaker.record_failure(&self.config.breaker);
-                }
-                let limit = self.config.breaker.ledger_quarantine_limit;
-                if limit > 0 && health.quarantined_regions >= limit {
                     shard.breaker.record_failure(&self.config.breaker);
                 }
                 shard.breaker.state()
@@ -1898,14 +1764,10 @@ impl FleetService {
                     timeouts: shard.counters.timeouts.load(Ordering::Relaxed),
                     // ordering: Relaxed — statistics snapshot.
                     errors: shard.counters.errors.load(Ordering::Relaxed),
-                    // ordering: Relaxed — statistics snapshot.
-                    saturation_skips: shard.counters.saturation_skips.load(Ordering::Relaxed),
                     trips_degraded: breaker.trips_degraded,
                     trips_down: breaker.trips_down,
                     recoveries: breaker.recoveries,
                     probes: breaker.probes,
-                    // ordering: Relaxed — statistics snapshot.
-                    in_flight: shard.in_flight.load(Ordering::Relaxed),
                     last_good_generation: shard.last_good.generation(),
                     service: shard.service.health(),
                 }
@@ -1924,36 +1786,119 @@ impl FleetService {
             trips_down: shards.iter().map(|s| s.trips_down).sum(),
             recoveries: shards.iter().map(|s| s.recoveries).sum(),
             probes: shards.iter().map(|s| s.probes).sum(),
-            // ordering: Relaxed — statistics snapshot.
-            in_flight: self.in_flight.load(Ordering::Relaxed),
             shards,
         }
-    }
-
-    /// Per-machine-id view of [`health`](FleetService::health), for callers
-    /// that don't want to track shard indices.
-    pub fn shard_health(&self) -> HashMap<String, ShardHealth> {
-        self.health()
-            .shards
-            .into_iter()
-            .map(|shard| (shard.machine_id.clone(), shard))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_machine::presets::harpertown_openblas;
-    use dla_machine::Locality;
+    use dla_blas::{Diag, Side, Trans, Uplo};
+    use dla_machine::presets::{
+        harpertown_openblas, sandy_bridge_openblas, sandy_bridge_openblas_threaded,
+    };
+    use dla_machine::{Locality, MachineConfig};
     use dla_model::ModelRepository;
+
+    fn empty_shard(machine: MachineConfig) -> Arc<ModelService> {
+        Arc::new(ModelService::new(
+            ModelRepository::new(),
+            machine,
+            Locality::InCache,
+        ))
+    }
+
+    fn query_for(machine_id: String) -> FleetQuery {
+        FleetQuery {
+            id: 7,
+            machine_id,
+            call: Call::trsm(
+                Side::Left,
+                Uplo::Lower,
+                Trans::NoTrans,
+                Diag::NonUnit,
+                64,
+                64,
+                1.0,
+            ),
+            deadline: 200,
+            priority: Priority::Normal,
+        }
+    }
+
+    #[test]
+    fn build_without_shards_is_an_empty_fleet() {
+        let err = FleetBuilder::new(FleetConfig::default())
+            .build()
+            .unwrap_err();
+        assert_eq!(err, FleetError::EmptyFleet);
+    }
+
+    #[test]
+    fn two_shards_for_one_machine_are_a_duplicate() {
+        let err = FleetBuilder::new(FleetConfig::default())
+            .shard(empty_shard(harpertown_openblas()))
+            .shard(empty_shard(sandy_bridge_openblas()))
+            .shard(empty_shard(harpertown_openblas()))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FleetError::DuplicateMachine(harpertown_openblas().id())
+        );
+    }
+
+    #[test]
+    fn queries_for_unregistered_machines_are_unknown() {
+        let fleet = FleetBuilder::new(FleetConfig::default())
+            .shard(empty_shard(harpertown_openblas()))
+            .build()
+            .unwrap();
+        let err = fleet.query(&query_for("nowhere".into())).unwrap_err();
+        assert_eq!(err, FleetError::UnknownMachine("nowhere".into()));
+        assert_eq!(
+            fleet.health().queries,
+            0,
+            "an unroutable query counts nowhere"
+        );
+    }
+
+    #[test]
+    fn health_lists_shards_in_registration_order() {
+        let machines = [
+            sandy_bridge_openblas(),
+            harpertown_openblas(),
+            sandy_bridge_openblas_threaded(),
+        ];
+        let fleet = machines
+            .iter()
+            .fold(FleetBuilder::new(FleetConfig::default()), |b, m| {
+                b.shard(empty_shard(m.clone()))
+            })
+            .build()
+            .unwrap();
+        let ids: Vec<String> = machines.iter().map(MachineConfig::id).collect();
+        let listed: Vec<String> = fleet
+            .health()
+            .shards
+            .into_iter()
+            .map(|s| s.machine_id)
+            .collect();
+        assert_eq!(listed, ids);
+        // A query lands on the shard registered under its machine id (empty
+        // models cannot answer, so it is shed, but it is counted there).
+        let response = fleet.query(&query_for(ids[1].clone())).unwrap();
+        assert!(!response.served.is_answer());
+        let queries: Vec<u64> = fleet.health().shards.iter().map(|s| s.queries).collect();
+        assert_eq!(queries, [0, 1, 0]);
+    }
 
     fn breaker_config() -> BreakerConfig {
         BreakerConfig {
             degraded_threshold: 2,
             down_threshold: 3,
             cooldown: 2,
-            ledger_quarantine_limit: 0,
         }
     }
 

@@ -41,7 +41,6 @@ pub mod health;
 pub mod modelset;
 pub mod predictor;
 pub mod ranking;
-pub mod router;
 pub mod service;
 pub mod workloads;
 
@@ -53,5 +52,4 @@ pub use fleet::{
 };
 pub use health::ServiceHealth;
 pub use predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePrediction};
-pub use router::Router;
 pub use service::{ModelService, Published};

@@ -1,6 +1,5 @@
 //! Trace prediction: evaluating and accumulating per-call model estimates.
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use dla_blas::flops::is_empty_call;
@@ -123,38 +122,33 @@ fn missing_model_error(routine: Routine, machine_id: &str, locality: Locality) -
 /// from a [`ModelService`](crate::ModelService) snapshot), and the
 /// machine/locality combination is pre-resolved into a routing table, so the
 /// per-call path performs no allocation and no hashing.
+///
+/// A predictor owns its compiled snapshot, so it can be cloned and moved
+/// freely across threads and outlives the repository it was built from.
 #[derive(Clone)]
-pub struct Predictor<'a> {
+pub struct Predictor {
     compiled: Arc<CompiledRepository>,
     table: RoutineTable,
     machine: MachineConfig,
     locality: Locality,
-    /// Keeps the historical borrowed-repository lifetime in the type, so the
-    /// classic `Predictor::new(&repo, ...)` shape still reads naturally.
-    _borrow: PhantomData<&'a ModelRepository>,
 }
 
-impl<'a> Predictor<'a> {
+impl Predictor {
     /// Creates a predictor that reads models for `machine` under `locality`,
-    /// compiling the repository for fast evaluation.
-    pub fn new(
-        repository: &'a ModelRepository,
-        machine: MachineConfig,
-        locality: Locality,
-    ) -> Self {
-        let compiled = Arc::new(repository.compiled());
-        Predictor::with_compiled(compiled, machine, locality)
+    /// compiling a copy of the repository for fast evaluation.
+    pub fn new(repository: &ModelRepository, machine: MachineConfig, locality: Locality) -> Self {
+        Predictor::from_compiled(Arc::new(repository.compiled()), machine, locality)
     }
 
-    /// Creates a predictor that owns an `Arc` snapshot of the repository, so
-    /// it carries no borrow and can be moved freely across threads.
+    /// Creates a predictor over a shared repository snapshot, compiling it
+    /// without copying the source.
     pub fn shared(
         repository: Arc<ModelRepository>,
         machine: MachineConfig,
         locality: Locality,
-    ) -> Predictor<'static> {
+    ) -> Predictor {
         let compiled = Arc::new(CompiledRepository::compile_arc(repository));
-        Predictor::with_compiled(compiled, machine, locality)
+        Predictor::from_compiled(compiled, machine, locality)
     }
 
     /// Creates a predictor over an already-compiled repository (no
@@ -164,22 +158,13 @@ impl<'a> Predictor<'a> {
         compiled: Arc<CompiledRepository>,
         machine: MachineConfig,
         locality: Locality,
-    ) -> Predictor<'static> {
-        Predictor::with_compiled(compiled, machine, locality)
-    }
-
-    fn with_compiled<'b>(
-        compiled: Arc<CompiledRepository>,
-        machine: MachineConfig,
-        locality: Locality,
-    ) -> Predictor<'b> {
+    ) -> Predictor {
         let table = compiled.resolve(&machine.id(), locality);
         Predictor {
             compiled,
             table,
             machine,
             locality,
-            _borrow: PhantomData,
         }
     }
 
@@ -379,7 +364,7 @@ impl<'a> Predictor<'a> {
     }
 }
 
-impl TraceEvaluator for Predictor<'_> {
+impl TraceEvaluator for Predictor {
     fn machine(&self) -> &MachineConfig {
         Predictor::machine(self)
     }

@@ -37,8 +37,8 @@
 //! All concurrency primitives come from the `dla_sync` facade
 //! ([`dla_model::sync`]): under `--cfg interleave` they become the vendored
 //! model checker's shims, and `tests/interleave_service.rs` exhaustively
-//! explores this file's races (torn publications, merge retries, telemetry
-//! toggles).  The facade's locks are non-poisoning: the only critical
+//! explores this file's races (torn publications, merge retries, reports
+//! racing counted queries).  The facade's locks are non-poisoning: the only critical
 //! section here replaces one `Arc`, so recovering from a panicked holder
 //! serves a consistent generation instead of unwinding the serving tier.
 
@@ -48,7 +48,7 @@ use dla_mat::stats::Summary;
 // Concurrency primitives come from the `dla_sync` facade (model-checked
 // under `--cfg interleave`, non-poisoning locks); `dla-lint` enforces that
 // this file never reaches for `std::sync` directly.
-use dla_model::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dla_model::sync::atomic::{AtomicU64, Ordering};
 use dla_model::sync::{Arc, RwLock};
 use dla_model::{
     CompiledRepository, FlagKey, HotRegion, ModelRepository, RefinementReport, Region,
@@ -168,7 +168,7 @@ impl Telemetry {
 /// generation without mixing them into the served generation's traffic.
 pub struct Published {
     generation: u64,
-    predictor: Predictor<'static>,
+    predictor: Predictor,
     telemetry: Telemetry,
 }
 
@@ -201,7 +201,7 @@ impl Published {
     }
 
     /// An evaluator over the generation's models; it counts no telemetry.
-    pub fn predictor(&self) -> &Predictor<'static> {
+    pub fn predictor(&self) -> &Predictor {
         &self.predictor
     }
 }
@@ -222,9 +222,6 @@ pub struct ModelService {
     /// The served generation.  Publications build the replacement outside
     /// the lock and only swap the `Arc` under it.
     current: RwLock<Arc<Published>>,
-    /// Gates the per-query telemetry counting (the counter layout itself is
-    /// always published, so telemetry can be flipped on without a rebuild).
-    telemetry_enabled: AtomicBool,
     /// Pre-publication gate: every swap/merge validates the incoming models
     /// before they can reach readers (see [`RepositoryValidator`]).
     validator: RepositoryValidator,
@@ -250,9 +247,8 @@ impl ModelService {
             machine,
             locality,
             current: RwLock::new(Arc::new(first)),
-            telemetry_enabled: AtomicBool::new(true),
             validator: RepositoryValidator::new(),
-            health: HealthCounters::new(0),
+            health: HealthCounters::new(),
         }
     }
 
@@ -286,11 +282,12 @@ impl ModelService {
 
     /// A predictor over the current snapshot.
     ///
-    /// The predictor owns its snapshot (`'static`), so it can be handed to
-    /// other threads and outlives later [`swap`](ModelService::swap)s.  It is
-    /// a clone of the published generation's own predictor: nothing is
-    /// compiled or resolved.  It counts no telemetry.
-    pub fn predictor(&self) -> Predictor<'static> {
+    /// The predictor owns its snapshot, so it can be handed to other threads
+    /// and outlives later [`swap`](ModelService::swap)s.  It is a clone of
+    /// the published generation's own predictor: nothing is compiled or
+    /// resolved.  It counts no telemetry, which makes it the way to evaluate
+    /// without feeding the refinement report.
+    pub fn predictor(&self) -> Predictor {
         self.published().predictor().clone()
     }
 
@@ -308,7 +305,6 @@ impl ModelService {
     /// held write guard), returning the replaced handle.
     fn install_next(&self, current: &mut Arc<Published>, mut next: Published) -> Arc<Published> {
         next.generation = current.generation + 1;
-        self.health.record_accepted(next.generation);
         std::mem::replace(current, Arc::new(next))
     }
 
@@ -383,26 +379,13 @@ impl ModelService {
     }
 
     /// A point-in-time snapshot of the service's fault-tolerance ledger:
-    /// the last accepted generation, accepted/rejected publication counts,
-    /// and the refinement loop's quarantine and sampling-fault statistics
-    /// (see [`record_refinement`](ModelService::record_refinement)).
+    /// the served generation (read from the published handle), the
+    /// rejected-publication count, and the refinement loop's quarantine and
+    /// sampling-fault statistics (see
+    /// [`record_refinement`](ModelService::record_refinement)).
     pub fn health(&self) -> ServiceHealth {
-        self.health.snapshot()
-    }
-
-    /// Records a failed serving-tier query against this service's health
-    /// ledger — a shard call that errored, returned a corrupt reply, or
-    /// found the shard unavailable.  The fleet's query path calls this; the
-    /// counter feeds the shard's circuit breaker alongside the publication
-    /// and quarantine statistics.
-    pub fn record_query_error(&self) {
-        self.health.record_query_error();
-    }
-
-    /// Records a serving-tier query that overran its deadline against this
-    /// service's health ledger.
-    pub fn record_query_timeout(&self) {
-        self.health.record_query_timeout();
+        let generation = self.current.read().generation;
+        self.health.snapshot(generation)
     }
 
     /// Folds one refinement round's [`RefineOutcome`] into the health
@@ -419,28 +402,8 @@ impl ModelService {
     pub fn predict_call(&self, call: &Call) -> dla_model::Result<Summary> {
         let current = self.current.read();
         let (summary, key, region) = current.predictor.predict_call_traced(call)?;
-        if self.telemetry_enabled() {
-            current.telemetry.count(call.routine(), key, region);
-        }
+        current.telemetry.count(call.routine(), key, region);
         Ok(summary)
-    }
-
-    /// Returns `true` while per-query refinement telemetry is being counted.
-    pub fn telemetry_enabled(&self) -> bool {
-        // ordering: Relaxed — the flag is an independent on/off switch; no
-        // other memory is published through it.
-        self.telemetry_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables per-query telemetry counting.  Disabling removes
-    /// the per-query counter increment; re-enabling takes effect
-    /// immediately.
-    pub fn set_telemetry_enabled(&self, enabled: bool) {
-        // ordering: Relaxed — concurrent `predict_call`s may count (or skip)
-        // a query that straddles the toggle; either outcome is a valid
-        // serialization, asserted by the model test in
-        // `tests/interleave_service.rs`.
-        self.telemetry_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Snapshots the current generation's telemetry into a ranked
@@ -495,9 +458,6 @@ impl ModelService {
     /// call exactly as a call-by-call walk would.
     pub fn predict_traces(&self, traces: &[&[Call]]) -> dla_model::Result<Vec<TracePrediction>> {
         let current = self.published();
-        if !self.telemetry_enabled() {
-            return current.predictor.predict_traces_batched(traces, None);
-        }
         let telemetry = &current.telemetry;
         current.predictor.predict_traces_batched(
             traces,
@@ -566,7 +526,7 @@ mod tests {
 
     /// A predictor compiled afresh from the service's source repository —
     /// shares nothing with the service's published handle.
-    fn uncached_predictor(service: &ModelService) -> Predictor<'static> {
+    fn uncached_predictor(service: &ModelService) -> Predictor {
         Predictor::shared(
             service.snapshot(),
             service.machine().clone(),
@@ -714,7 +674,6 @@ mod tests {
     #[test]
     fn telemetry_counts_queries_per_region_and_ranks_them() {
         let service = quick_service();
-        assert!(service.telemetry_enabled());
         // Nothing queried yet: the report is empty.
         assert!(service.refinement_report().is_empty());
 
@@ -757,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_resets_on_swap_and_respects_the_enable_flag() {
+    fn telemetry_resets_on_swap_and_predictors_count_nothing() {
         let service = quick_service();
         let _ = service.predict_call(&gemm(96)).unwrap();
         assert_eq!(service.refinement_report().total_queries, 1);
@@ -769,16 +728,15 @@ mod tests {
         let _ = service.predict_call(&gemm(96)).unwrap();
         assert_eq!(service.refinement_report().total_queries, 1);
 
-        // Disabling telemetry stops counting on both the call and the batch
-        // path...
-        service.set_telemetry_enabled(false);
-        assert!(!service.telemetry_enabled());
-        let _ = service.predict_call(&gemm(96)).unwrap();
+        // Evaluating through a predictor, on both the call and the batch
+        // path, counts nothing...
         let trace = [gemm(48)];
-        let _ = service.predict_traces(&[&trace[..]]).unwrap();
+        for predictor in [service.predictor(), service.published().predictor().clone()] {
+            let _ = predictor.predict_call(&gemm(96)).unwrap();
+            let _ = predictor.predict_traces(&[&trace[..]]).unwrap();
+        }
         assert_eq!(service.refinement_report().total_queries, 1);
-        // ...and re-enabling picks up immediately.
-        service.set_telemetry_enabled(true);
+        // ...while the service itself keeps counting.
         let _ = service.predict_call(&gemm(48)).unwrap();
         assert_eq!(service.refinement_report().total_queries, 2);
     }
@@ -808,15 +766,14 @@ mod tests {
     fn health_ledger_accounts_every_publication() {
         let service = quick_service();
         let initial = service.health();
-        assert_eq!(initial.publishes_accepted, 0);
+        assert_eq!(initial.last_good_generation, 0);
         assert_eq!(initial.publishes_rejected, 0);
 
         // An accepted swap advances the last good generation.
         let current = (*service.snapshot()).clone();
         service.swap(current).unwrap();
         let after_swap = service.health();
-        assert_eq!(after_swap.publishes_accepted, 1);
-        assert!(after_swap.last_good_generation > initial.last_good_generation);
+        assert_eq!(after_swap.last_good_generation, 1);
 
         // A poisoned merge is rejected: the ledger records it and the served
         // generation stays put.

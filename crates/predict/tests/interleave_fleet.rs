@@ -29,7 +29,6 @@ fn config() -> BreakerConfig {
         degraded_threshold: 2,
         down_threshold: 2,
         cooldown: 1,
-        ledger_quarantine_limit: 0,
     }
 }
 

@@ -3,7 +3,7 @@
 //! `interleave` checker.
 //!
 //! Only compiled under `--cfg interleave` (the `dla_sync` facade then routes
-//! the service's publication lock, telemetry counters and toggle through the
+//! the service's publication lock and telemetry counters through the
 //! checker's shim types, so these tests explore the *real* serving code):
 //!
 //! ```text
@@ -278,11 +278,11 @@ fn merge_during_predict_linearizes() {
     });
 }
 
-/// Invariant: toggling telemetry off during a query is a valid serialization
-/// either way — the straddling query counts or it doesn't, but it can never
-/// corrupt the totals, and once the toggle settles no further query counts.
+/// Invariant: a report racing a counted query reads a valid serialization —
+/// the query's count is either visible or not yet, never torn — and once
+/// the query returns its count is settled exactly.
 #[test]
-fn telemetry_toggle_races_predict_and_report() {
+fn report_races_predict_and_reads_a_serialization() {
     let machine = harpertown_openblas();
     let repo = repo_with(Routine::Trsm, &machine.id());
     interleave::model(|| {
@@ -292,28 +292,18 @@ fn telemetry_toggle_races_predict_and_report() {
             Locality::InCache,
         ));
         service.predict_call(&trsm_call()).unwrap();
-        let toggler_service = Arc::clone(&service);
-        let toggler = interleave::thread::spawn(move || {
-            toggler_service.set_telemetry_enabled(false);
-            // A report racing the toggle and the query must itself read a
-            // valid serialization.
-            toggler_service.refinement_report().total_queries
-        });
+        let reporter_service = Arc::clone(&service);
+        let reporter =
+            interleave::thread::spawn(move || reporter_service.refinement_report().total_queries);
         service.predict_call(&trsm_call()).unwrap();
-        let racing_total = toggler.join().unwrap();
+        let racing_total = reporter.join().unwrap();
         assert!(
             (1..=2).contains(&racing_total),
             "racing report read {racing_total} queries"
         );
-        let settled = service.refinement_report().total_queries;
-        assert!(
-            (1..=2).contains(&settled),
-            "the straddling query must count at most once ({settled})"
-        );
-        // The toggle has settled: further queries must not count.
-        assert!(!service.telemetry_enabled());
-        service.predict_call(&trsm_call()).unwrap();
-        assert_eq!(service.refinement_report().total_queries, settled);
+        // Both queries were counted by one thread: the settled total is
+        // exact.
+        assert_eq!(service.refinement_report().total_queries, 2);
     });
 }
 
@@ -372,8 +362,10 @@ fn rejected_publish_racing_predict_keeps_serving_last_good_generation() {
         // Settled: nothing was adopted, and the ledger accounts the refusal.
         let health = service.health();
         assert_eq!(health.publishes_rejected, 1);
-        assert_eq!(health.publishes_accepted, 0);
-        assert_eq!(health.last_good_generation, good_generation);
+        assert_eq!(
+            health.last_good_generation, good_generation,
+            "no publication was accepted"
+        );
         assert_eq!(service.predict_call(&trsm_call()).unwrap(), baseline);
     });
 }

@@ -1,5 +1,5 @@
-//! Real-thread races over [`ModelService`]: telemetry toggling, reporting
-//! and swapping concurrent with serving queries.
+//! Real-thread races over [`ModelService`]: reporting and swapping
+//! concurrent with serving queries.
 //!
 //! These run under the normal cfg with OS threads and real contention —
 //! the probabilistic complement of the exhaustive-but-bounded model suite in
@@ -58,12 +58,12 @@ fn trsm_call(m: usize, n: usize) -> Call {
     )
 }
 
-/// Query threads hammer `predict_call` while the main thread flips the
-/// telemetry switch and takes reports the whole time.  Every query must
-/// succeed, every report must be internally consistent, and once the toggle
-/// settles to "off" the totals must freeze.
+/// Query threads hammer `predict_call` while the main thread takes reports
+/// the whole time.  Every query must succeed, every report must be
+/// internally consistent and bounded by the queries issued, and once the
+/// workers are joined each further query counts exactly once.
 #[test]
-fn telemetry_toggle_races_serving_threads() {
+fn reports_race_serving_threads() {
     const THREADS: usize = 4;
     const QUERIES: usize = 500;
 
@@ -79,8 +79,9 @@ fn telemetry_toggle_races_serving_threads() {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 for i in 0..QUERIES {
-                    // A handful of distinct keys per worker: plenty of cache
-                    // hits (lossy counting path) and misses (exact path).
+                    // A handful of distinct calls per worker, all answered
+                    // by the one region, so every worker races on one
+                    // counter.
                     let m = 100 + 50 * ((worker + i) % 4);
                     service.predict_call(&trsm_call(m, 700)).unwrap();
                 }
@@ -88,12 +89,12 @@ fn telemetry_toggle_races_serving_threads() {
         })
         .collect();
 
-    // Race the toggle and the reporter against the serving threads.
-    for round in 0..200 {
-        service.set_telemetry_enabled(round % 2 == 0);
+    // Race the reporter against the serving threads.  Only queries bump
+    // the counters, so no report can exceed what all workers could have
+    // issued.  (Counting is a relaxed load + store, so a stale store can
+    // overwrite a racing increment: totals are bounded, not monotone.)
+    for _ in 0..200 {
         let report = service.refinement_report();
-        // Counters only ever increase and only queries bump them: the total
-        // can never exceed what all workers could have issued.
         assert!(report.total_queries <= (THREADS * QUERIES) as u64);
         for cell in &report.cells {
             assert!(cell.queries > 0, "reported cells answered queries");
@@ -104,19 +105,11 @@ fn telemetry_toggle_races_serving_threads() {
         worker.join().unwrap();
     }
 
-    // The service survived the races; with telemetry settled off, the
-    // counters freeze no matter how many further queries arrive.
-    service.set_telemetry_enabled(false);
-    let frozen = service.refinement_report().total_queries;
-    for _ in 0..50 {
-        service.predict_call(&trsm_call(100, 700)).unwrap();
-    }
-    assert_eq!(service.refinement_report().total_queries, frozen);
-
-    // And settled on, every query counts again (hit path included).
-    service.set_telemetry_enabled(true);
+    // Quiesced: a single-threaded query counts exactly once.
+    let settled = service.refinement_report().total_queries;
+    assert!(settled > 0 && settled <= (THREADS * QUERIES) as u64);
     service.predict_call(&trsm_call(100, 700)).unwrap();
-    assert!(service.refinement_report().total_queries > frozen);
+    assert_eq!(service.refinement_report().total_queries, settled + 1);
 }
 
 /// Swaps race serving threads: queries must never observe a torn service
