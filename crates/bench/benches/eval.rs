@@ -59,7 +59,7 @@ fn gemm_submodel(
         .expect("gemm model");
     let template = Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 8, 8, 1.0, 1.0);
     let submodel = model
-        .submodel(&submodel_key(&template))
+        .submodel(submodel_key(&template))
         .expect("gemm NN submodel")
         .clone();
     let space = Region::new(model.space.lo().to_vec(), model.space.hi().to_vec());

@@ -246,44 +246,13 @@ impl Call {
         }
     }
 
-    /// The flag arguments encoded as 0/1 indices, in routine order.
+    /// The flag arguments encoded as 0/1 indices, in routine order, written
+    /// into a fixed-size array; returns the array and the number of valid
+    /// entries.
     ///
-    /// This vector is the submodel key used by the Modeler: each distinct
-    /// combination of flags gets its own piecewise model.
-    pub fn flag_indices(&self) -> Vec<usize> {
-        match self {
-            Call::Gemm { transa, transb, .. } => vec![transa.as_index(), transb.as_index()],
-            Call::Trsm {
-                side,
-                uplo,
-                transa,
-                diag,
-                ..
-            }
-            | Call::Trmm {
-                side,
-                uplo,
-                transa,
-                diag,
-                ..
-            } => vec![
-                side.as_index(),
-                uplo.as_index(),
-                transa.as_index(),
-                diag.as_index(),
-            ],
-            Call::Syrk { uplo, trans, .. } => vec![uplo.as_index(), trans.as_index()],
-            Call::TrtriUnb { uplo, diag, .. } => vec![uplo.as_index(), diag.as_index()],
-            Call::SylvUnb { .. } => vec![],
-        }
-    }
-
-    /// The flag indices written into a fixed-size array, returning the array
-    /// and the number of valid entries.
-    ///
-    /// This is the allocation-free counterpart of [`Call::flag_indices`]: no
-    /// routine has more than [`Call::MAX_FLAGS`] flags, and every flag index
-    /// fits in a `u8`, so per-call model lookups need not touch the heap.
+    /// No routine has more than [`Call::MAX_FLAGS`] flags and every flag
+    /// index fits in a `u8`, so per-call model lookups need not touch the
+    /// heap.
     // lint: allow(panic-free): constant indices below Call::MAX_FLAGS
     pub fn flag_indices_fixed(&self) -> ([u8; Call::MAX_FLAGS], usize) {
         let mut flags = [0u8; Call::MAX_FLAGS];
@@ -354,19 +323,16 @@ impl Call {
 
     /// The integer size arguments, in routine order.
     pub fn sizes(&self) -> Vec<usize> {
-        match self {
-            Call::Gemm { m, n, k, .. } => vec![*m, *n, *k],
-            Call::Trsm { m, n, .. } | Call::Trmm { m, n, .. } => vec![*m, *n],
-            Call::Syrk { n, k, .. } => vec![*n, *k],
-            Call::TrtriUnb { n, .. } => vec![*n],
-            Call::SylvUnb { m, n, .. } => vec![*m, *n],
-        }
+        let (sizes, len) = self.sizes_fixed();
+        let mut sizes = sizes.to_vec();
+        sizes.truncate(len);
+        sizes
     }
 
     /// The integer size arguments written into a fixed-size array, returning
-    /// the array and the number of valid entries (the allocation-free
-    /// counterpart of [`Call::sizes`]; no routine has more than
-    /// [`Call::MAX_SIZES`] sizes).
+    /// the array and the number of valid entries (the allocation-free form
+    /// of [`Call::sizes`]; no routine has more than [`Call::MAX_SIZES`]
+    /// sizes).
     // lint: allow(panic-free): constant indices below Call::MAX_SIZES
     pub fn sizes_fixed(&self) -> ([usize; Call::MAX_SIZES], usize) {
         let mut sizes = [0usize; Call::MAX_SIZES];
@@ -421,52 +387,12 @@ impl Call {
         }
     }
 
-    /// Dimensions `(rows, cols)` of every matrix operand of the call.
+    /// Dimensions `(rows, cols)` of every matrix operand of the call, as a
+    /// fixed-size array plus the operand count (no routine touches more than
+    /// 3 matrices).
     ///
     /// Used by the machine model to compute operand footprints and memory
-    /// traffic.
-    pub fn operand_dims(&self) -> Vec<(usize, usize)> {
-        match self {
-            Call::Gemm {
-                transa,
-                transb,
-                m,
-                n,
-                k,
-                ..
-            } => {
-                let a = match transa {
-                    Trans::NoTrans => (*m, *k),
-                    Trans::Trans => (*k, *m),
-                };
-                let b = match transb {
-                    Trans::NoTrans => (*k, *n),
-                    Trans::Trans => (*n, *k),
-                };
-                vec![a, b, (*m, *n)]
-            }
-            Call::Trsm { side, m, n, .. } | Call::Trmm { side, m, n, .. } => {
-                let order = match side {
-                    Side::Left => *m,
-                    Side::Right => *n,
-                };
-                vec![(order, order), (*m, *n)]
-            }
-            Call::Syrk { trans, n, k, .. } => {
-                let a = match trans {
-                    Trans::NoTrans => (*n, *k),
-                    Trans::Trans => (*k, *n),
-                };
-                vec![a, (*n, *n)]
-            }
-            Call::TrtriUnb { n, .. } => vec![(*n, *n)],
-            Call::SylvUnb { m, n, .. } => vec![(*m, *m), (*n, *n), (*m, *n)],
-        }
-    }
-
-    /// The operand dimensions as a fixed-size array plus the operand count
-    /// (no routine touches more than 3 matrices) — the allocation-free
-    /// counterpart of [`Call::operand_dims`] for per-measurement hot paths.
+    /// traffic on per-measurement hot paths.
     pub fn operand_dims_fixed(&self) -> ([(usize, usize); 3], usize) {
         let mut dims = [(0usize, 0usize); 3];
         let len = match self {
@@ -931,12 +857,15 @@ mod tests {
             0.37,
         );
         assert_eq!(c.routine(), Routine::Trsm);
-        assert_eq!(c.flag_indices(), vec![1, 0, 0, 1]);
+        assert_eq!(c.flag_indices_fixed(), ([1, 0, 0, 1], 4));
         assert_eq!(c.flag_chars(), "RLNU");
         assert_eq!(c.sizes(), vec![512, 128]);
         assert_eq!(c.scalars(), vec![0.37]);
         // side=R so the triangular operand has order n=128
-        assert_eq!(c.operand_dims(), vec![(128, 128), (512, 128)]);
+        assert_eq!(
+            c.operand_dims_fixed(),
+            ([(128, 128), (512, 128), (0, 0)], 2)
+        );
     }
 
     #[test]
@@ -967,14 +896,14 @@ mod tests {
         ];
         for c in &calls {
             let (flags, flag_len) = c.flag_indices_fixed();
-            assert!(flag_len <= Call::MAX_FLAGS);
-            let as_vec: Vec<usize> = flags[..flag_len].iter().map(|&f| f as usize).collect();
-            assert_eq!(as_vec, c.flag_indices(), "flags of {c}");
+            assert_eq!(flag_len, c.routine().flag_count(), "flags of {c}");
+            assert!(flags[flag_len..].iter().all(|&f| f == 0), "flags of {c}");
             let (sizes, size_len) = c.sizes_fixed();
-            assert!(size_len <= Call::MAX_SIZES);
+            assert_eq!(size_len, c.routine().size_count(), "sizes of {c}");
             assert_eq!(sizes[..size_len].to_vec(), c.sizes(), "sizes of {c}");
             let (dims, dim_len) = c.operand_dims_fixed();
-            assert_eq!(dims[..dim_len].to_vec(), c.operand_dims(), "dims of {c}");
+            assert!(dim_len <= dims.len());
+            assert!(dims[dim_len..].iter().all(|&d| d == (0, 0)), "dims of {c}");
         }
         for (i, r) in Routine::ALL.into_iter().enumerate() {
             assert_eq!(r.index(), i);
@@ -984,9 +913,9 @@ mod tests {
     #[test]
     fn gemm_operand_dims_respect_transposition() {
         let c = Call::gemm(Trans::Trans, Trans::NoTrans, 10, 20, 30, 1.0, 0.0);
-        assert_eq!(c.operand_dims(), vec![(30, 10), (30, 20), (10, 20)]);
+        assert_eq!(c.operand_dims_fixed(), ([(30, 10), (30, 20), (10, 20)], 3));
         assert_eq!(c.sizes(), vec![10, 20, 30]);
-        assert_eq!(c.flag_indices(), vec![1, 0]);
+        assert_eq!(c.flag_indices_fixed(), ([1, 0, 0, 0], 2));
         let bytes = c.operand_bytes();
         assert_eq!(bytes, (300 + 600 + 200) * 8);
     }
@@ -1074,9 +1003,9 @@ mod tests {
     #[test]
     fn sylv_unb_has_no_flags() {
         let c = Call::sylv_unb(10, 20);
-        assert!(c.flag_indices().is_empty());
+        assert_eq!(c.flag_indices_fixed(), ([0; Call::MAX_FLAGS], 0));
         assert_eq!(c.flag_chars(), "");
         assert_eq!(c.sizes(), vec![10, 20]);
-        assert_eq!(c.operand_dims(), vec![(10, 10), (20, 20), (10, 20)]);
+        assert_eq!(c.operand_dims_fixed(), ([(10, 10), (20, 20), (10, 20)], 3));
     }
 }

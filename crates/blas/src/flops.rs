@@ -30,11 +30,6 @@ pub fn syrk_flops(n: usize, k: usize) -> f64 {
     n as f64 * (n as f64 + 1.0) * k as f64
 }
 
-/// Flop count of a general matrix-vector multiply.
-pub fn gemv_flops(m: usize, n: usize) -> f64 {
-    2.0 * m as f64 * n as f64
-}
-
 /// Flop count of inverting a triangular matrix of order `n`.
 pub fn trtri_flops(n: usize) -> f64 {
     let n = n as f64;

@@ -13,8 +13,8 @@ use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::SimExecutor;
 use dla_core::mat::stats::{Quantity, Summary};
 use dla_core::model::{
-    ModelError, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel,
-    VectorPolynomial,
+    FlagKey, ModelError, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel,
+    RoutineModel, VectorPolynomial,
 };
 use dla_core::modeler::online::dedupe_templates;
 use dla_core::modeler::{OnlineRefiner, OnlineRefinerConfig};
@@ -137,6 +137,7 @@ fn random_routine_model(gen: &mut Gen, routine: Routine, machine_id: &str) -> Ro
             regions.push(random_region_model(gen, &space));
         }
         let total = regions.iter().map(|r| r.samples_used).sum();
+        let flags = FlagKey::from_slice(&flags).expect("at most 3 binary flags");
         model.insert_submodel(flags, PiecewiseModel::new(space.clone(), regions, total));
     }
     model
@@ -181,7 +182,7 @@ fn assert_equivalent(original: &ModelRepository, reloaded: &ModelRepository) {
             .expect("reloaded model");
         assert_eq!(model.submodel_count(), other.submodel_count());
         for (flags, submodel) in &model.submodels {
-            let reloaded_sub = other.submodel(flags).expect("reloaded submodel");
+            let reloaded_sub = other.submodel(*flags).expect("reloaded submodel");
             for p in probe_points(&submodel.space) {
                 let ours = submodel.eval(&p).unwrap();
                 let theirs = reloaded_sub.eval(&p).unwrap();

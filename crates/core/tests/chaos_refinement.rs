@@ -19,7 +19,7 @@ use dla_core::blas::{Diag, Side, Trans, Uplo};
 use dla_core::machine::cost::estimate_ticks;
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::{ChaosConfig, ChaosExecutor, Executor, SimExecutor};
-use dla_core::modeler::online::dedupe_templates;
+use dla_core::modeler::online::{dedupe_templates, QUARANTINE_COOLDOWN, QUARANTINE_THRESHOLD};
 use dla_core::modeler::{OnlineRefiner, OnlineRefinerConfig, RefinementConfig};
 use dla_core::predict::modelset::{build_repository, workload_templates, ModelSetConfig};
 use dla_core::{Call, Locality, MachineConfig, ModelService, RefineOutcome, Workload};
@@ -102,8 +102,6 @@ fn refiner_config() -> OnlineRefinerConfig {
         },
         sample_budget: 4096,
         max_cells: 256,
-        min_queries: 1,
-        ..Default::default()
     }
 }
 
@@ -229,11 +227,10 @@ fn chaotic_refinement_converges_within_2x_of_fault_free() {
     // Quarantine provenance is structurally consistent in every round: a
     // reported cell carries its strike count (at/above the threshold) and a
     // cooldown no longer than configured.
-    let config = refiner.config();
     for outcome in &outcomes {
         for cell in &outcome.quarantined {
-            assert!(cell.failures >= config.quarantine_threshold);
-            assert!(cell.cooldown_remaining <= config.quarantine_cooldown);
+            assert!(cell.failures >= QUARANTINE_THRESHOLD);
+            assert!(cell.cooldown_remaining <= QUARANTINE_COOLDOWN);
         }
     }
 

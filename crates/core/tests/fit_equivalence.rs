@@ -262,7 +262,8 @@ fn reference_refinement(
     let step = oracle.grid_step();
     while let Some(region) = stack.pop() {
         let points = region.sample_grid(config.grid_per_dim, step);
-        let summaries = oracle.measure_all(&points);
+        let mut summaries = Vec::new();
+        let Ok(()) = oracle.measure_into(&points, &mut summaries);
         let samples: Vec<(Vec<usize>, Summary)> = points.into_iter().zip(summaries).collect();
         let fitted =
             RegionModel::fit(region.clone(), &samples, config.degree).unwrap_or_else(|_| {

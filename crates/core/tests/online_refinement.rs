@@ -136,8 +136,6 @@ fn online_refinement_recovers_from_machine_drift() {
             },
             sample_budget: 4096,
             max_cells: 256,
-            min_queries: 1,
-            ..Default::default()
         },
     )
     .with_templates(&dedupe_templates(&templates));

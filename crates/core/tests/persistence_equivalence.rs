@@ -10,7 +10,7 @@ use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::SimExecutor;
 use dla_core::mat::stats::{Quantity, Summary};
 use dla_core::model::{
-    ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel,
+    FlagKey, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel,
     VectorPolynomial,
 };
 use dla_core::modeler::online::dedupe_templates;
@@ -121,6 +121,7 @@ fn random_routine_model(gen: &mut Gen, routine: Routine, machine_id: &str) -> Ro
             regions.push(random_region_model(gen, &space));
         }
         let total = regions.iter().map(|r| r.samples_used).sum();
+        let flags = FlagKey::from_slice(&flags).expect("at most 3 binary flags");
         model.insert_submodel(flags, PiecewiseModel::new(space.clone(), regions, total));
     }
     model
@@ -177,7 +178,7 @@ fn assert_compiled_equivalent(original: &ModelRepository, reloaded: &ModelReposi
                 .get(routine, &key.machine_id, locality)
                 .expect("reloaded source model");
             let reloaded_sub = reloaded_model
-                .submodel(flags)
+                .submodel(*flags)
                 .expect("reloaded submodel for flags");
             for p in probe_points(&submodel.space) {
                 let ours = submodel.eval(&p).unwrap();
@@ -233,8 +234,7 @@ proptest! {
         for (_, model) in full.iter() {
             let mut l = model.clone();
             let mut r = model.clone();
-            let mut keys: Vec<Vec<usize>> = model.submodels.keys().cloned().collect();
-            keys.sort();
+            let keys: Vec<FlagKey> = model.submodels.keys().copied().collect();
             for (i, key) in keys.iter().enumerate() {
                 if i % 2 == 0 {
                     r.submodels.remove(key);

@@ -8,8 +8,8 @@
 //! Model construction solves the *same* system against five right-hand sides
 //! (one per statistical quantity), so the factorisation and the solve are
 //! deliberately decoupled: [`QrFactorization::new`] factors once,
-//! [`QrFactorization::solve_into`] / [`QrFactorization::solve_many`] back-solve
-//! any number of right-hand sides against the shared factors, and the
+//! [`QrFactorization::solve_into`] back-solves any number of right-hand
+//! sides against the shared factors, and the
 //! rank-deficient ridge fallback ([`QrFactorization::ridge_factorization`])
 //! is likewise derived from the stored `R` instead of re-reducing the
 //! original matrix.
@@ -192,29 +192,6 @@ impl QrFactorization {
         Ok(x)
     }
 
-    /// Solves the least-squares problem for several right-hand sides against
-    /// the factors of a **single** factorisation (the multi-RHS driver the
-    /// fit engine uses: one QR, five back-solves).
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let n = self.cols();
-        let mut qtb = vec![0.0; self.rows()];
-        let mut solutions = Vec::with_capacity(rhs.len());
-        for b in rhs {
-            if b.len() != self.rows() {
-                return Err(MatError::dims(format!(
-                    "solve_many: rhs has {} entries, expected {}",
-                    b.len(),
-                    self.rows()
-                )));
-            }
-            qtb.copy_from_slice(b);
-            let mut x = vec![0.0; n];
-            self.solve_into(&mut qtb, &mut x)?;
-            solutions.push(x);
-        }
-        Ok(solutions)
-    }
-
     /// QR factorisation of the ridge-regularised normal matrix
     /// `R^T R + lambda I` (which equals `A^T A + lambda I`, since `A = Q R`).
     ///
@@ -304,50 +281,7 @@ pub fn lstsq(a: Matrix, b: &[f64]) -> Result<Vec<f64>> {
     }
 }
 
-/// Solves `min ||A x - b||_2` for several right-hand sides with a **single**
-/// factorisation of `a` (consumed).
-///
-/// Equivalent to calling [`lstsq`] once per right-hand side — including the
-/// ridge fallback for rank-deficient systems, whose regularised normal
-/// factorisation is likewise computed only once — at a fifth of the cost for
-/// the Modeler's five quantity fits.
-pub fn lstsq_multi(a: Matrix, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-    let qr = QrFactorization::new(a)?;
-    let n = qr.cols();
-    let mut qtb = vec![0.0; qr.rows()];
-    let mut ridge: Option<QrFactorization> = None;
-    let mut solutions = Vec::with_capacity(rhs.len());
-    for b in rhs {
-        if b.len() != qr.rows() {
-            return Err(MatError::dims(format!(
-                "lstsq_multi: rhs has {} entries, expected {}",
-                b.len(),
-                qr.rows()
-            )));
-        }
-        qtb.copy_from_slice(b);
-        let mut x = vec![0.0; n];
-        match qr.solve_into(&mut qtb, &mut x) {
-            Ok(()) => solutions.push(x),
-            Err(MatError::Numerical { .. }) => {
-                // Rank deficiency is a property of `A` alone, so the ridge
-                // factorisation is shared across every right-hand side.
-                if ridge.is_none() {
-                    ridge = Some(qr.ridge_factorization(LSTSQ_RIDGE_LAMBDA)?);
-                }
-                // lint: allow(unwrap): the ridge factorization was installed two lines above
-                let rqr = ridge.as_ref().expect("just installed");
-                let mut atb = vec![0.0; n];
-                qr.rt_apply(&qtb, &mut atb)?;
-                solutions.push(rqr.solve(&atb)?);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(solutions)
-}
-
-/// Ridge fallback shared by [`lstsq`] and [`lstsq_multi`]: solves
+/// Ridge fallback of [`lstsq`]: solves
 /// `(R^T R + lambda I) x = R^T (Q^T b)` from the stored factors.
 fn ridge_solve_from(qr: &QrFactorization, qtb: &[f64], lambda: f64) -> Result<Vec<f64>> {
     let rqr = qr.ridge_factorization(lambda)?;
@@ -704,49 +638,6 @@ mod tests {
         let via_normal = lstsq_regularized(&a, &b, lambda).unwrap();
         for (u, v) in via_factors.iter().zip(&via_normal) {
             assert!((u - v).abs() < 1e-6, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn solve_many_matches_independent_solves() {
-        let a = Matrix::from_fn(8, 3, |i, j| ((i + 1) * (j + 2)) as f64 + (i as f64).cos());
-        let rhs: Vec<Vec<f64>> = (0..5)
-            .map(|q| (0..8).map(|i| (i * q) as f64 * 0.3 - 1.0).collect())
-            .collect();
-        let qr = QrFactorization::new(a.clone()).unwrap();
-        let many = qr.solve_many(&rhs).unwrap();
-        assert_eq!(many.len(), 5);
-        for (b, x_many) in rhs.iter().zip(&many) {
-            let x_single = lstsq(a.clone(), b).unwrap();
-            assert_eq!(&x_single, x_many, "multi-RHS solve must match lstsq");
-        }
-        assert!(qr.solve_many(&[vec![0.0; 3]]).is_err());
-    }
-
-    #[test]
-    fn lstsq_multi_matches_lstsq_on_rank_deficient_systems() {
-        // Duplicate columns force the ridge fallback; the shared-factor multi
-        // driver must produce bit-identical solutions to per-RHS lstsq.
-        let a = Matrix::from_rows(
-            6,
-            3,
-            &[
-                1.0, 2.0, 2.0, //
-                1.0, 3.0, 3.0, //
-                1.0, 4.0, 4.0, //
-                1.0, 5.0, 5.0, //
-                1.0, 6.0, 6.0, //
-                1.0, 7.0, 7.0,
-            ],
-        )
-        .unwrap();
-        let rhs: Vec<Vec<f64>> = (0..5)
-            .map(|q| (0..6).map(|i| ((i + q) as f64).sin() + 2.0).collect())
-            .collect();
-        let many = lstsq_multi(a.clone(), &rhs).unwrap();
-        for (b, x_many) in rhs.iter().zip(&many) {
-            let x_single = lstsq(a.clone(), b).unwrap();
-            assert_eq!(&x_single, x_many);
         }
     }
 

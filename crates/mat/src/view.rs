@@ -250,26 +250,6 @@ impl<'a> MatMut<'a> {
         unsafe { MatMut::from_raw_parts(self.ptr, self.rows, self.cols, self.ld) }
     }
 
-    /// Mutable sub-view described by `rect`; panics if the block does not fit.
-    pub fn submatrix_mut(self, rect: Rect) -> MatMut<'a> {
-        assert!(
-            rect.fits_in(self.rows, self.cols),
-            "submatrix {rect} out of bounds for {}x{} view",
-            self.rows,
-            self.cols
-        );
-        // SAFETY: the block is contained in the parent view and consumes self,
-        // so exclusivity is preserved.
-        unsafe {
-            MatMut::from_raw_parts(
-                self.ptr.add(rect.col * self.ld + rect.row),
-                rect.rows,
-                rect.cols,
-                self.ld,
-            )
-        }
-    }
-
     /// Splits this view into two disjoint mutable blocks.
     ///
     /// Panics if the blocks overlap or do not fit.

@@ -6,8 +6,7 @@
 //! binary layout whose on-disk representation *is* the compiled layout:
 //! monomial plans, SoA coefficient blocks, per-dimension cut arrays, cell
 //! tables and fallback candidate sets are serialised in the exact shapes
-//! [`CompiledVectorPolynomial`](crate::CompiledVectorPolynomial) /
-//! [`CompiledPiecewise`](crate::CompiledPiecewise) /
+//! [`CompiledVectorPolynomial`] / [`CompiledPiecewise`] /
 //! [`CompiledRepository`] hold in memory, so a shard deserialises with one
 //! validated bulk decode per section instead of re-parsing and re-compiling.
 //! (`#![forbid(unsafe_code)]` stands: "zero-copy" means zero re-compilation
@@ -207,23 +206,18 @@ fn encode_model(
     s.u64s.extend(model.space.lo().iter().map(|&v| v as u64));
     s.u64s.extend(model.space.hi().iter().map(|&v| v as u64));
     s.meta_usize(model.submodels.len(), "submodel count")?;
-    let mut keys: Vec<&Vec<usize>> = model.submodels.keys().collect();
-    keys.sort();
-    for flags in keys {
-        let sub = &model.submodels[flags];
+    for (&flags, sub) in &model.submodels {
         s.meta_usize(flags.len(), "flag count")?;
-        for &f in flags {
+        for f in flags.flags() {
             s.meta_u64(f as u64);
         }
         s.meta_u64(sub.total_samples as u64);
         // The compiled counterpart decides the storage mode: fast submodels
         // persist their compiled artefacts, everything else stores the
         // reference polynomials only.
-        let fast = FlagKey::from_slice(flags).and_then(|fk| {
-            entry.submodels().iter().find_map(|(k, cs)| match cs {
-                CompiledSubmodel::Fast(c) if *k == fk => Some(c),
-                _ => None,
-            })
+        let fast = entry.submodels().iter().find_map(|(k, cs)| match cs {
+            CompiledSubmodel::Fast(c) if *k == flags => Some(c),
+            _ => None,
         });
         match fast {
             Some(c) => encode_fast_submodel(s, sub, c, dim)?,
@@ -660,32 +654,30 @@ fn decode_model(
     let key = ModelKey::new(routine, &machine_id, locality);
     let mut model = RoutineModel::new(routine, machine_id, locality, space.clone());
     let mut compiled_subs: Vec<(FlagKey, CompiledSubmodel)> = Vec::new();
-    let mut prev_flags: Option<Vec<usize>> = None;
+    let mut prev_flags: Option<FlagKey> = None;
     for _ in 0..submodel_count {
         let flag_count = d.meta.count("flag count")?;
         let mut flags = Vec::with_capacity(flag_count.min(64));
         for _ in 0..flag_count {
             flags.push(d.meta.u64_usize("flag value")?);
         }
+        let flags = FlagKey::from_slice(&flags)
+            .ok_or_else(|| perr("submodel flag key cannot come from any call"))?;
         // Sorted flag keys keep the compiled submodel order identical to
         // what compiling the source would produce.
-        if let Some(prev) = &prev_flags {
-            if *prev >= flags {
-                return Err(perr("submodel flag keys out of order"));
-            }
+        if prev_flags.is_some_and(|prev| prev >= flags) {
+            return Err(perr("submodel flag keys out of order"));
         }
-        prev_flags = Some(flags.clone());
+        prev_flags = Some(flags);
         let total_samples = d.meta.u64_usize("sample count")?;
         let mode = d.meta.u32()?;
         let region_count = d.meta.count("region count")?;
         match mode {
             MODE_FAST => {
-                let fk = FlagKey::from_slice(&flags)
-                    .ok_or_else(|| perr("fast submodel with an unrepresentable flag key"))?;
                 let (sub, fast) =
                     decode_fast_submodel(d, u64s, f64s, u32s, dim, region_count, total_samples)?;
                 model.insert_submodel(flags, sub);
-                compiled_subs.push((fk, CompiledSubmodel::Fast(fast)));
+                compiled_subs.push((flags, CompiledSubmodel::Fast(fast)));
             }
             MODE_REFERENCE => {
                 let sub = decode_reference_submodel(
@@ -699,11 +691,8 @@ fn decode_model(
                     &space,
                 )?;
                 // Reference mode records that compilation declined this
-                // submodel; only keys a real call can produce are kept, the
-                // same filter compilation applies.
-                if let Some(fk) = FlagKey::from_slice(&flags) {
-                    compiled_subs.push((fk, CompiledSubmodel::Reference(sub.clone())));
-                }
+                // submodel.
+                compiled_subs.push((flags, CompiledSubmodel::Reference(sub.clone())));
                 model.insert_submodel(flags, sub);
             }
             other => return Err(perr(format!("unknown submodel mode {other}"))),
@@ -873,4 +862,73 @@ fn decode_explicit_poly(
     let coefficients = f64s.take(terms)?.to_vec();
     Polynomial::new(dim, exponents, coefficients)
         .map_err(|e| perr(format!("invalid polynomial: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FlagKey;
+
+    /// A one-model binary file whose only submodel (key `[0, 0, 0]`) the
+    /// compiler declines — an exponent past the power ladder — so it is
+    /// stored in reference mode.
+    fn reference_mode_file() -> Vec<u8> {
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![8, 0]], vec![1.0, 1e-20]).unwrap();
+        let region = RegionModel {
+            region: space.clone(),
+            poly: VectorPolynomial::new(vec![poly; Quantity::ALL.len()]).unwrap(),
+            error: 0.01,
+            samples_used: 4,
+            revision: 0,
+        };
+        let mut model = RoutineModel::new(Routine::Trsm, "m", Locality::InCache, space.clone());
+        model.insert_submodel(
+            FlagKey::from_slice(&[0, 0, 0]).unwrap(),
+            PiecewiseModel::new(space, vec![region], 4),
+        );
+        let mut repo = ModelRepository::new();
+        repo.insert(model);
+        let compiled = repo.compiled();
+        let entry = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
+        assert_eq!(
+            entry.fast_submodel_count(),
+            0,
+            "must be stored in reference mode"
+        );
+        encode(&compiled).unwrap()
+    }
+
+    /// Rewrites the first flag of the file's only submodel key and reseals
+    /// the checksum.  In `META` the key follows the model count, routine,
+    /// locality, machine-id span, dimension, submodel count and flag count
+    /// (eight u32s); each flag is a u64.
+    fn with_first_flag(mut bytes: Vec<u8>, flag: u64) -> Vec<u8> {
+        let meta = u64::from_le_bytes(bytes[48..56].try_into().unwrap()) as usize;
+        let at = meta + 8 * 4;
+        bytes[at..at + 8].copy_from_slice(&flag.to_le_bytes());
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+        let sum = checksum(&bytes);
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn unrepresentable_flag_keys_are_a_decode_error() {
+        let bytes = reference_mode_file();
+        // The patch lands on the key: flag 1 decodes as key [1, 0, 0].
+        let decoded = decode(&with_first_flag(bytes.clone(), 1)).unwrap();
+        let model = decoded
+            .source()
+            .get(Routine::Trsm, "m", Locality::InCache)
+            .unwrap();
+        let key = FlagKey::from_slice(&[1, 0, 0]).unwrap();
+        assert!(model.submodel(key).is_some());
+        // A flag above 255 cannot come from any call: a parse error, not a
+        // stored key that nothing can query.
+        match decode(&with_first_flag(bytes, 256)) {
+            Err(ModelError::Parse(msg)) => assert!(msg.contains("flag key"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
 }

@@ -45,7 +45,7 @@ use dla_machine::Locality;
 use dla_mat::stats::Summary;
 
 use crate::piecewise::error_order;
-use crate::routine_model::{submodel_key_fixed, FlagKey};
+use crate::routine_model::{submodel_key, FlagKey};
 use crate::{
     ModelError, ModelKey, ModelRepository, PiecewiseModel, Region, Result, RoutineModel,
     VectorPolynomial,
@@ -1162,26 +1162,17 @@ pub struct CompiledRoutineModel {
 }
 
 impl CompiledRoutineModel {
-    /// Compiles a routine model.  Submodel keys that do not fit a
-    /// [`FlagKey`] are dropped: no key produced from an actual [`Call`] can
-    /// collide with them, so they are unreachable through [`estimate`].
-    ///
-    /// [`estimate`]: CompiledRoutineModel::estimate
+    /// Compiles a routine model, keeping its submodels in key order.
     pub fn compile(model: &RoutineModel) -> CompiledRoutineModel {
         let mut space_lo = [0usize; MAX_DIM];
         let mut space_hi = [usize::MAX; MAX_DIM];
         let dims = model.space.dim().min(MAX_DIM);
         space_lo[..dims].copy_from_slice(&model.space.lo()[..dims]);
         space_hi[..dims].copy_from_slice(&model.space.hi()[..dims]);
-        // Sort keys for a deterministic compiled form.
-        let mut keys: Vec<&Vec<usize>> = model.submodels.keys().collect();
-        keys.sort();
-        let submodels = keys
-            .into_iter()
-            .filter_map(|key| {
-                let fixed = FlagKey::from_slice(key)?;
-                Some((fixed, CompiledSubmodel::compile(&model.submodels[key])))
-            })
+        let submodels = model
+            .submodels
+            .iter()
+            .map(|(&key, submodel)| (key, CompiledSubmodel::compile(submodel)))
             .collect();
         CompiledRoutineModel {
             routine: model.routine,
@@ -1223,7 +1214,7 @@ impl CompiledRoutineModel {
                 call.routine()
             )));
         }
-        let key = submodel_key_fixed(call);
+        let key = submodel_key(call);
         let submodel = self
             .submodels
             .iter()
@@ -1233,7 +1224,7 @@ impl CompiledRoutineModel {
                 ModelError::MissingSubmodel(format!(
                     "no submodel for {} flags {:?} ({})",
                     self.routine,
-                    key.to_vec(),
+                    key,
                     call.flag_chars()
                 ))
             })?;
@@ -1285,8 +1276,7 @@ impl CompiledRoutineModel {
             .ok_or_else(|| {
                 ModelError::MissingSubmodel(format!(
                     "no submodel for {} flags {:?}",
-                    self.routine,
-                    key.to_vec()
+                    self.routine, key
                 ))
             })?;
         match submodel {
@@ -1723,7 +1713,7 @@ mod tests {
             RoutineModel::new(Routine::Trsm, "machine-a", Locality::InCache, space.clone());
         let rm = fitted_region(&space, 5);
         let pw = PiecewiseModel::new(space.clone(), vec![rm], 25);
-        model.insert_submodel(vec![0, 0, 0], pw.clone());
+        model.insert_submodel(crate::FlagKey::from_slice(&[0, 0, 0]).unwrap(), pw.clone());
         let mut repo = ModelRepository::new();
         repo.insert(model.clone());
         let compiled = CompiledRepository::compile(repo);

@@ -78,8 +78,8 @@ impl FitPlan {
 ///
 /// Create one per construction run (the Modeler holds one across its whole
 /// region stack) and pass it to [`VectorPolynomial::fit_with`] /
-/// [`RegionModel::fit_with`]; see the [module docs](self) for what is cached
-/// and reused.
+/// [`RegionModel::fit_with`]; the `fit` module's documentation describes
+/// what is cached and reused.
 #[derive(Default)]
 pub struct FitWorkspace {
     plans: HashMap<(usize, u32), FitPlan>,

@@ -68,7 +68,7 @@ pub use piecewise::{error_order, PiecewiseModel, RegionModel, VectorPolynomial};
 pub use poly::{monomial_exponents, Polynomial};
 pub use region::Region;
 pub use repo::{ModelKey, ModelRepository, RepositoryFormat};
-pub use routine_model::{submodel_key, submodel_key_fixed, FlagKey, RoutineModel};
+pub use routine_model::{submodel_key, FlagKey, RoutineModel};
 pub use telemetry::{HotRegion, RefinementReport};
 pub use validate::RepositoryValidator;
 

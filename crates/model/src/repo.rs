@@ -14,7 +14,7 @@ use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
 use crate::{
-    ModelError, PiecewiseModel, Polynomial, Region, RegionModel, Result, RoutineModel,
+    FlagKey, ModelError, PiecewiseModel, Polynomial, Region, RegionModel, Result, RoutineModel,
     VectorPolynomial,
 };
 
@@ -68,14 +68,6 @@ impl ModelRepository {
     pub fn insert(&mut self, model: RoutineModel) {
         let key = ModelKey::new(model.routine, &model.machine_id, model.locality);
         self.models.insert(key, model);
-    }
-
-    /// Merges another repository into this one — an alias of
-    /// [`merge_models`](ModelRepository::merge_models), kept for the
-    /// historical name used by the parallel build stage and
-    /// `Pipeline::build_models`.
-    pub fn merge(&mut self, other: ModelRepository) {
-        self.merge_models(other);
     }
 
     /// Merges another repository into this one at **submodel granularity**.
@@ -160,15 +152,12 @@ impl ModelRepository {
                 join_usizes(model.space.lo()),
                 join_usizes(model.space.hi())
             );
-            let mut keys: Vec<&Vec<usize>> = model.submodels.keys().collect();
-            keys.sort();
-            for flags in keys {
-                let sub = &model.submodels[flags];
+            for (flags, sub) in &model.submodels {
                 let flag_str = if flags.is_empty() {
                     "-".to_string()
                 } else {
                     flags
-                        .iter()
+                        .flags()
                         .map(|f| f.to_string())
                         .collect::<Vec<_>>()
                         .join(",")
@@ -461,6 +450,12 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
                 })
                 .collect::<Result<Vec<usize>>>()?
         };
+        let flags = FlagKey::from_slice(&flags).ok_or_else(|| {
+            parse_err(
+                n,
+                format!("flag key '{}' cannot come from any call", toks[1]),
+            )
+        })?;
         let total_samples: usize = toks[3]
             .parse()
             .map_err(|_| parse_err(n, format!("bad sample count '{}'", toks[3])))?;
@@ -582,9 +577,13 @@ mod tests {
             Locality::InCache,
             space,
         );
-        model.insert_submodel(vec![0, 0, 0], pw.clone());
-        model.insert_submodel(vec![1, 1, 0], pw);
+        model.insert_submodel(key(&[0, 0, 0]), pw.clone());
+        model.insert_submodel(key(&[1, 1, 0]), pw);
         model
+    }
+
+    fn key(flags: &[usize]) -> FlagKey {
+        FlagKey::from_slice(flags).expect("representable key")
     }
 
     #[test]
@@ -616,10 +615,13 @@ mod tests {
         b.insert(gemm_model);
         // A fresh Trsm model in `b` must overwrite the one in `a`.
         let mut replacement = build_model();
-        replacement.insert_submodel(vec![0, 1, 0], replacement.submodels[&vec![0, 0, 0]].clone());
+        replacement.insert_submodel(
+            key(&[0, 1, 0]),
+            replacement.submodels[&key(&[0, 0, 0])].clone(),
+        );
         let replacement_count = replacement.submodel_count();
         b.insert(replacement);
-        a.merge(b);
+        a.merge_models(b);
         assert_eq!(a.len(), 2);
         let merged = a
             .get(Routine::Trsm, "hpt+openblas-like+1t", Locality::InCache)
@@ -785,6 +787,27 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_flag_keys_are_a_parse_error() {
+        // A key no call can produce (more than Call::MAX_FLAGS flags, or a
+        // flag above 255) must be rejected on input, not stored and never
+        // queried.
+        let mut repo = ModelRepository::new();
+        repo.insert(build_model());
+        let text = repo.to_text().unwrap();
+        assert!(text.contains("submodel 0,0,0 samples"));
+        for flags in ["0,0,0,1,0", "256,0,0"] {
+            let bad = text.replace(
+                "submodel 0,0,0 samples",
+                &format!("submodel {flags} samples"),
+            );
+            match ModelRepository::from_text(&bad) {
+                Err(ModelError::Parse(msg)) => assert!(msg.contains(flags), "{msg}"),
+                other => panic!("flags {flags} must be a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn empty_repository_roundtrip() {
         let repo = ModelRepository::new();
         let text = repo.to_text().unwrap();
@@ -800,9 +823,9 @@ mod tests {
         // routine must merge into one model holding both.
         let full = build_model(); // holds [0,0,0] and [1,1,0]
         let mut only_left = full.clone();
-        only_left.submodels.retain(|k, _| k == &vec![0, 0, 0]);
+        only_left.submodels.retain(|&k, _| k == key(&[0, 0, 0]));
         let mut only_right = full.clone();
-        only_right.submodels.retain(|k, _| k == &vec![1, 1, 0]);
+        only_right.submodels.retain(|&k, _| k == key(&[1, 1, 0]));
 
         let mut a = ModelRepository::new();
         a.insert(only_left);
@@ -814,16 +837,16 @@ mod tests {
             .get(Routine::Trsm, "hpt+openblas-like+1t", Locality::InCache)
             .unwrap();
         assert_eq!(merged.submodel_count(), 2);
-        assert!(merged.submodel(&[0, 0, 0]).is_some());
-        assert!(merged.submodel(&[1, 1, 0]).is_some());
+        assert!(merged.submodel(key(&[0, 0, 0])).is_some());
+        assert!(merged.submodel(key(&[1, 1, 0])).is_some());
 
         // Colliding flag variants are replaced by the incoming side.
         let mut replacement = full.clone();
-        replacement.submodels.retain(|k, _| k == &vec![0, 0, 0]);
+        replacement.submodels.retain(|&k, _| k == key(&[0, 0, 0]));
         for sub in replacement.submodels.values_mut() {
             sub.total_samples += 999;
         }
-        let incoming_samples = replacement.submodels[&vec![0, 0, 0]].total_samples;
+        let incoming_samples = replacement.submodels[&key(&[0, 0, 0])].total_samples;
         let mut c = ModelRepository::new();
         c.insert(replacement);
         a.merge_models(c);
@@ -832,7 +855,7 @@ mod tests {
             .unwrap();
         assert_eq!(merged.submodel_count(), 2);
         assert_eq!(
-            merged.submodel(&[0, 0, 0]).unwrap().total_samples,
+            merged.submodel(key(&[0, 0, 0])).unwrap().total_samples,
             incoming_samples
         );
     }

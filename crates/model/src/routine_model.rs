@@ -1,22 +1,22 @@
 //! Models of a whole routine: one piecewise model per flag combination.
+//!
+//! A flag combination is identified by its [`FlagKey`], the only submodel
+//! key in the stack: [`submodel_key`] derives it from a call, routine models
+//! store their submodels under it, both repository codecs read and write it,
+//! and the compiled engine and the serving telemetry look submodels up by
+//! it.  A key no call can produce (more than [`Call::MAX_FLAGS`] flags, or a
+//! flag above 255) is rejected where it would enter — by the text and binary
+//! decoders — instead of being stored and never queried.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::fmt;
 
 use dla_blas::{Call, Routine};
 use dla_machine::Locality;
 use dla_mat::stats::Summary;
 
 use crate::{ModelError, PiecewiseModel, Region, Result};
-
-/// The submodel key of a call: its flag indices with the `diag` flag removed.
-///
-/// The paper's preliminary experiments (Section III-A1) show that all flag
-/// combinations must be modelled separately *except* `diag`, whose influence
-/// is minor; folding it halves the number of submodels for the triangular
-/// routines.
-pub fn submodel_key(call: &Call) -> Vec<usize> {
-    submodel_key_fixed(call).to_vec()
-}
 
 /// The number of flags kept in a submodel key for `routine` (the routine's
 /// flag count, with the `diag` flag folded away where applicable).
@@ -30,21 +30,24 @@ fn submodel_flag_count(routine: Routine) -> usize {
     }
 }
 
-/// A fixed-capacity, allocation-free form of [`submodel_key`].
+/// The submodel key of a flag combination: its flag indices in routine
+/// order, stored inline.
 ///
 /// No routine keeps more than [`Call::MAX_FLAGS`] flags in its key and every
 /// flag index fits in a `u8`, so per-call submodel lookups in the compiled
-/// evaluation engine never touch the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// evaluation engine never touch the heap.  Keys order like their flag lists
+/// (lexicographically, a prefix first), and print as the flag list.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlagKey {
     len: u8,
+    /// Flags past `len` are zero, so derived equality and hashing agree with
+    /// comparing the flag lists.
     flags: [u8; Call::MAX_FLAGS],
 }
 
 impl FlagKey {
-    /// Converts a heap-allocated submodel key; `None` if it does not fit
-    /// (only possible for hand-crafted repositories — every key produced by
-    /// [`submodel_key`] fits).
+    /// Builds a key from a flag list; `None` if no call could produce it
+    /// (more than [`Call::MAX_FLAGS`] flags, or a flag above 255).
     pub fn from_slice(key: &[usize]) -> Option<FlagKey> {
         if key.len() > Call::MAX_FLAGS {
             return None;
@@ -69,26 +72,43 @@ impl FlagKey {
         self.len == 0
     }
 
-    /// The key as a heap-allocated [`submodel_key`]-style vector.
-    // lint: allow(panic-free): len never exceeds MAX_FLAGS by construction
-    pub fn to_vec(&self) -> Vec<usize> {
-        self.flags[..self.len()]
-            .iter()
-            .map(|&f| f as usize)
-            .collect()
+    /// The flag indices, in routine order.
+    pub fn flags(&self) -> impl Iterator<Item = usize> + '_ {
+        let flags = self.flags.get(..self.len()).unwrap_or_default();
+        flags.iter().map(|&f| usize::from(f))
     }
 }
 
-/// The submodel key of a call as a fixed-size [`FlagKey`] — the
-/// allocation-free counterpart of [`submodel_key`], used by the compiled
-/// evaluation engine's per-call lookups.
-// lint: allow(panic-free): kept <= len <= MAX_FLAGS bounds the tail slice
-pub fn submodel_key_fixed(call: &Call) -> FlagKey {
+impl Ord for FlagKey {
+    fn cmp(&self, other: &FlagKey) -> Ordering {
+        self.flags().cmp(other.flags())
+    }
+}
+
+impl PartialOrd for FlagKey {
+    fn partial_cmp(&self, other: &FlagKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for FlagKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.flags()).finish()
+    }
+}
+
+/// The submodel key of a call: its flag indices with the `diag` flag removed.
+///
+/// The paper's preliminary experiments (Section III-A1) show that all flag
+/// combinations must be modelled separately *except* `diag`, whose influence
+/// is minor; folding it halves the number of submodels for the triangular
+/// routines.
+pub fn submodel_key(call: &Call) -> FlagKey {
     let (mut flags, len) = call.flag_indices_fixed();
     let kept = len.min(submodel_flag_count(call.routine()));
     // Zero the dropped flags: derived equality/hashing covers the whole
     // array, so a folded `diag` flag must not distinguish two keys.
-    for f in &mut flags[kept..] {
+    for f in flags.iter_mut().skip(kept) {
         *f = 0;
     }
     FlagKey {
@@ -110,8 +130,9 @@ pub struct RoutineModel {
     pub locality: Locality,
     /// The integer parameter space covered by the submodels.
     pub space: Region,
-    /// One piecewise model per flag combination (keyed by [`submodel_key`]).
-    pub submodels: HashMap<Vec<usize>, PiecewiseModel>,
+    /// One piecewise model per flag combination (keyed by [`submodel_key`]),
+    /// in key order.
+    pub submodels: BTreeMap<FlagKey, PiecewiseModel>,
 }
 
 impl RoutineModel {
@@ -127,12 +148,12 @@ impl RoutineModel {
             machine_id: machine_id.into(),
             locality,
             space,
-            submodels: HashMap::new(),
+            submodels: BTreeMap::new(),
         }
     }
 
     /// Inserts (or replaces) the submodel for a flag combination.
-    pub fn insert_submodel(&mut self, key: Vec<usize>, model: PiecewiseModel) {
+    pub fn insert_submodel(&mut self, key: FlagKey, model: PiecewiseModel) {
         self.submodels.insert(key, model);
     }
 
@@ -176,8 +197,8 @@ impl RoutineModel {
     }
 
     /// The submodel for a flag combination, if present.
-    pub fn submodel(&self, key: &[usize]) -> Option<&PiecewiseModel> {
-        self.submodels.get(key)
+    pub fn submodel(&self, key: FlagKey) -> Option<&PiecewiseModel> {
+        self.submodels.get(&key)
     }
 
     /// Total number of samples used across all submodels.
@@ -231,6 +252,10 @@ mod tests {
     use dla_blas::{Diag, Side, Trans, Uplo};
     use dla_mat::stats::Quantity;
 
+    fn key(flags: &[usize]) -> FlagKey {
+        FlagKey::from_slice(flags).expect("representable key")
+    }
+
     fn constant_submodel(space: &Region, value: f64) -> PiecewiseModel {
         // A single region whose polynomials are constants.
         let polys = Quantity::ALL
@@ -272,7 +297,7 @@ mod tests {
             1.0,
         );
         assert_eq!(submodel_key(&a), submodel_key(&b));
-        assert_eq!(submodel_key(&a), vec![0, 0, 0]);
+        assert_eq!(submodel_key(&a), key(&[0, 0, 0]));
         let c = Call::trsm(
             Side::Right,
             Uplo::Lower,
@@ -284,9 +309,9 @@ mod tests {
         );
         assert_ne!(submodel_key(&a), submodel_key(&c));
         let g = Call::gemm(Trans::NoTrans, Trans::Trans, 8, 8, 8, 1.0, 0.0);
-        assert_eq!(submodel_key(&g), vec![0, 1]);
+        assert_eq!(submodel_key(&g), key(&[0, 1]));
         let t = Call::trtri_unb(Uplo::Upper, Diag::Unit, 32);
-        assert_eq!(submodel_key(&t), vec![1]);
+        assert_eq!(submodel_key(&t), key(&[1]));
         let s = Call::sylv_unb(8, 8);
         assert!(submodel_key(&s).is_empty());
     }
@@ -316,20 +341,30 @@ mod tests {
             Call::trtri_unb(Uplo::Upper, Diag::Unit, 32),
             Call::sylv_unb(8, 8),
         ];
-        for call in &calls {
-            let fixed = submodel_key_fixed(call);
-            assert_eq!(fixed.to_vec(), submodel_key(call), "{call}");
-            assert_eq!(fixed.len(), submodel_key(call).len());
-            assert_eq!(FlagKey::from_slice(&submodel_key(call)), Some(fixed));
+        let expected: [&[usize]; 5] = [&[0, 0, 0], &[0, 0, 0], &[0, 1], &[1], &[]];
+        for (call, flags) in calls.iter().zip(expected) {
+            let fixed = submodel_key(call);
+            assert_eq!(fixed.flags().collect::<Vec<_>>(), flags, "{call}");
+            assert_eq!(fixed.len(), flags.len());
+            assert_eq!(FlagKey::from_slice(flags), Some(fixed));
+            assert_eq!(format!("{fixed:?}"), format!("{flags:?}"));
         }
         // Folding diag must make the unit/non-unit keys *equal*, including
         // under derived Eq/Hash.
-        assert_eq!(submodel_key_fixed(&calls[0]), submodel_key_fixed(&calls[1]));
-        assert!(submodel_key_fixed(&calls[4]).is_empty());
+        assert_eq!(submodel_key(&calls[0]), submodel_key(&calls[1]));
+        assert!(submodel_key(&calls[4]).is_empty());
         // Keys that cannot fit are rejected, not truncated.
         assert_eq!(FlagKey::from_slice(&[1, 2, 3, 4, 5]), None);
         assert_eq!(FlagKey::from_slice(&[300]), None);
         assert!(FlagKey::from_slice(&[0, 1, 0, 1]).is_some());
+        // Keys order exactly like their flag lists: a prefix first, then
+        // element by element.
+        let lists: [&[usize]; 6] = [&[], &[0], &[0, 0], &[0, 5], &[1], &[1, 0, 0, 1]];
+        for a in lists {
+            for b in lists {
+                assert_eq!(key(a).cmp(&key(b)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
@@ -341,8 +376,8 @@ mod tests {
             Locality::InCache,
             space.clone(),
         );
-        model.insert_submodel(vec![0, 0, 0], constant_submodel(&space, 100.0));
-        model.insert_submodel(vec![1, 0, 0], constant_submodel(&space, 200.0));
+        model.insert_submodel(key(&[0, 0, 0]), constant_submodel(&space, 100.0));
+        model.insert_submodel(key(&[1, 0, 0]), constant_submodel(&space, 200.0));
         assert_eq!(model.submodel_count(), 2);
         assert_eq!(model.total_samples(), 8);
 
@@ -372,7 +407,7 @@ mod tests {
     fn estimate_rejects_wrong_routine_and_missing_submodel() {
         let space = Region::new(vec![8, 8], vec![1024, 1024]);
         let mut model = RoutineModel::new(Routine::Trsm, "m", Locality::InCache, space.clone());
-        model.insert_submodel(vec![0, 0, 0], constant_submodel(&space, 1.0));
+        model.insert_submodel(key(&[0, 0, 0]), constant_submodel(&space, 1.0));
         let gemm = Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 8, 8, 1.0, 0.0);
         assert!(matches!(
             model.estimate(&gemm),
@@ -388,15 +423,15 @@ mod tests {
             1.0,
         );
         assert!(model.estimate(&upper).is_err());
-        assert!(model.submodel(&[0, 0, 0]).is_some());
-        assert!(model.submodel(&[9, 9]).is_none());
+        assert!(model.submodel(key(&[0, 0, 0])).is_some());
+        assert!(model.submodel(key(&[9, 9])).is_none());
     }
 
     #[test]
     fn estimate_clamps_out_of_space_sizes() {
         let space = Region::new(vec![8, 8], vec![256, 256]);
         let mut model = RoutineModel::new(Routine::Trsm, "m", Locality::InCache, space.clone());
-        model.insert_submodel(vec![0, 0, 0], constant_submodel(&space, 42.0));
+        model.insert_submodel(key(&[0, 0, 0]), constant_submodel(&space, 42.0));
         // Sizes far outside the modelled space still produce an estimate.
         let big = Call::trsm(
             Side::Left,

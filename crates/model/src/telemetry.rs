@@ -23,7 +23,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 
 use crate::piecewise::error_order;
-use crate::Region;
+use crate::{FlagKey, Region};
 
 /// One queried `(routine, flags, region)` cell of a [`RefinementReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +31,7 @@ pub struct HotRegion {
     /// The routine whose model answered.
     pub routine: Routine,
     /// The submodel key (flag combination) that answered.
-    pub flags: Vec<usize>,
+    pub flags: FlagKey,
     /// The answering region's bounds (raw parameter-space coordinates).
     pub region: Region,
     /// The region's recorded fit error (`NaN` for degenerate fits).
@@ -139,7 +139,7 @@ mod tests {
     fn cell(queries: u64, fit_error: f64, lo: usize) -> HotRegion {
         HotRegion {
             routine: Routine::Gemm,
-            flags: vec![0, 0],
+            flags: FlagKey::from_slice(&[0, 0]).unwrap(),
             region: Region::new(vec![lo], vec![lo + 64]),
             fit_error,
             revision: 0,

@@ -14,34 +14,21 @@
 
 use crate::{ModelError, ModelRepository, PiecewiseModel, Result, RoutineModel};
 
+/// Probe-grid resolution per dimension for the region-cover check (the same
+/// grid [`PiecewiseModel::covers_space`] samples).
+const PROBE_PER_DIM: usize = 5;
+
 /// Validates repositories against the structural invariants serving relies on.
 ///
 /// An **empty** repository is valid: swapping one in is the documented way to
 /// clear a service, and an empty repository cannot serve anything non-finite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepositoryValidator {
-    /// Probe-grid resolution per dimension for the region-cover check
-    /// (the same grid [`PiecewiseModel::covers_space`] samples).
-    probe_per_dim: usize,
-}
-
-impl Default for RepositoryValidator {
-    fn default() -> RepositoryValidator {
-        RepositoryValidator { probe_per_dim: 5 }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RepositoryValidator;
 
 impl RepositoryValidator {
-    /// A validator with the default probe resolution.
+    /// A validator.
     pub fn new() -> RepositoryValidator {
-        RepositoryValidator::default()
-    }
-
-    /// Overrides the cover-check probe resolution (points per dimension).
-    pub fn with_probe_per_dim(probe_per_dim: usize) -> RepositoryValidator {
-        RepositoryValidator {
-            probe_per_dim: probe_per_dim.max(2),
-        }
+        RepositoryValidator
     }
 
     /// Validates a whole repository; the first violation is reported with the
@@ -98,11 +85,11 @@ impl RepositoryValidator {
                 }
             }
         }
-        if !submodel.covers_space(self.probe_per_dim) {
+        if !submodel.covers_space(PROBE_PER_DIM) {
             return Err(ModelError::Validation(format!(
-                "degenerate region cover: a {}-per-dim probe grid of the space {:?} \
+                "degenerate region cover: a {PROBE_PER_DIM}-per-dim probe grid of the space {:?} \
                  is not covered by the regions",
-                self.probe_per_dim, submodel.space
+                submodel.space
             )));
         }
         Ok(())
@@ -137,7 +124,7 @@ mod tests {
             Locality::InCache,
             submodel.space.clone(),
         );
-        model.insert_submodel(vec![0, 0], submodel);
+        model.insert_submodel(crate::FlagKey::from_slice(&[0, 0]).unwrap(), submodel);
         model
     }
 

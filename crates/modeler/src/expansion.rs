@@ -3,7 +3,6 @@
 use std::collections::{HashSet, VecDeque};
 
 use dla_machine::Executor;
-use dla_mat::stats::Summary;
 use dla_model::{error_order, FitWorkspace, PiecewiseModel, Region, RegionModel};
 
 use crate::SampleOracle;
@@ -134,8 +133,6 @@ impl ExpansionConfig {
         let mut queue: VecDeque<Vec<usize>> = VecDeque::new();
         queue.push_back(seed);
         let mut regions: Vec<RegionModel> = Vec::new();
-        let mut points: Vec<Vec<usize>> = Vec::new();
-        let mut summaries: Vec<Summary> = Vec::new();
 
         while let Some(cell_idx) = queue.pop_front() {
             if covered.contains(&cell_idx) {
@@ -146,21 +143,9 @@ impl ExpansionConfig {
             let this_cell = cell_region(&cell_idx);
             let already = regions.iter().any(|r| r.region.contains_region(&this_cell));
             if !already {
-                let final_region = self.grow_region(
-                    oracle,
-                    workspace,
-                    &mut points,
-                    &mut summaries,
-                    space,
-                    this_cell.clone(),
-                );
-                let fitted = self.fit_region(
-                    oracle,
-                    workspace,
-                    &mut points,
-                    &mut summaries,
-                    &final_region,
-                );
+                let final_region = self.grow_region(oracle, workspace, space, this_cell.clone());
+                let Ok(fitted) =
+                    oracle.fit_region(workspace, &final_region, self.grid_per_dim, self.degree);
                 regions.push(fitted);
             }
             covered.insert(cell_idx.clone());
@@ -193,8 +178,6 @@ impl ExpansionConfig {
         &self,
         oracle: &mut SampleOracle<'_, E>,
         workspace: &mut FitWorkspace,
-        points: &mut Vec<Vec<usize>>,
-        summaries: &mut Vec<Summary>,
         space: &Region,
         start: Region,
     ) -> Region {
@@ -215,7 +198,8 @@ impl ExpansionConfig {
                     *blocked_d = true;
                     continue;
                 }
-                let fitted = self.fit_region(oracle, workspace, points, summaries, &candidate);
+                let Ok(fitted) =
+                    oracle.fit_region(workspace, &candidate, self.grid_per_dim, self.degree);
                 if fitted.error <= self.error_bound {
                     region = candidate;
                     progressed = true;
@@ -228,25 +212,6 @@ impl ExpansionConfig {
             }
         }
         region
-    }
-
-    /// Fits one region through the workspace; regions too small for the
-    /// requested degree (fringe cells) fall back to a constant fit inside
-    /// [`RegionModel::fit_with_fallback`] without re-preparing the samples.
-    fn fit_region<E: Executor>(
-        &self,
-        oracle: &mut SampleOracle<'_, E>,
-        workspace: &mut FitWorkspace,
-        points: &mut Vec<Vec<usize>>,
-        summaries: &mut Vec<Summary>,
-        region: &Region,
-    ) -> RegionModel {
-        let step = oracle.grid_step();
-        region.sample_grid_into(self.grid_per_dim, step, points);
-        oracle.measure_into(points, summaries);
-        RegionModel::fit_with_fallback(workspace, region.clone(), points, summaries, self.degree)
-            // lint: allow(unwrap): fit_with_fallback degrades to a constant fit, which cannot fail with >= 1 sample
-            .expect("constant fit always succeeds with >= 1 sample")
     }
 }
 

@@ -26,7 +26,10 @@
 //! [`dla_model::FitWorkspace`] that persists across every region, submodel
 //! and routine it builds (`build_with` on either strategy), and the
 //! [`SampleOracle`] caches measurements under fixed-size, allocation-free
-//! point keys.
+//! point keys.  Both strategies fit each region through the oracle's one
+//! grid-fit step; the [`online`] refiner rebuilds regions through the same
+//! Adaptive Refinement loop as the offline build, with only the oracle's
+//! measurement differing.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,5 +44,5 @@ mod refinement;
 pub use expansion::{Direction, ExpansionConfig};
 pub use modeler::{Modeler, ModelingReport, Strategy};
 pub use online::{OnlineRefiner, OnlineRefinerConfig, QuarantinedCell, RefineOutcome};
-pub use oracle::{SampleCache, SampleOracle};
+pub use oracle::{Measure, SampleCache, SampleOracle};
 pub use refinement::RefinementConfig;

@@ -1,7 +1,5 @@
 //! The Modeler orchestrator.
 
-use std::collections::BTreeMap;
-
 use dla_blas::{Call, Routine};
 use dla_machine::{Executor, Locality};
 use dla_model::{
@@ -9,6 +7,8 @@ use dla_model::{
 };
 use dla_sampler::{Sampler, SamplerConfig};
 
+use crate::online::dedupe_templates;
+use crate::oracle::GRID_STEP;
 use crate::{ExpansionConfig, RefinementConfig, SampleOracle};
 
 /// A model-generation strategy (one of the two described in the paper).
@@ -83,7 +83,6 @@ pub struct ModelingReport {
 pub struct Modeler<E: Executor> {
     sampler: Sampler<E>,
     strategy: Strategy,
-    grid_step: usize,
     workspace: FitWorkspace,
 }
 
@@ -106,7 +105,6 @@ impl<E: Executor> Modeler<E> {
         Modeler {
             sampler: Sampler::new(executor, config),
             strategy,
-            grid_step: 8,
             workspace: FitWorkspace::new(),
         }
     }
@@ -114,12 +112,6 @@ impl<E: Executor> Modeler<E> {
     /// The strategy in use.
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// Changes the grid step sample points are aligned to (default 8, as in
-    /// the paper).
-    pub fn set_grid_step(&mut self, step: usize) {
-        self.grid_step = step.max(1);
     }
 
     /// The identifier of the machine configuration being modelled.
@@ -141,7 +133,7 @@ impl<E: Executor> Modeler<E> {
     /// combination) over `space`, returning the model and the number of
     /// distinct points sampled for it.
     pub fn build_submodel(&mut self, template: &Call, space: &Region) -> (PiecewiseModel, usize) {
-        let mut oracle = SampleOracle::new(&mut self.sampler, template.clone(), self.grid_step);
+        let mut oracle = SampleOracle::new(&mut self.sampler, template.clone(), GRID_STEP);
         let model = self
             .strategy
             .build_with(&mut oracle, &mut self.workspace, space);
@@ -170,23 +162,19 @@ impl<E: Executor> Modeler<E> {
             "parameter space dimension must match the routine's size count"
         );
 
-        // One representative template per distinct submodel key.
-        let mut by_key: BTreeMap<Vec<usize>, Call> = BTreeMap::new();
-        for t in templates {
-            by_key.entry(submodel_key(t)).or_insert_with(|| t.clone());
-        }
-
         let mut model =
             RoutineModel::new(routine, self.machine_id(), self.locality(), space.clone());
         let mut total_samples = 0;
         let mut total_regions = 0;
         let mut error_acc = 0.0;
-        for (key, template) in by_key {
+        // One representative template per distinct submodel key, built in
+        // key order.
+        for template in dedupe_templates(templates) {
             let (submodel, samples) = self.build_submodel(&template, space);
             total_samples += samples;
             total_regions += submodel.region_count();
             error_acc += submodel.average_error();
-            model.insert_submodel(key, submodel);
+            model.insert_submodel(submodel_key(&template), submodel);
         }
         let submodel_count = model.submodel_count().max(1);
         let report = ModelingReport {

@@ -3,12 +3,13 @@
 //!
 //! Offline, Adaptive Refinement (Section III-C2) spends samples where the
 //! *fit* is bad.  Online, the interesting signal is where the fit is bad
-//! **and** traffic actually lands: the serving layer's
-//! [`RefinementReport`](dla_model::RefinementReport) ranks the served
-//! `(routine, flags, region)` cells by `queries × fit_error`, and the
-//! [`OnlineRefiner`] walks that ranking with a fixed sample budget,
-//! re-samples only the offending regions through the existing fast paths
-//! (the [`SampleOracle`]'s cached, allocation-free measurement loop and the
+//! **and** traffic actually lands: the serving layer's [`RefinementReport`]
+//! ranks the served `(routine, flags, region)` cells by
+//! `queries × fit_error`, and the [`OnlineRefiner`] walks that ranking with
+//! a fixed sample budget, re-samples only the offending regions through the
+//! offline build's own Adaptive Refinement loop
+//! ([`RefinementConfig::try_build_with`], with the [`SampleOracle`]
+//! measuring through the sampler's retrying, outlier-trimming path and the
 //! compiled fit engine's [`FitWorkspace`]), and produces a **delta
 //! repository** holding just the rebuilt flag-variant submodels.  Publishing
 //! the delta through the serving layer's submodel-granular merge
@@ -20,19 +21,55 @@
 //! [`revision`](dla_model::RegionModel::revision) is the replaced region's
 //! revision plus one, so a repeatedly-rebuilt region is visible in later
 //! reports.
+//!
+//! A cell is identified by its routine, its submodel [`FlagKey`] and its
+//! region; the per-cell circuit breaker's policy (how many strikes open it,
+//! how long it cools down, what fit counts as a failure, how often a round
+//! retries a rebuild) is fixed by this module's constants.
 
 use std::collections::BTreeMap;
 
 use dla_blas::{Call, Routine};
 use dla_machine::{Executor, Locality};
-use dla_mat::stats::Summary;
 use dla_model::{
-    error_order, submodel_key, FitWorkspace, ModelRepository, PiecewiseModel, RefinementReport,
-    Region, RepositoryValidator, RoutineModel,
+    error_order, submodel_key, FitWorkspace, FlagKey, ModelRepository, PiecewiseModel,
+    RefinementReport, Region, RepositoryValidator, RoutineModel,
 };
-use dla_sampler::{SampleTelemetry, Sampler, SamplerConfig};
+use dla_sampler::{Sampler, SamplerConfig};
 
+use crate::oracle::GRID_STEP;
 use crate::{RefinementConfig, SampleCache, SampleOracle};
+
+/// Cells with fewer queries than this are ignored (traffic too cold to
+/// justify spending samples on).
+pub const MIN_QUERIES: u64 = 1;
+
+/// Consecutive rebuild failures after which a cell's circuit breaker opens
+/// and the cell is quarantined (skipped instead of rebuilt).
+pub const QUARANTINE_THRESHOLD: u32 = 2;
+
+/// Rounds a quarantined cell sits out before a half-open probe rebuild is
+/// allowed.  A successful probe closes the breaker; a failed probe re-opens
+/// it for another cooldown.
+pub const QUARANTINE_COOLDOWN: u32 = 2;
+
+/// A rebuilt fit is counted as failed when any replacement region's fit
+/// error is non-finite or exceeds `MAX_ERROR_FACTOR` times the *larger* of
+/// the configured `fit.error_bound` and the replaced region's own error.
+/// Refinement legitimately accepts errors above the bound for minimum-size
+/// regions (a discontinuity inside an unsplittable region), so the gate is
+/// relative to the error precedent the cell already set: only fits
+/// catastrophically worse than both the bound and what they replace — the
+/// signature of corrupt measurements — trip the breaker.
+pub const MAX_ERROR_FACTOR: f64 = 10.0;
+
+/// Build attempts per cell and round before the failure counts as a strike.
+/// The round's sample cache survives a failed build — every point measured
+/// before the failure stays cached — so a reattempt pays only for the points
+/// still missing.  Against independent per-measurement faults this compounds
+/// fast: a cell needing dozens of grid points is all-or-nothing within one
+/// attempt, but near-certain across two.
+pub const REBUILD_ATTEMPTS: usize = 2;
 
 /// Configuration of one online-refinement round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,43 +87,6 @@ pub struct OnlineRefinerConfig {
     pub sample_budget: usize,
     /// Upper bound on the number of report cells refined per round.
     pub max_cells: usize,
-    /// Cells with fewer queries than this are ignored (traffic too cold to
-    /// justify spending samples on).
-    pub min_queries: u64,
-    /// Consecutive rebuild failures after which a cell's circuit breaker
-    /// opens and the cell is quarantined (skipped instead of rebuilt).
-    pub quarantine_threshold: u32,
-    /// Rounds a quarantined cell sits out before a half-open probe rebuild
-    /// is allowed.  A successful probe closes the breaker; a failed probe
-    /// re-opens it for another cooldown.
-    pub quarantine_cooldown: u32,
-    /// A rebuilt fit is counted as failed when any replacement region's fit
-    /// error is non-finite or exceeds `max_error_factor` times the *larger*
-    /// of `fit.error_bound` and the replaced region's own error.  Refinement
-    /// legitimately accepts errors above the bound for minimum-size regions
-    /// (a discontinuity inside an unsplittable region), so the gate is
-    /// relative to the error precedent the cell already set: only fits
-    /// catastrophically worse than both the bound and what they replace —
-    /// the signature of corrupt measurements — trip the breaker.
-    pub max_error_factor: f64,
-    /// Build attempts per cell and round before the failure counts as a
-    /// strike.  The round's sample cache survives a failed build — every
-    /// point measured before the failure stays cached — so a reattempt pays
-    /// only for the points still missing.  Against independent per-
-    /// measurement faults this compounds fast: a cell needing dozens of grid
-    /// points is all-or-nothing within one attempt, but near-certain across
-    /// two.  Values below 1 behave as 1.
-    pub rebuild_attempts: usize,
-}
-
-impl OnlineRefinerConfig {
-    /// The same configuration with the given per-round distinct-sample
-    /// budget — the builder the fleet's budget arbitration uses when
-    /// constructing per-shard refiners from one shared template.
-    pub fn with_sample_budget(mut self, samples: usize) -> OnlineRefinerConfig {
-        self.sample_budget = samples;
-        self
-    }
 }
 
 impl Default for OnlineRefinerConfig {
@@ -95,11 +95,6 @@ impl Default for OnlineRefinerConfig {
             fit: RefinementConfig::default(),
             sample_budget: 512,
             max_cells: 16,
-            min_queries: 1,
-            quarantine_threshold: 2,
-            quarantine_cooldown: 2,
-            max_error_factor: 10.0,
-            rebuild_attempts: 2,
         }
     }
 }
@@ -111,7 +106,7 @@ pub struct QuarantinedCell {
     /// The routine of the quarantined cell.
     pub routine: Routine,
     /// The flag combination (submodel key) of the quarantined cell.
-    pub flags: Vec<usize>,
+    pub flags: FlagKey,
     /// The offending region.
     pub region: Region,
     /// Consecutive rebuild failures recorded for the cell.
@@ -174,7 +169,6 @@ pub struct RefineOutcome {
 pub struct OnlineRefiner<E: Executor> {
     sampler: Sampler<E>,
     workspace: FitWorkspace,
-    grid_step: usize,
     templates: Vec<Call>,
     config: OnlineRefinerConfig,
     /// Circuit-breaker state per `(routine, flags, region)` cell, persisted
@@ -184,25 +178,25 @@ pub struct OnlineRefiner<E: Executor> {
     quarantine: BTreeMap<QuarantineKey, QuarantineState>,
 }
 
-type QuarantineKey = (u32, Vec<usize>, Vec<usize>, Vec<usize>);
+type QuarantineKey = (u32, FlagKey, Vec<usize>, Vec<usize>);
 
 #[derive(Debug, Clone)]
 struct QuarantineState {
     routine: Routine,
-    flags: Vec<usize>,
+    flags: FlagKey,
     region: Region,
     /// Consecutive rebuild failures; the breaker is open once this reaches
-    /// the configured threshold.
+    /// [`QUARANTINE_THRESHOLD`].
     failures: u32,
     /// Rounds left before a half-open probe is allowed (only meaningful
     /// while the breaker is open).
     cooldown: u32,
 }
 
-fn quarantine_key(routine: Routine, flags: &[usize], region: &Region) -> QuarantineKey {
+fn quarantine_key(routine: Routine, flags: FlagKey, region: &Region) -> QuarantineKey {
     (
         routine as u32,
-        flags.to_vec(),
+        flags,
         region.lo().to_vec(),
         region.hi().to_vec(),
     )
@@ -225,7 +219,6 @@ impl<E: Executor> OnlineRefiner<E> {
         OnlineRefiner {
             sampler: Sampler::new(executor, sampler_config),
             workspace: FitWorkspace::new(),
-            grid_step: 8,
             templates: Vec::new(),
             config,
             quarantine: BTreeMap::new(),
@@ -238,11 +231,6 @@ impl<E: Executor> OnlineRefiner<E> {
     pub fn with_templates(mut self, templates: &[Call]) -> OnlineRefiner<E> {
         self.templates.extend_from_slice(templates);
         self
-    }
-
-    /// Changes the grid step sample points are aligned to (default 8).
-    pub fn set_grid_step(&mut self, step: usize) {
-        self.grid_step = step.max(1);
     }
 
     /// The refiner's configuration.
@@ -310,7 +298,7 @@ impl<E: Executor> OnlineRefiner<E> {
         // A cell quarantined with cooldown `k` is skipped for `k - 1` full
         // rounds and probed (half-open) in the `k`-th.
         for state in self.quarantine.values_mut() {
-            if state.failures >= self.config.quarantine_threshold && state.cooldown > 0 {
+            if state.failures >= QUARANTINE_THRESHOLD && state.cooldown > 0 {
                 state.cooldown -= 1;
             }
         }
@@ -326,7 +314,7 @@ impl<E: Executor> OnlineRefiner<E> {
         // points, which must be measured and budgeted once, not once per
         // cell.  Scoped to this round so every round takes fresh
         // measurements (the machine may still be drifting).
-        let mut caches: BTreeMap<(u32, Vec<usize>), SampleCache> = BTreeMap::new();
+        let mut caches: BTreeMap<(u32, FlagKey), SampleCache> = BTreeMap::new();
         let mut budget = self.config.sample_budget;
 
         for cell in &report.cells {
@@ -334,7 +322,7 @@ impl<E: Executor> OnlineRefiner<E> {
                 break;
             }
             outcome.cells_examined += 1;
-            if cell.queries < self.config.min_queries {
+            if cell.queries < MIN_QUERIES {
                 continue;
             }
             let Some(template) = self
@@ -356,8 +344,8 @@ impl<E: Executor> OnlineRefiner<E> {
             // this round, or straight from the snapshot.
             let Some(submodel) = rebuilt
                 .get(cell.routine.name())
-                .and_then(|m| m.submodel(&cell.flags))
-                .or_else(|| snapshot_model.submodel(&cell.flags))
+                .and_then(|m| m.submodel(cell.flags))
+                .or_else(|| snapshot_model.submodel(cell.flags))
             else {
                 outcome.skipped_stale += 1;
                 continue;
@@ -375,10 +363,10 @@ impl<E: Executor> OnlineRefiner<E> {
             // down, and turns the first rebuild after cooldown into a
             // half-open probe (success closes the breaker, failure re-opens
             // it for another cooldown).
-            let key = quarantine_key(cell.routine, &cell.flags, &cell.region);
+            let key = quarantine_key(cell.routine, cell.flags, &cell.region);
             let mut probing = false;
             if let Some(state) = self.quarantine.get(&key) {
-                if state.failures >= self.config.quarantine_threshold {
+                if state.failures >= QUARANTINE_THRESHOLD {
                     if state.cooldown > 0 {
                         outcome.skipped_quarantined += 1;
                         continue;
@@ -396,14 +384,15 @@ impl<E: Executor> OnlineRefiner<E> {
             let space = submodel.space.clone();
             let total_samples = submodel.total_samples;
             let mut regions = submodel.regions.clone();
-            let cache_key = (cell.routine as u32, cell.flags.clone());
+            let cache_key = (cell.routine as u32, cell.flags);
             let cache = caches.remove(&cache_key).unwrap_or_default();
             let (built, samples) = {
                 let mut oracle = SampleOracle::with_cache(
                     &mut self.sampler,
                     template.clone(),
-                    self.grid_step,
+                    GRID_STEP,
                     cache,
+                    Sampler::try_sample_ticks,
                 );
                 let already_measured = oracle.unique_samples();
                 let mut built =
@@ -412,7 +401,7 @@ impl<E: Executor> OnlineRefiner<E> {
                         .try_build_with(&mut oracle, &mut self.workspace, &cell.region);
                 // Failed builds keep their measured points in the oracle's
                 // cache, so each reattempt only pays for the missing ones.
-                for _ in 1..self.config.rebuild_attempts.max(1) {
+                for _ in 1..REBUILD_ATTEMPTS {
                     if built.is_ok() {
                         break;
                     }
@@ -440,24 +429,22 @@ impl<E: Executor> OnlineRefiner<E> {
                 // Rebuild failed — record a strike; the cell keeps its old
                 // regions and nothing of this attempt reaches the delta.
                 outcome.fit_failures += 1;
-                let threshold = self.config.quarantine_threshold;
-                let cooldown = self.config.quarantine_cooldown;
                 let state = self
                     .quarantine
                     .entry(key)
                     .or_insert_with(|| QuarantineState {
                         routine: cell.routine,
-                        flags: cell.flags.clone(),
+                        flags: cell.flags,
                         region: cell.region.clone(),
                         failures: 0,
                         cooldown: 0,
                     });
                 state.failures += 1;
-                if state.failures >= threshold {
-                    if state.failures == threshold {
+                if state.failures >= QUARANTINE_THRESHOLD {
+                    if state.failures == QUARANTINE_THRESHOLD {
                         outcome.cells_quarantined += 1;
                     }
-                    state.cooldown = cooldown;
+                    state.cooldown = QUARANTINE_COOLDOWN;
                 }
                 continue;
             };
@@ -486,7 +473,7 @@ impl<E: Executor> OnlineRefiner<E> {
                         snapshot_model.space.clone(),
                     )
                 })
-                .insert_submodel(cell.flags.clone(), updated);
+                .insert_submodel(cell.flags, updated);
         }
 
         // The delta carries only the routine models — and within them, only
@@ -506,9 +493,9 @@ impl<E: Executor> OnlineRefiner<E> {
     /// Whether a rebuilt submodel is fit to serve: structurally valid
     /// (finite coefficients, full cover of the rebuilt region — see
     /// [`RepositoryValidator`]) and with every region's fit error finite and
-    /// under `max_error_factor × max(fit.error_bound, replaced_error)` — the
+    /// under `MAX_ERROR_FACTOR × max(fit.error_bound, replaced_error)` — the
     /// replaced region's own error is the precedent a legitimate rebuild is
-    /// allowed to match (see [`OnlineRefinerConfig::max_error_factor`]).
+    /// allowed to match (see [`MAX_ERROR_FACTOR`]).
     fn fit_acceptable(&self, fresh: &PiecewiseModel, replaced_error: f64) -> bool {
         if RepositoryValidator::new().validate_submodel(fresh).is_err() {
             return false;
@@ -518,7 +505,7 @@ impl<E: Executor> OnlineRefiner<E> {
         } else {
             self.config.fit.error_bound
         };
-        let bound = self.config.max_error_factor * baseline;
+        let bound = MAX_ERROR_FACTOR * baseline;
         fresh
             .regions
             .iter()
@@ -529,22 +516,15 @@ impl<E: Executor> OnlineRefiner<E> {
     pub fn quarantined_cells(&self) -> Vec<QuarantinedCell> {
         self.quarantine
             .values()
-            .filter(|s| s.failures >= self.config.quarantine_threshold)
+            .filter(|s| s.failures >= QUARANTINE_THRESHOLD)
             .map(|s| QuarantinedCell {
                 routine: s.routine,
-                flags: s.flags.clone(),
+                flags: s.flags,
                 region: s.region.clone(),
                 failures: s.failures,
                 cooldown_remaining: s.cooldown,
             })
             .collect()
-    }
-
-    /// The sampler's monotone fault-handling counters (see
-    /// [`SampleTelemetry`]); per-round deltas are already reported in
-    /// [`RefineOutcome`].
-    pub fn sample_telemetry(&self) -> SampleTelemetry {
-        self.sampler.telemetry()
     }
 
     /// Mutable access to the underlying executor — chaos scenarios use this
@@ -561,20 +541,15 @@ impl<E: Executor> OnlineRefiner<E> {
     pub fn set_max_retries(&mut self, max_retries: usize) {
         self.sampler.set_max_retries(max_retries);
     }
-
-    /// Convenience probe: the refiner's current estimate of a call's cost,
-    /// measured directly (not modelled).  Used by tests and examples to
-    /// compare served predictions against the machine's present behaviour.
-    pub fn measure(&mut self, call: &Call) -> Summary {
-        self.sampler.sample_ticks(call)
-    }
 }
 
 /// Collects every distinct `(routine, flags)` template from a list of call
-/// templates, keyed for the refiner: the first call with a given submodel
-/// key wins, mirroring [`Modeler::build_routine_model`](crate::Modeler).
+/// templates, in `(routine, submodel key)` order: the first call with a
+/// given routine and key wins.  The offline
+/// [`Modeler::build_routine_model`](crate::Modeler::build_routine_model)
+/// builds one submodel per template this returns.
 pub fn dedupe_templates(templates: &[Call]) -> Vec<Call> {
-    let mut by_key: BTreeMap<(u32, Vec<usize>), Call> = BTreeMap::new();
+    let mut by_key: BTreeMap<(u32, FlagKey), Call> = BTreeMap::new();
     for t in templates {
         by_key
             .entry((t.routine() as u32, submodel_key(t)))
@@ -632,13 +607,13 @@ mod tests {
             .get(Routine::Trsm, machine_id, Locality::InCache)
             .unwrap();
         let flags = submodel_key(&trsm_template());
-        let submodel = model.submodel(&flags).unwrap();
+        let submodel = model.submodel(flags).unwrap();
         let cells = submodel
             .regions
             .iter()
             .map(|r| HotRegion {
                 routine: Routine::Trsm,
-                flags: flags.clone(),
+                flags,
                 region: r.region.clone(),
                 fit_error: r.error,
                 revision: r.revision,
@@ -657,7 +632,7 @@ mod tests {
         let region_count_before = snapshot
             .get(Routine::Trsm, &machine_id, Locality::InCache)
             .unwrap()
-            .submodel(&submodel_key(&trsm_template()))
+            .submodel(submodel_key(&trsm_template()))
             .unwrap()
             .region_count();
 
@@ -683,7 +658,7 @@ mod tests {
         let rebuilt = delta
             .get(Routine::Trsm, &machine_id, Locality::InCache)
             .unwrap();
-        let submodel = rebuilt.submodel(&submodel_key(&trsm_template())).unwrap();
+        let submodel = rebuilt.submodel(submodel_key(&trsm_template())).unwrap();
         // The untouched regions are still revision 0; the rebuilt ones are 1.
         let revised: Vec<u32> = submodel.regions.iter().map(|r| r.revision).collect();
         assert!(revised.contains(&1));
@@ -741,10 +716,7 @@ mod tests {
             SimExecutor::noiseless(machine.clone()),
             Locality::InCache,
             1,
-            OnlineRefinerConfig {
-                min_queries: 2,
-                ..Default::default()
-            },
+            OnlineRefinerConfig::default(),
         )
         .with_templates(&[trsm_template()]);
         let (_, outcome) = refiner.refine(&snapshot, &report);
@@ -827,7 +799,7 @@ mod tests {
         report.cells.truncate(1);
         report.cells.push(HotRegion {
             routine: Routine::Gemm,
-            flags: vec![0, 0],
+            flags: FlagKey::from_slice(&[0, 0]).unwrap(),
             region: Region::new(vec![8, 8, 8], vec![64, 64, 64]),
             fit_error: 1.0,
             revision: 0,
@@ -852,7 +824,7 @@ mod tests {
             .get(Routine::Trsm, &machine_id, Locality::InCache)
             .unwrap();
         assert_eq!(model.submodel_count(), 1);
-        assert!(model.submodel(&submodel_key(&trsm_template())).is_some());
+        assert!(model.submodel(submodel_key(&trsm_template())).is_some());
         assert!(delta
             .get(Routine::Gemm, &machine_id, Locality::InCache)
             .is_none());
@@ -903,17 +875,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut refiner = OnlineRefiner::new(
-            chaos,
-            Locality::InCache,
-            1,
-            OnlineRefinerConfig {
-                quarantine_threshold: 2,
-                quarantine_cooldown: 2,
-                ..Default::default()
-            },
-        )
-        .with_templates(&[trsm_template()]);
+        let mut refiner =
+            OnlineRefiner::new(chaos, Locality::InCache, 1, OnlineRefinerConfig::default())
+                .with_templates(&[trsm_template()]);
 
         // Round 1: rebuild fails — first strike, breaker still closed.
         let (delta, o1) = refiner.refine(&snapshot, &report);
@@ -973,7 +937,7 @@ mod tests {
         let rebuilt = delta
             .get(Routine::Trsm, &machine_id, Locality::InCache)
             .unwrap();
-        assert!(rebuilt.submodel(&hot.flags).unwrap().covers_space(5));
+        assert!(rebuilt.submodel(hot.flags).unwrap().covers_space(5));
     }
 
     #[test]
@@ -994,17 +958,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut refiner = OnlineRefiner::new(
-            chaos,
-            Locality::InCache,
-            1,
-            OnlineRefinerConfig {
-                quarantine_threshold: 2,
-                quarantine_cooldown: 2,
-                ..Default::default()
-            },
-        )
-        .with_templates(&[trsm_template()]);
+        let mut refiner =
+            OnlineRefiner::new(chaos, Locality::InCache, 1, OnlineRefinerConfig::default())
+                .with_templates(&[trsm_template()]);
 
         // One strike, then a clean round: the strike record is cleared, so
         // two later failures are needed to quarantine (no stale strikes).

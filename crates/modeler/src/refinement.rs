@@ -1,9 +1,13 @@
 //! Adaptive Refinement (paper Section III-C2).
+//!
+//! One split/accept loop, [`RefinementConfig::try_build_with`], serves both
+//! the offline build and the online refiner's region rebuilds; they differ
+//! only in the measurement their [`SampleOracle`] was created with (see the
+//! oracle's module docs).  Every region is fitted by the oracle's one
+//! grid-fit step, which Model Expansion shares.
 
 use dla_machine::Executor;
-use dla_mat::stats::Summary;
 use dla_model::{error_order, FitWorkspace, PiecewiseModel, Region, RegionModel};
-use dla_sampler::SampleError;
 
 use crate::SampleOracle;
 
@@ -90,14 +94,31 @@ impl RefinementConfig {
         workspace: &mut FitWorkspace,
         space: &Region,
     ) -> PiecewiseModel {
+        let Ok(model) = self.try_build_with(oracle, workspace, space);
+        model
+    }
+
+    /// Builds a piecewise model over `space` by Adaptive Refinement with the
+    /// oracle's measurement, propagating the first measurement that fails.
+    ///
+    /// This is the one split/accept loop of both builds: offline builds
+    /// (through [`build_with`](RefinementConfig::build_with)) measure with
+    /// the plain path and cannot fail; online rebuilds measure through the
+    /// sampler's fallible, retrying path.  On error, everything measured so
+    /// far stays in the oracle's cache — a retried build pays only for the
+    /// missing points.
+    pub fn try_build_with<E: Executor, Err>(
+        &self,
+        oracle: &mut SampleOracle<'_, E, Err>,
+        workspace: &mut FitWorkspace,
+        space: &Region,
+    ) -> Result<PiecewiseModel, Err> {
         let mut stack = vec![space.clone()];
         let mut regions: Vec<RegionModel> = Vec::new();
         let step = oracle.grid_step();
-        let mut points: Vec<Vec<usize>> = Vec::new();
-        let mut summaries: Vec<Summary> = Vec::new();
 
         while let Some(region) = stack.pop() {
-            let fitted = self.fit_region(oracle, workspace, &mut points, &mut summaries, &region);
+            let fitted = oracle.fit_region(workspace, &region, self.grid_per_dim, self.degree)?;
             let splittable_children = region.split(self.min_region_size, step);
             let can_split = splittable_children.len() > 1;
             if fitted.error <= self.error_bound || !can_split {
@@ -111,83 +132,7 @@ impl RefinementConfig {
         // NaN fit errors (degenerate fits) sort last instead of panicking
         // mid-sort in `partial_cmp(...).expect(...)`.
         regions.sort_by(|a, b| error_order(a.error, b.error));
-        PiecewiseModel::new(space.clone(), regions, total)
-    }
-
-    /// Fault-tolerant variant of [`RefinementConfig::build_with`]: measures
-    /// through the oracle's fallible, retrying path and propagates the first
-    /// unrecoverable [`SampleError`] instead of panicking on bad samples.
-    ///
-    /// The split/accept loop is identical to the infallible path; only the
-    /// measurement calls differ, so on a fault-free executor both produce the
-    /// same model (modulo the robust path's outlier trimming).  On error,
-    /// everything measured so far stays in the oracle's cache — a retried
-    /// build pays only for the missing points.
-    pub fn try_build_with<E: Executor>(
-        &self,
-        oracle: &mut SampleOracle<'_, E>,
-        workspace: &mut FitWorkspace,
-        space: &Region,
-    ) -> Result<PiecewiseModel, SampleError> {
-        let mut stack = vec![space.clone()];
-        let mut regions: Vec<RegionModel> = Vec::new();
-        let step = oracle.grid_step();
-        let mut points: Vec<Vec<usize>> = Vec::new();
-        let mut summaries: Vec<Summary> = Vec::new();
-
-        while let Some(region) = stack.pop() {
-            let fitted =
-                self.try_fit_region(oracle, workspace, &mut points, &mut summaries, &region)?;
-            let splittable_children = region.split(self.min_region_size, step);
-            let can_split = splittable_children.len() > 1;
-            if fitted.error <= self.error_bound || !can_split {
-                regions.push(fitted);
-            } else {
-                stack.extend(splittable_children);
-            }
-        }
-
-        let total = oracle.unique_samples();
-        regions.sort_by(|a, b| error_order(a.error, b.error));
         Ok(PiecewiseModel::new(space.clone(), regions, total))
-    }
-
-    fn try_fit_region<E: Executor>(
-        &self,
-        oracle: &mut SampleOracle<'_, E>,
-        workspace: &mut FitWorkspace,
-        points: &mut Vec<Vec<usize>>,
-        summaries: &mut Vec<Summary>,
-        region: &Region,
-    ) -> Result<RegionModel, SampleError> {
-        let step = oracle.grid_step();
-        region.sample_grid_into(self.grid_per_dim, step, points);
-        oracle.try_measure_into(points, summaries)?;
-        Ok(RegionModel::fit_with_fallback(
-            workspace,
-            region.clone(),
-            points,
-            summaries,
-            self.degree,
-        )
-        // lint: allow(unwrap): fit_with_fallback degrades to a constant fit, which cannot fail with >= 1 sample
-        .expect("constant fit succeeds with at least one sample"))
-    }
-
-    fn fit_region<E: Executor>(
-        &self,
-        oracle: &mut SampleOracle<'_, E>,
-        workspace: &mut FitWorkspace,
-        points: &mut Vec<Vec<usize>>,
-        summaries: &mut Vec<Summary>,
-        region: &Region,
-    ) -> RegionModel {
-        let step = oracle.grid_step();
-        region.sample_grid_into(self.grid_per_dim, step, points);
-        oracle.measure_into(points, summaries);
-        RegionModel::fit_with_fallback(workspace, region.clone(), points, summaries, self.degree)
-            // lint: allow(unwrap): fit_with_fallback degrades to a constant fit, which cannot fail with >= 1 sample
-            .expect("constant fit succeeds with at least one sample")
     }
 }
 

@@ -1809,19 +1809,23 @@ mod tests {
         ))
     }
 
+    fn trsm_call() -> Call {
+        Call::trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            64,
+            64,
+            1.0,
+        )
+    }
+
     fn query_for(machine_id: String) -> FleetQuery {
         FleetQuery {
             id: 7,
             machine_id,
-            call: Call::trsm(
-                Side::Left,
-                Uplo::Lower,
-                Trans::NoTrans,
-                Diag::NonUnit,
-                64,
-                64,
-                1.0,
-            ),
+            call: trsm_call(),
             deadline: 200,
             priority: Priority::Normal,
         }
@@ -2019,6 +2023,160 @@ mod tests {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<LastGoodSnapshot>();
         assert_sync::<Published>();
+    }
+
+    /// A trsm repository for `machine` with one region over the whole
+    /// space, answering `value` with the recorded fit error `fit_error`.
+    fn one_region_trsm(machine: &MachineConfig, fit_error: f64, value: f64) -> ModelRepository {
+        use dla_model::{
+            submodel_key, PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel,
+            VectorPolynomial,
+        };
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let poly = Polynomial::new(2, vec![vec![0, 0]], vec![value]).unwrap();
+        let region = RegionModel {
+            region: space.clone(),
+            poly: VectorPolynomial::new(vec![poly; 5]).unwrap(),
+            error: fit_error,
+            samples_used: 1,
+            revision: 0,
+        };
+        let mut model = RoutineModel::new(
+            Routine::Trsm,
+            machine.id(),
+            Locality::InCache,
+            space.clone(),
+        );
+        model.insert_submodel(
+            submodel_key(&trsm_call()),
+            PiecewiseModel::new(space, vec![region], 1),
+        );
+        let mut repo = ModelRepository::new();
+        repo.insert(model);
+        repo
+    }
+
+    /// A shard serving a one-region trsm model with the given fit error,
+    /// queried `queries` times so its pressure is `queries × fit_error`.
+    fn pressured_shard(
+        machine: MachineConfig,
+        fit_error: f64,
+        queries: usize,
+    ) -> Arc<ModelService> {
+        let repo = one_region_trsm(&machine, fit_error, 1000.0);
+        let service = Arc::new(ModelService::new(repo, machine, Locality::InCache));
+        for _ in 0..queries {
+            service.predict_call(&trsm_call()).unwrap();
+        }
+        service
+    }
+
+    fn fleet_of(shards: Vec<Arc<ModelService>>) -> FleetService {
+        shards
+            .into_iter()
+            .fold(FleetBuilder::new(FleetConfig::default()), |b, s| b.shard(s))
+            .build()
+            .unwrap()
+    }
+
+    fn slices(budgets: &[ShardBudget]) -> Vec<usize> {
+        budgets.iter().map(|b| b.sample_budget).collect()
+    }
+
+    #[test]
+    fn budget_splits_evenly_without_pressure() {
+        let fleet = fleet_of(vec![
+            empty_shard(harpertown_openblas()),
+            empty_shard(sandy_bridge_openblas()),
+            empty_shard(sandy_bridge_openblas_threaded()),
+        ]);
+        let budgets = fleet.arbitrate_refinement_budget(10);
+        assert!(budgets.iter().all(|b| b.pressure == 0.0));
+        // Three equal quotas of 3⅓: the one left-over sample goes to the
+        // lowest shard index.
+        assert_eq!(slices(&budgets), [4, 3, 3]);
+        assert_eq!(slices(&fleet.arbitrate_refinement_budget(9)), [3, 3, 3]);
+        assert_eq!(slices(&fleet.arbitrate_refinement_budget(0)), [0, 0, 0]);
+    }
+
+    #[test]
+    fn budget_slices_follow_pressure_by_largest_remainder() {
+        // Pressures 3 × 0.5 = 1.5, 2 × 0.25 = 0.5 and 0.
+        let fleet = fleet_of(vec![
+            pressured_shard(harpertown_openblas(), 0.5, 3),
+            pressured_shard(sandy_bridge_openblas(), 0.25, 2),
+            empty_shard(sandy_bridge_openblas_threaded()),
+        ]);
+        let budgets = fleet.arbitrate_refinement_budget(7);
+        let pressures: Vec<f64> = budgets.iter().map(|b| b.pressure).collect();
+        assert_eq!(pressures, [1.5, 0.5, 0.0]);
+        let ids: Vec<&str> = budgets.iter().map(|b| b.machine_id.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                harpertown_openblas().id(),
+                sandy_bridge_openblas().id(),
+                sandy_bridge_openblas_threaded().id()
+            ]
+        );
+        // Quotas 5.25 / 1.75 / 0: the left-over sample goes to the largest
+        // fractional part, not to the heaviest shard.
+        assert_eq!(slices(&budgets), [5, 2, 0]);
+        // Quotas 7.5 / 2.5 / 0: equal fractional parts tie, and the tie goes
+        // to the lower shard index.
+        assert_eq!(slices(&fleet.arbitrate_refinement_budget(10)), [8, 2, 0]);
+        for total in 0..40 {
+            let sum: usize = slices(&fleet.arbitrate_refinement_budget(total))
+                .iter()
+                .sum();
+            assert_eq!(sum, total, "slices of {total} must sum to it");
+        }
+    }
+
+    #[test]
+    fn nan_fit_errors_count_as_the_fixed_pressure() {
+        let fleet = fleet_of(vec![
+            pressured_shard(harpertown_openblas(), f64::NAN, 1),
+            pressured_shard(sandy_bridge_openblas(), 0.5, 4),
+        ]);
+        let budgets = fleet.arbitrate_refinement_budget(100);
+        assert_eq!(budgets[0].pressure, 1e12);
+        assert_eq!(budgets[1].pressure, 2.0);
+        assert_eq!(slices(&budgets), [100, 0]);
+    }
+
+    #[test]
+    fn each_rejected_publish_strikes_the_breaker_once() {
+        let target = pressured_shard(harpertown_openblas(), 0.1, 0);
+        let fleet = fleet_of(vec![
+            empty_shard(sandy_bridge_openblas()),
+            Arc::clone(&target),
+        ]);
+        let reject = || {
+            let poisoned = one_region_trsm(&harpertown_openblas(), 0.1, f64::NAN);
+            assert!(target.swap(poisoned).is_err());
+        };
+        assert_eq!(
+            fleet.apply_ledger_pressure(),
+            [BreakerState::Healthy, BreakerState::Healthy]
+        );
+        // The default breaker degrades on its second strike, so the state
+        // shows how many strikes one rejection caused.
+        reject();
+        assert_eq!(
+            fleet.apply_ledger_pressure(),
+            [BreakerState::Healthy, BreakerState::Healthy]
+        );
+        // No new rejection: applying again must not strike again.
+        assert_eq!(
+            fleet.apply_ledger_pressure(),
+            [BreakerState::Healthy, BreakerState::Healthy]
+        );
+        reject();
+        assert_eq!(
+            fleet.apply_ledger_pressure(),
+            [BreakerState::Healthy, BreakerState::Degraded]
+        );
     }
 
     #[test]

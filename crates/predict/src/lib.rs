@@ -11,8 +11,9 @@
 //! full statistical information (min / mean / median / max / standard
 //! deviation).  Predictions are then used to
 //!
-//! * [`rank`](ranking::rank_by_median_ticks) equivalent algorithmic variants,
-//! * [`optimize the block size`](blocksize::optimize_block_size), and
+//! * [`rank`](ranking::rank_traces_by_efficiency) equivalent algorithmic
+//!   variants,
+//! * [`optimize the block size`](blocksize::optimize_block_size_trinv), and
 //! * validate against "measurements" (simulated executions) with ranking
 //!   agreement metrics such as Kendall's τ.
 //!

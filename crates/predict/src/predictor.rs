@@ -7,7 +7,7 @@ use dla_blas::{Call, Routine};
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
 use dla_model::{
-    submodel_key_fixed, BatchPoints, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError,
+    submodel_key, BatchPoints, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError,
     ModelRepository, Result, RoutineTable, MAX_DIM,
 };
 
@@ -117,7 +117,7 @@ fn missing_model_error(routine: Routine, machine_id: &str, locality: Locality) -
 /// Evaluates stored models to predict whole-algorithm performance.
 ///
 /// Evaluation runs on the compiled engine
-/// ([`CompiledRepository`](dla_model::CompiledRepository)): the repository is
+/// ([`CompiledRepository`]): the repository is
 /// compiled once at predictor construction (or inherited, already compiled,
 /// from a [`ModelService`](crate::ModelService) snapshot), and the
 /// machine/locality combination is pre-resolved into a routing table, so the
@@ -264,7 +264,7 @@ impl Predictor {
                     missing_model_error(call.routine(), &self.machine.id(), self.locality)
                 })?;
                 let model = self.compiled.model_at(slot);
-                let key = submodel_key_fixed(call);
+                let key = submodel_key(call);
                 if !model.has_submodel(key) {
                     // Reproduce the exact pointwise error (with the call's
                     // flag characters) by asking the scalar path.

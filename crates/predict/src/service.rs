@@ -64,7 +64,7 @@ use crate::predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePre
 /// and provenance at publication time.
 struct TelemetryCell {
     routine: Routine,
-    flags: Vec<usize>,
+    flags: FlagKey,
     region: Region,
     error: f64,
     revision: u32,
@@ -96,25 +96,19 @@ impl Telemetry {
             let Some(routine) = Routine::from_name(&key.routine) else {
                 continue;
             };
-            // Deterministic layout: sorted flag keys, regions in source order
-            // (the order both the compiled and the reference evaluators
-            // report their region indices in).
-            let mut flag_keys: Vec<&Vec<usize>> = model.submodels.keys().collect();
-            flag_keys.sort();
-            for flags in flag_keys {
-                let Some(fixed) = FlagKey::from_slice(flags) else {
-                    continue;
-                };
-                let submodel = &model.submodels[flags];
+            // Deterministic layout: flag keys in order, regions in source
+            // order (the order both the compiled and the reference
+            // evaluators report their region indices in).
+            for (&flags, submodel) in &model.submodels {
                 index[routine.index()].push((
-                    fixed,
+                    flags,
                     cells.len() as u32,
                     submodel.regions.len() as u32,
                 ));
                 for region in &submodel.regions {
                     cells.push(TelemetryCell {
                         routine,
-                        flags: flags.clone(),
+                        flags,
                         region: region.region.clone(),
                         error: region.error,
                         revision: region.revision,
@@ -349,7 +343,7 @@ impl ModelService {
         loop {
             let base = self.published();
             let mut merged = (**base.compiled().source()).clone();
-            merged.merge(other.clone());
+            merged.merge_models(other.clone());
             let compiled = Arc::new(CompiledRepository::compile(merged));
             let next = Published::build(compiled, &self.machine, self.locality);
             let mut current = self.current.write();
@@ -429,7 +423,7 @@ impl ModelService {
             if queries > 0 {
                 cells.push(HotRegion {
                     routine: cell.routine,
-                    flags: cell.flags.clone(),
+                    flags: cell.flags,
                     region: cell.region.clone(),
                     fit_error: cell.error,
                     revision: cell.revision,
@@ -702,7 +696,7 @@ mod tests {
             let model = snapshot
                 .get(cell.routine, &report.machine_id, report.locality)
                 .expect("reported routine is served");
-            let submodel = model.submodel(&cell.flags).expect("reported flags exist");
+            let submodel = model.submodel(cell.flags).expect("reported flags exist");
             assert!(
                 submodel.regions.iter().any(|r| r.region == cell.region),
                 "reported region {} not found",

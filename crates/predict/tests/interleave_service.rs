@@ -16,7 +16,7 @@ use dla_machine::presets::harpertown_openblas;
 use dla_machine::Locality;
 use dla_mat::stats::Summary;
 use dla_model::sync::Arc;
-use dla_model::{ModelRepository, PiecewiseModel, Region, RegionModel, RoutineModel};
+use dla_model::{FlagKey, ModelRepository, PiecewiseModel, Region, RegionModel, RoutineModel};
 use dla_predict::ModelService;
 
 fn has(repo: &ModelRepository, routine: Routine, machine_id: &str) -> bool {
@@ -52,7 +52,7 @@ fn repo_with(routine: Routine, machine_id: &str) -> ModelRepository {
     let rm = RegionModel::fit(space.clone(), &samples, 2).unwrap();
     let pw = PiecewiseModel::new(space.clone(), vec![rm], samples.len());
     let mut model = RoutineModel::new(routine, machine_id, Locality::InCache, space);
-    model.insert_submodel(vec![0, 0, 0], pw);
+    model.insert_submodel(FlagKey::from_slice(&[0, 0, 0]).unwrap(), pw);
     let mut repo = ModelRepository::new();
     repo.insert(model);
     repo
@@ -323,7 +323,7 @@ fn poisoned_repo(machine_id: &str) -> ModelRepository {
     };
     let pw = PiecewiseModel::new(space.clone(), vec![region], 1);
     let mut model = RoutineModel::new(Routine::Trsm, machine_id, Locality::InCache, space);
-    model.insert_submodel(vec![0, 0, 0], pw);
+    model.insert_submodel(FlagKey::from_slice(&[0, 0, 0]).unwrap(), pw);
     let mut repo = ModelRepository::new();
     repo.insert(model);
     repo

@@ -9,7 +9,7 @@ use dla_blas::{Call, Diag, Routine, Side, Trans, Uplo};
 use dla_machine::presets::harpertown_openblas;
 use dla_machine::Locality;
 use dla_mat::stats::Summary;
-use dla_model::{ModelRepository, PiecewiseModel, Region, RegionModel, RoutineModel};
+use dla_model::{FlagKey, ModelRepository, PiecewiseModel, Region, RegionModel, RoutineModel};
 use dla_predict::ModelService;
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn trsm_repo(machine_id: &str) -> ModelRepository {
     let rm = RegionModel::fit(space.clone(), &samples, 2).unwrap();
     let pw = PiecewiseModel::new(space.clone(), vec![rm], samples.len());
     let mut model = RoutineModel::new(Routine::Trsm, machine_id, Locality::InCache, space);
-    model.insert_submodel(vec![0, 0, 0], pw);
+    model.insert_submodel(FlagKey::from_slice(&[0, 0, 0]).unwrap(), pw);
     let mut repo = ModelRepository::new();
     repo.insert(model);
     repo

@@ -135,15 +135,6 @@ impl SamplerConfig {
             warmup_discard: 1,
         }
     }
-
-    /// Out-of-cache sampling with the given repetition count.
-    pub fn out_of_cache(repetitions: usize) -> SamplerConfig {
-        SamplerConfig {
-            locality: Locality::OutOfCache,
-            repetitions,
-            warmup_discard: 1,
-        }
-    }
 }
 
 /// The result of sampling one routine call.
@@ -180,24 +171,20 @@ pub struct Sampler<E: Executor> {
     scratch: Vec<f64>,
     /// Maximum retries after a failed attempt of [`Sampler::try_sample_ticks`].
     max_retries: usize,
-    /// Outlier-trimming aggressiveness of the robust path (MAD multiples).
-    mad_k: f64,
-    /// Largest tolerated `scaled MAD / |median|` of an aggregated batch.
-    max_dispersion: f64,
     telemetry: SampleTelemetry,
 }
 
 impl<E: Executor> Sampler<E> {
     /// Default retry bound of the fallible sampling path.
     pub const DEFAULT_MAX_RETRIES: usize = 3;
-    /// Default MAD multiple for robust outlier trimming (≈5σ for Gaussian
-    /// noise — generous enough to never trim the simulator's honest noise,
-    /// tight enough to shed ×10 latency spikes).
+    /// MAD multiple for robust outlier trimming (≈5σ for Gaussian noise —
+    /// generous enough to never trim the simulator's honest noise, tight
+    /// enough to shed ×10 latency spikes).
     pub const DEFAULT_MAD_K: f64 = 5.0;
-    /// Default bound on a batch's relative dispersion (scaled MAD over
-    /// |median|).  Honest measurement noise is a few percent of the median;
-    /// a batch at 50 % dispersion is contaminated past the breakdown point
-    /// of median/MAD trimming and gets retried instead of trusted.
+    /// Bound on a batch's relative dispersion (scaled MAD over |median|).
+    /// Honest measurement noise is a few percent of the median; a batch at
+    /// 50 % dispersion is contaminated past the breakdown point of median/MAD
+    /// trimming and gets retried instead of trusted.
     pub const DEFAULT_MAX_DISPERSION: f64 = 0.5;
 
     /// Creates a sampler around an executor.
@@ -208,8 +195,6 @@ impl<E: Executor> Sampler<E> {
             samples_taken: 0,
             scratch: Vec::new(),
             max_retries: Self::DEFAULT_MAX_RETRIES,
-            mad_k: Self::DEFAULT_MAD_K,
-            max_dispersion: Self::DEFAULT_MAX_DISPERSION,
             telemetry: SampleTelemetry::default(),
         }
     }
@@ -227,11 +212,6 @@ impl<E: Executor> Sampler<E> {
     /// Changes the number of repetitions per sampled call.
     pub fn set_repetitions(&mut self, repetitions: usize) {
         self.config.repetitions = repetitions.max(1);
-    }
-
-    /// Consumes the sampler and returns the wrapped executor.
-    pub fn into_executor(self) -> E {
-        self.executor
     }
 
     /// The machine configuration of the underlying executor.
@@ -254,18 +234,6 @@ impl<E: Executor> Sampler<E> {
     /// Bounds the retries of [`Sampler::try_sample_ticks`].
     pub fn set_max_retries(&mut self, max_retries: usize) {
         self.max_retries = max_retries;
-    }
-
-    /// Sets the MAD multiple used for robust outlier trimming.
-    pub fn set_robust_mad_k(&mut self, mad_k: f64) {
-        self.mad_k = mad_k.max(0.0);
-    }
-
-    /// Sets the largest tolerated relative dispersion (scaled MAD over
-    /// |median|) of a robustly aggregated batch; batches above it are
-    /// rejected and retried as [`SampleError::Dispersed`].
-    pub fn set_max_dispersion(&mut self, max_dispersion: f64) {
-        self.max_dispersion = max_dispersion.max(0.0);
     }
 
     /// Monotone fault-handling counters (see [`SampleTelemetry`]).
@@ -317,11 +285,12 @@ impl<E: Executor> Sampler<E> {
     /// executions to pass (the chaos schedules are seed-driven, so tests stay
     /// reproducible).  Delivered measurements are aggregated robustly via
     /// [`Summary::from_samples_robust`]: non-finite ticks are discarded and
-    /// latency outliers beyond `mad_k` scaled MADs from the median are
-    /// trimmed.  A batch that aggregates but remains over-dispersed (scaled
-    /// MAD above the configured fraction of the median — contamination past
-    /// the trimming rule's breakdown point) is rejected and retried as
-    /// [`SampleError::Dispersed`].  Every retry and discard is recorded in
+    /// latency outliers beyond [`DEFAULT_MAD_K`](Sampler::DEFAULT_MAD_K)
+    /// scaled MADs from the median are trimmed.  A batch that aggregates but
+    /// remains over-dispersed (scaled MAD above
+    /// [`DEFAULT_MAX_DISPERSION`](Sampler::DEFAULT_MAX_DISPERSION) of the
+    /// median — contamination past the trimming rule's breakdown point) is
+    /// rejected and retried as [`SampleError::Dispersed`].  Every retry and discard is recorded in
     /// [`SampleTelemetry`];
     /// failed attempts still count toward [`Sampler::samples_taken`] (budget
     /// is spent whether or not the harness delivers).
@@ -350,7 +319,7 @@ impl<E: Executor> Sampler<E> {
                 last_failure = SampleError::RetriesExhausted { attempts, last: e };
                 continue;
             }
-            match Summary::from_samples_robust(&self.scratch[warmup..], self.mad_k) {
+            match Summary::from_samples_robust(&self.scratch[warmup..], Self::DEFAULT_MAD_K) {
                 Ok((summary, trim)) => {
                     self.telemetry.discarded_non_finite += trim.non_finite as u64;
                     self.telemetry.discarded_outliers += trim.outliers as u64;
@@ -359,7 +328,7 @@ impl<E: Executor> Sampler<E> {
                     // breakdown point of the trimming rule (two spikes among
                     // four kept observations trim nothing) — reject and
                     // retry rather than hand a corrupted median to a fit.
-                    if trim.scaled_mad > self.max_dispersion * summary.median.abs() {
+                    if trim.scaled_mad > Self::DEFAULT_MAX_DISPERSION * summary.median.abs() {
                         last_failure = SampleError::Dispersed {
                             attempts,
                             scaled_mad: trim.scaled_mad,
@@ -401,11 +370,6 @@ impl<E: Executor> Sampler<E> {
             raw_ticks: kept,
             discarded,
         }
-    }
-
-    /// Measures a list of calls in order.
-    pub fn sample_all(&mut self, calls: &[Call]) -> Vec<SampleResult> {
-        calls.iter().map(|c| self.sample(c)).collect()
     }
 }
 
@@ -471,18 +435,6 @@ mod tests {
         let oc = s.sample(&call(64)).ticks.median;
         assert!(oc > ic);
         assert_eq!(s.config().locality, Locality::OutOfCache);
-    }
-
-    #[test]
-    fn sample_all_preserves_order() {
-        let mut s = sampler(4);
-        let calls = vec![call(32), call(64), call(96)];
-        let results = s.sample_all(&calls);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].ticks.median < results[2].ticks.median);
-        for (r, c) in results.iter().zip(calls.iter()) {
-            assert_eq!(&r.call, c);
-        }
     }
 
     #[test]

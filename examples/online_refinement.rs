@@ -151,8 +151,6 @@ fn main() {
             },
             sample_budget: 4096,
             max_cells: 256,
-            min_queries: 1,
-            ..Default::default()
         },
     )
     .with_templates(&dedupe_templates(&templates));
