@@ -7,7 +7,7 @@ use dla_core::blas::{Call, Trans};
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::Locality;
 use dla_core::mat::stats::Summary;
-use dla_core::model::{submodel_key, BatchPoints, CompiledPiecewise, PiecewiseModel, Region};
+use dla_core::model::{submodel_key, CompiledPiecewise, PiecewiseModel, Region};
 use dla_core::predict::blocksize::optimize_block_size_trinv;
 use dla_core::predict::modelset::{build_repository, ModelSetConfig, Workload};
 use dla_core::predict::TraceEvaluator;
@@ -91,47 +91,6 @@ fn bench_point_eval(c: &mut Criterion) {
             acc
         })
     });
-    group.bench_function("compiled_batch_512pts", |bench| {
-        let batch = BatchPoints::from_rows(points[0].len(), &points).unwrap();
-        let mut out = Vec::new();
-        bench.iter(|| {
-            compiled
-                .eval_batch_into(black_box(&batch), &mut out)
-                .unwrap();
-            out.iter().map(|s| s.median).sum::<f64>()
-        })
-    });
-    group.finish();
-}
-
-/// Batch-evaluation throughput at batch sizes 1 / 64 / 4096, against the
-/// single-point compiled `eval` over the same points — the satellite
-/// measurement behind the EXPERIMENTS.md throughput table.
-fn bench_batch_throughput(c: &mut Criterion) {
-    let (repo, machine) = setup();
-    let (submodel, grid) = gemm_submodel(&repo, &machine);
-    let compiled = CompiledPiecewise::compile(&submodel).expect("compilable submodel");
-    let mut group = c.benchmark_group("batch_eval_throughput");
-    for batch in [1usize, 64, 4096] {
-        let points: Vec<Vec<usize>> = (0..batch).map(|i| grid[i % grid.len()].clone()).collect();
-        let soa = BatchPoints::from_rows(grid[0].len(), &points).unwrap();
-        let mut out = Vec::new();
-        group.bench_function(format!("batched/{batch}"), |bench| {
-            bench.iter(|| {
-                compiled.eval_batch_into(black_box(&soa), &mut out).unwrap();
-                out.len()
-            })
-        });
-        group.bench_function(format!("pointwise/{batch}"), |bench| {
-            bench.iter(|| {
-                let mut acc = 0.0;
-                for p in &points {
-                    acc += compiled.eval(black_box(p)).unwrap().median;
-                }
-                acc
-            })
-        });
-    }
     group.finish();
 }
 
@@ -180,7 +139,6 @@ fn bench_blocksize_sweep(c: &mut Criterion) {
 criterion_group!(
     eval,
     bench_point_eval,
-    bench_batch_throughput,
     bench_cold_trace_prediction,
     bench_blocksize_sweep
 );

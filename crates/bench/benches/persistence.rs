@@ -1,4 +1,5 @@
-//! Repository persistence and batch-throughput measurements (plain harness).
+//! Repository persistence and batched trace-path measurements (plain
+//! harness).
 //!
 //! Three comparisons back the EXPERIMENTS.md tables:
 //!
@@ -7,13 +8,13 @@
 //!   compiles it; binary decodes straight into the compiled layout (no
 //!   re-parse, no re-compile), then `swap_compiled` validates it.  The
 //!   binary decode alone is reported as a component.
-//! * **Batch evaluation throughput**: the reference single-point `eval`
-//!   (`PiecewiseModel::eval`, the model's original query API) versus the
-//!   compiled single-point path versus the SoA batch kernel, at batch sizes
-//!   1 / 64 / 4096, in queries per second.
-//! * **Block-size sweep throughput**: the paper's trinv block-size sweep
-//!   driven by the batched trace path versus the same call stream answered
-//!   one `eval` at a time (reference and compiled).
+//! * **Duplicate-rich batch**: the 16 Sylvester-variant traces that
+//!   `rank_sylv_variants` predicts at n = 1024, b = 32 (22 328 calls, 296
+//!   distinct shapes), through the batched trace path, which evaluates each
+//!   distinct shape once, versus the pointwise walk over every call.
+//! * **Block-size sweep throughput** (duplicate-poor): the paper's trinv
+//!   block-size sweep driven by the batched trace path versus the same call
+//!   stream answered one `eval` at a time (reference and compiled).
 //!
 //! Run with `cargo bench -p dla-bench --bench persistence`; results are
 //! printed and written to `BENCH_persistence.json` at the repository root.
@@ -21,16 +22,18 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dla_core::algos::{trinv_trace, TrinvVariant};
+use std::collections::HashSet;
+
+use dla_core::algos::{sylv_trace, trinv_trace, SylvVariant, TrinvVariant};
 use dla_core::blas::flops::is_empty_call;
-use dla_core::blas::{Call, Trans};
+use dla_core::blas::Call;
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::Locality;
-use dla_core::model::{submodel_key, BatchPoints, CompiledPiecewise, Region};
+use dla_core::model::submodel_key;
 use dla_core::predict::blocksize::{default_block_size_candidates, optimize_block_size_trinv};
 use dla_core::predict::modelset::{build_repository, ModelSetConfig, Workload};
 use dla_core::predict::TraceEvaluator;
-use dla_core::{ModelRepository, ModelService, Predictor, Routine};
+use dla_core::{ModelRepository, ModelService, Predictor};
 
 /// Seconds per iteration, minimum over `iters` timed runs after `warmup`
 /// untimed ones (the minimum is the least noisy statistic for short,
@@ -46,6 +49,18 @@ fn time_min<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Number of distinct call shapes (routine, submodel key, sizes) among the
+/// non-degenerate calls of `traces`: the evaluations the batched path makes.
+fn distinct_shapes(traces: &[Vec<Call>]) -> usize {
+    traces
+        .iter()
+        .flatten()
+        .filter(|c| !is_empty_call(c))
+        .map(|c| (c.routine(), submodel_key(c), c.sizes()))
+        .collect::<HashSet<_>>()
+        .len()
 }
 
 fn main() {
@@ -90,61 +105,42 @@ fn main() {
     println!("    of which binary decode     {:>10.3} ms", 1e3 * decode_s);
     println!("  speedup                      {load_speedup:>10.1}x");
 
-    // Batch throughput on the most region-rich piecewise model (3-D gemm).
-    // Three evaluators answer the same query stream: the reference
-    // single-point `eval` (linear region scan, per-call allocation), the
-    // compiled single-point path, and the SoA batch kernel.
-    let model = repo
-        .get(Routine::Gemm, &machine.id(), Locality::InCache)
-        .expect("gemm model");
-    let template = Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 8, 8, 1.0, 1.0);
-    let submodel = model
-        .submodel(submodel_key(&template))
-        .expect("gemm NN submodel");
-    let compiled = CompiledPiecewise::compile(submodel).expect("compilable submodel");
-    let space = Region::new(model.space.lo().to_vec(), model.space.hi().to_vec());
-    let grid = space.sample_grid(16, 1);
-
-    println!("batch evaluation throughput (queries/sec):");
+    // Duplicate-rich batch: the Sylvester ranking's 16 variant traces,
+    // predicted by the batched trace path and by the pointwise walk.
+    let (sylv_repo, _) = build_repository(&machine, Locality::InCache, 1, &cfg, &[Workload::Sylv]);
+    let sylv_predictor = Predictor::new(&sylv_repo, machine.clone(), Locality::InCache);
+    let (rank_n, rank_b) = (1024, 32);
+    let rank_traces: Vec<Vec<Call>> = SylvVariant::all()
+        .into_iter()
+        .map(|v| sylv_trace(v, rank_n, rank_n, rank_b, rank_n))
+        .collect();
+    let rank_slices: Vec<&[Call]> = rank_traces.iter().map(Vec::as_slice).collect();
+    let walk = || -> Vec<_> {
+        rank_slices
+            .iter()
+            .map(|t| TraceEvaluator::predict_trace(&sylv_predictor, t).expect("trace"))
+            .collect()
+    };
+    let batched = sylv_predictor.predict_traces(&rank_slices).expect("batch");
+    assert_eq!(batched, walk(), "batched and pointwise predictions differ");
+    let rank_calls: usize = batched.iter().map(|p| p.predicted_calls).sum();
+    let rank_distinct = distinct_shapes(&rank_traces);
+    let rank_batched_s = time_min(3, 30, || {
+        std::hint::black_box(sylv_predictor.predict_traces(&rank_slices).expect("batch"));
+    });
+    let rank_pointwise_s = time_min(3, 30, || {
+        std::hint::black_box(walk());
+    });
+    let rank_pointwise_qps = rank_calls as f64 / rank_pointwise_s;
+    let rank_batched_qps = rank_calls as f64 / rank_batched_s;
+    let rank_speedup = rank_batched_qps / rank_pointwise_qps;
     println!(
-        "  {:>6} {:>14} {:>14} {:>14} {:>9} {:>9}",
-        "batch", "ref eval", "compiled pt", "batched", "vs ref", "vs pt"
+        "duplicate-rich batch: rank_sylv_variants n={rank_n} b={rank_b} \
+         ({rank_calls} calls, {rank_distinct} distinct):"
     );
-    let mut rows = Vec::new();
-    for batch in [1usize, 64, 4096] {
-        let points: Vec<Vec<usize>> = (0..batch).map(|i| grid[i % grid.len()].clone()).collect();
-        let soa = BatchPoints::from_rows(grid[0].len(), &points).expect("uniform arity");
-        let mut out = Vec::new();
-        let ref_s = time_min(3, 30, || {
-            let mut acc = 0.0;
-            for p in &points {
-                acc += submodel.eval(p).expect("in-arity point").median;
-            }
-            std::hint::black_box(acc);
-        });
-        let point_s = time_min(3, 30, || {
-            let mut acc = 0.0;
-            for p in &points {
-                acc += compiled.eval(p).expect("in-arity point").median;
-            }
-            std::hint::black_box(acc);
-        });
-        let batch_s = time_min(3, 30, || {
-            compiled
-                .eval_batch_into(&soa, &mut out)
-                .expect("in-arity batch");
-            std::hint::black_box(out.len());
-        });
-        let ref_qps = batch as f64 / ref_s;
-        let point_qps = batch as f64 / point_s;
-        let batch_qps = batch as f64 / batch_s;
-        let vs_ref = batch_qps / ref_qps;
-        let vs_point = batch_qps / point_qps;
-        println!(
-            "  {batch:>6} {ref_qps:>14.0} {point_qps:>14.0} {batch_qps:>14.0} {vs_ref:>8.2}x {vs_point:>8.2}x"
-        );
-        rows.push((batch, ref_qps, point_qps, batch_qps, vs_ref, vs_point));
-    }
+    println!("  compiled pointwise walk {rank_pointwise_qps:>14.0} q/s");
+    println!("  batched trace path      {rank_batched_qps:>14.0} q/s");
+    println!("  batched vs pointwise    {rank_speedup:>13.2}x");
 
     // Block-size sweep throughput: the paper's trinv tuning sweep, evaluated
     // three ways over the same candidate traces.
@@ -162,6 +158,7 @@ fn main() {
         .filter(|c| !is_empty_call(c))
         .collect();
     let total_calls = calls.len();
+    let sweep_distinct = distinct_shapes(&traces);
     let sweep =
         optimize_block_size_trinv(&predictor, TrinvVariant::V3, n, &candidates).expect("sweep");
     assert_eq!(sweep.evaluated_calls, total_calls);
@@ -190,7 +187,9 @@ fn main() {
     let sweep_batched_qps = total_calls as f64 / sweep_batched_s;
     let sweep_vs_ref = sweep_batched_qps / sweep_ref_qps;
     let sweep_vs_compiled = sweep_batched_qps / sweep_compiled_qps;
-    println!("block-size sweep throughput ({total_calls} model queries):");
+    println!(
+        "block-size sweep throughput ({total_calls} model queries, {sweep_distinct} distinct):"
+    );
     println!("  single-point ref eval  {sweep_ref_qps:>14.0} q/s");
     println!("  single-point compiled  {sweep_compiled_qps:>14.0} q/s");
     println!("  batched sweep          {sweep_batched_qps:>14.0} q/s");
@@ -212,16 +211,11 @@ fn main() {
         1e3 * decode_s,
         load_speedup
     ));
-    json.push_str("  \"batch_throughput\": [\n");
-    for (i, (batch, ref_qps, point_qps, batch_qps, vs_ref, vs_point)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch\": {batch}, \"reference_qps\": {ref_qps:.0}, \"pointwise_qps\": {point_qps:.0}, \"batched_qps\": {batch_qps:.0}, \"speedup_vs_reference\": {vs_ref:.2}, \"speedup_vs_pointwise\": {vs_point:.2}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"blocksize_sweep\": {{\"queries\": {total_calls}, \"reference_qps\": {sweep_ref_qps:.0}, \"compiled_pointwise_qps\": {sweep_compiled_qps:.0}, \"batched_qps\": {sweep_batched_qps:.0}, \"speedup_vs_reference\": {sweep_vs_ref:.2}, \"speedup_vs_pointwise\": {sweep_vs_compiled:.2}}}\n"
+        "  \"duplicate_rich_batch\": {{\"request\": \"rank_sylv_variants\", \"n\": {rank_n}, \"block_size\": {rank_b}, \"queries\": {rank_calls}, \"distinct\": {rank_distinct}, \"compiled_pointwise_qps\": {rank_pointwise_qps:.0}, \"batched_qps\": {rank_batched_qps:.0}, \"speedup_vs_pointwise\": {rank_speedup:.2}}},\n"
+    ));
+    json.push_str(&format!(
+        "  \"blocksize_sweep\": {{\"queries\": {total_calls}, \"distinct\": {sweep_distinct}, \"reference_qps\": {sweep_ref_qps:.0}, \"compiled_pointwise_qps\": {sweep_compiled_qps:.0}, \"batched_qps\": {sweep_batched_qps:.0}, \"speedup_vs_reference\": {sweep_vs_ref:.2}, \"speedup_vs_pointwise\": {sweep_vs_compiled:.2}}}\n"
     ));
     json.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persistence.json");

@@ -328,20 +328,15 @@ proptest! {
 }
 
 /// Trace batches mixing routines, duplicate calls across traces, degenerate
-/// (skipped) calls, and flag combinations that may miss their submodel.
+/// (skipped) calls, flag combinations that may miss their submodel, and the
+/// calls a shape intern could get wrong: a `diag`-only difference, sizes a
+/// packed key would alias, and degenerate calls of unmodelled routines.
 fn interesting_traces() -> Vec<Vec<Vec<Call>>> {
     let gemm = |n: usize| Call::gemm(Trans::NoTrans, Trans::NoTrans, n, n, n.min(64), 1.0, 1.0);
-    let trsm = |m: usize, n: usize| {
-        Call::trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::NoTrans,
-            Diag::NonUnit,
-            m,
-            n,
-            1.0,
-        )
+    let trsm_diag = |diag: Diag, m: usize, n: usize| {
+        Call::trsm(Side::Left, Uplo::Lower, Trans::NoTrans, diag, m, n, 1.0)
     };
+    let trsm = |m: usize, n: usize| trsm_diag(Diag::NonUnit, m, n);
     vec![
         // Same calls repeated within and across traces.
         vec![
@@ -368,6 +363,81 @@ fn interesting_traces() -> Vec<Vec<Vec<Call>>> {
                 1.0,
             ),
         ]],
+        // A degenerate call of a routine the random repository never
+        // models: skipped before any model lookup, not an error.
+        vec![
+            vec![
+                Call::trmm(
+                    Side::Left,
+                    Uplo::Lower,
+                    Trans::NoTrans,
+                    Diag::NonUnit,
+                    0,
+                    64,
+                    1.0,
+                ),
+                gemm(32),
+            ],
+            vec![Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 0, 1.0, 1.0)],
+        ],
+        // Interleaved trsm calls that differ only in the folded `diag` flag
+        // share a shape; a missing submodel must still be reported with the
+        // first failing call's own flags.
+        vec![vec![
+            trsm(96, 64),
+            gemm(48),
+            trsm_diag(Diag::Unit, 96, 64),
+            gemm(48),
+            trsm(96, 64),
+            trsm_diag(Diag::Unit, 96, 64),
+        ]],
+        vec![vec![
+            Call::trsm(
+                Side::Right,
+                Uplo::Upper,
+                Trans::Trans,
+                Diag::Unit,
+                80,
+                80,
+                1.0,
+            ),
+            Call::trsm(
+                Side::Right,
+                Uplo::Upper,
+                Trans::Trans,
+                Diag::NonUnit,
+                80,
+                80,
+                1.0,
+            ),
+        ]],
+        // Sizes 2^21 apart, which a 21-bit packed key would alias.
+        vec![
+            vec![
+                Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 64, 32, 1.0, 1.0),
+                Call::gemm(
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    8 + (1 << 21),
+                    64,
+                    32,
+                    1.0,
+                    1.0,
+                ),
+            ],
+            vec![
+                Call::gemm(
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    8 + (1 << 21),
+                    64,
+                    32,
+                    1.0,
+                    1.0,
+                ),
+                Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 64, 32, 1.0, 1.0),
+            ],
+        ],
         // An empty batch and an empty trace.
         vec![],
         vec![vec![]],

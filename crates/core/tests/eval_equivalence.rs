@@ -178,11 +178,6 @@ proptest! {
                 fast
             );
         }
-        // The batch entry point agrees with pointwise evaluation.
-        let batch = compiled.eval_batch_rows(&points).unwrap();
-        for (point, b) in points.iter().zip(&batch) {
-            prop_assert_eq!(&compiled.eval(point).unwrap(), b);
-        }
         // Arity errors surface on both paths.
         let bad = vec![8usize; model.space.dim() + 1];
         prop_assert!(model.eval(&bad).is_err());

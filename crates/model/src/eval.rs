@@ -31,6 +31,12 @@
 //! always *available*, merely not always accelerated.  Equivalence between
 //! the two implementations is enforced by property tests
 //! (`crates/core/tests/eval_equivalence.rs`).
+//!
+//! Every query is a point query: there is no separate batch kernel.  Batch
+//! callers (`dla-predict`'s batched trace path) evaluate each distinct call
+//! once through [`CompiledRoutineModel::estimate_parts`], which takes the
+//! submodel key and sizes they already extracted, so a call is decoded
+//! once.
 
 // The evaluators below are index-heavy numeric loops over fixed-size scratch
 // arrays; iterator rewrites obscure the per-dimension structure (same policy
@@ -59,124 +65,9 @@ pub const MAX_DIM: usize = 4;
 /// higher exponents fall back to the reference evaluator.
 pub(crate) const MAX_EXP: usize = 7;
 
-/// Points per micro-tile of the batch evaluator: small enough that the five
-/// accumulator lanes live in registers across the whole monomial plan and the
-/// power-ladder scratch (a few hundred bytes) never leaves L1, while every
-/// inner loop still runs over `TILE` contiguous doubles — the shape
-/// auto-vectorizers want.
-const TILE: usize = 8;
-
 /// Upper bound on the size of a cell table; larger index grids degrade to an
 /// in-order (but still allocation-free) region scan.
 const CELL_CAP: usize = 1 << 18;
-
-/// A flat, structure-of-arrays batch of integer query points: one contiguous
-/// `[usize]` column per dimension.
-///
-/// This is the first-class input of the batch evaluation hot path
-/// ([`CompiledPiecewise::eval_batch`]): the kernel reads whole columns with
-/// unit stride, normalises them into per-tile `f64` lanes, and evaluates the
-/// shared power-ladder basis across the block in auto-vectorizable loops.
-/// Row-major callers (`&[Vec<usize>]`) convert once through
-/// [`BatchPoints::from_rows`] or the [`CompiledPiecewise::eval_batch_rows`]
-/// adapter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchPoints {
-    /// One column per dimension; all columns share the same length.
-    columns: Vec<Vec<usize>>,
-    len: usize,
-}
-
-impl BatchPoints {
-    /// An empty batch of `dim`-dimensional points.
-    pub fn new(dim: usize) -> BatchPoints {
-        BatchPoints {
-            columns: vec![Vec::new(); dim],
-            len: 0,
-        }
-    }
-
-    /// An empty batch with room for `capacity` points per column.
-    pub fn with_capacity(dim: usize, capacity: usize) -> BatchPoints {
-        BatchPoints {
-            columns: (0..dim).map(|_| Vec::with_capacity(capacity)).collect(),
-            len: 0,
-        }
-    }
-
-    /// Converts a row-major point list into columns.  Every row must have
-    /// arity `dim`.
-    pub fn from_rows(dim: usize, points: &[Vec<usize>]) -> Result<BatchPoints> {
-        let mut batch = BatchPoints::with_capacity(dim, points.len());
-        for point in points {
-            if point.len() != dim {
-                return Err(ModelError::OutOfDomain(format!(
-                    "point arity {} does not match batch dimension {dim}",
-                    point.len()
-                )));
-            }
-            batch.push(point);
-        }
-        Ok(batch)
-    }
-
-    /// Appends one point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `point.len()` differs from the batch dimension (the same
-    /// contract as [`Region::new`]'s arity check).
-    // lint: allow(panic-free): the arity assert is the documented contract;
-    // serving batches are built with the model's dimension
-    pub fn push(&mut self, point: &[usize]) {
-        assert_eq!(
-            point.len(),
-            self.columns.len(),
-            "point arity must match the batch dimension"
-        );
-        for (column, &value) in self.columns.iter_mut().zip(point) {
-            column.push(value);
-        }
-        self.len += 1;
-    }
-
-    /// Number of dimensions (columns).
-    pub fn dim(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the batch holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all points, keeping the column allocations for reuse.
-    pub fn clear(&mut self) {
-        for column in &mut self.columns {
-            column.clear();
-        }
-        self.len = 0;
-    }
-
-    /// The contiguous column of dimension `d`.
-    pub fn column(&self, d: usize) -> &[usize] {
-        &self.columns[d]
-    }
-
-    /// Copies point `i` into fixed scratch (dimensions above [`MAX_DIM`] are
-    /// ignored; callers reject such batches before reading points).
-    #[inline]
-    pub(crate) fn read_point(&self, i: usize, out: &mut [usize; MAX_DIM]) {
-        for (d, column) in self.columns.iter().take(MAX_DIM).enumerate() {
-            out[d] = column[i];
-        }
-    }
-}
 
 /// The five quantity polynomials of a [`VectorPolynomial`] compiled into one
 /// shared monomial plan with an SoA coefficient matrix.
@@ -781,245 +672,6 @@ impl CompiledPiecewise {
         }
     }
 
-    /// Evaluates the model at every point of a batch through the SoA block
-    /// kernel (one output allocation, zero allocations per point; results are
-    /// bit-identical to pointwise [`eval`](CompiledPiecewise::eval)).
-    pub fn eval_batch(&self, points: &BatchPoints) -> Result<Vec<Summary>> {
-        let mut out = Vec::with_capacity(points.len());
-        self.eval_batch_into(points, &mut out)?;
-        Ok(out)
-    }
-
-    /// Row-major adapter for [`eval_batch`](CompiledPiecewise::eval_batch):
-    /// converts `&[Vec<usize>]` callers once and runs the same tile kernel.
-    pub fn eval_batch_rows(&self, points: &[Vec<usize>]) -> Result<Vec<Summary>> {
-        self.eval_batch(&BatchPoints::from_rows(self.dim, points)?)
-    }
-
-    /// Streaming batch evaluation into a caller-owned output slab (cleared
-    /// and refilled), so sweeps can reuse one allocation across batches.
-    pub fn eval_batch_into(&self, points: &BatchPoints, out: &mut Vec<Summary>) -> Result<()> {
-        self.eval_batch_traced_into(points, out, None)
-    }
-
-    /// [`eval_batch_into`](CompiledPiecewise::eval_batch_into), additionally
-    /// reporting the answering region index per point (source region order)
-    /// when `regions` is given — the batch counterpart of
-    /// [`eval_traced`](CompiledPiecewise::eval_traced) that the serving
-    /// layer's telemetry consumes.
-    pub fn eval_batch_traced_into(
-        &self,
-        points: &BatchPoints,
-        out: &mut Vec<Summary>,
-        mut regions: Option<&mut Vec<u32>>,
-    ) -> Result<()> {
-        if points.dim() != self.dim {
-            return Err(ModelError::OutOfDomain(format!(
-                "point arity {} does not match model dimension {}",
-                points.dim(),
-                self.dim
-            )));
-        }
-        out.clear();
-        if let Some(r) = regions.as_deref_mut() {
-            r.clear();
-        }
-        let n = points.len();
-        if n == 0 {
-            return Ok(());
-        }
-        let mut scratch = [0usize; MAX_DIM];
-        if n <= 2 {
-            // Tiny batches: the scalar path beats the batch machinery's
-            // fixed costs (slab allocation, grouping), and results are
-            // identical either way.
-            for i in 0..n {
-                points.read_point(i, &mut scratch);
-                let (summary, region) = self.eval_traced(&scratch[..self.dim])?;
-                out.push(summary);
-                if let Some(regs) = regions.as_deref_mut() {
-                    regs.push(region);
-                }
-            }
-            return Ok(());
-        }
-        if n > u32::MAX as usize {
-            return Err(ModelError::OutOfDomain(format!(
-                "batch of {n} points exceeds the supported maximum {}",
-                u32::MAX
-            )));
-        }
-        // Results are scattered back by point index, so grouping below can
-        // reorder evaluation freely without changing the output order.
-        out.resize(n, Summary::from_quantities(&[0.0; 5]));
-        if let Some(r) = regions.as_deref_mut() {
-            r.resize(n, 0);
-        }
-        // Locate pass: record every covered point's answering region and
-        // resolve uncovered points through the exact scalar fallback right
-        // away.  The per-region counts feed a counting sort below —
-        // O(n + regions) instead of a comparison sort, and stable in point
-        // order, so grouping is fully deterministic.
-        const UNCOVERED: u32 = u32::MAX;
-        let mut locs: Vec<u32> = Vec::with_capacity(n);
-        let mut counts = vec![0u32; self.regions.len()];
-        for i in 0..n {
-            points.read_point(i, &mut scratch);
-            match self.locate(&scratch[..self.dim]) {
-                PointLoc::Region(r) => {
-                    counts[r] += 1;
-                    locs.push(r as u32);
-                }
-                loc => {
-                    let (summary, region) = match loc {
-                        PointLoc::NearestAmong(f) => {
-                            self.nearest(&scratch[..self.dim], Some(&self.fallbacks[f]))
-                        }
-                        _ => self.nearest(&scratch[..self.dim], None),
-                    };
-                    out[i] = summary;
-                    if let Some(regs) = regions.as_deref_mut() {
-                        regs[i] = region;
-                    }
-                    locs.push(UNCOVERED);
-                }
-            }
-        }
-        // Counting sort: exclusive prefix sum over the region counts, then
-        // one placement pass scatters each covered point's index into its
-        // region's slice of `order`.
-        let mut cursor: Vec<u32> = Vec::with_capacity(counts.len());
-        let mut covered = 0u32;
-        for &c in &counts {
-            cursor.push(covered);
-            covered += c;
-        }
-        let mut order = vec![0u32; covered as usize];
-        for (i, &r) in locs.iter().enumerate() {
-            if r != UNCOVERED {
-                order[cursor[r as usize] as usize] = i as u32;
-                cursor[r as usize] += 1;
-            }
-        }
-        // Per-region evaluation over the gathered groups.
-        let mut begin = 0usize;
-        for (r, &count) in counts.iter().enumerate() {
-            let count = count as usize;
-            if count == 0 {
-                continue;
-            }
-            let ids = &order[begin..begin + count];
-            self.eval_region_batch(r, points, ids, out);
-            if let Some(regs) = regions.as_deref_mut() {
-                for &i in ids {
-                    regs[i as usize] = r as u32;
-                }
-            }
-            begin += count;
-        }
-        Ok(())
-    }
-
-    /// Evaluates one region's fused polynomial over a gathered group of
-    /// batch points (`ids` holds the point indices) in micro-tiles of
-    /// [`TILE`].  Per tile: gather and normalise the coordinates into
-    /// per-dimension lanes, grow the power ladders one multiply per level,
-    /// then stream the shared monomial plan with the five accumulator lanes
-    /// held in registers — every inner loop runs over `TILE` contiguous
-    /// doubles, and the only memory traffic per term is the ladder loads.
-    /// The per-point operation order matches the scalar evaluator exactly
-    /// (skipped `x^0` factors multiply by literal `1.0` there, which is
-    /// bit-exact), so batch results equal pointwise results bit-for-bit.
-    // lint: allow(panic-free): tile lanes are bounded by TILE, ladder levels by
-    // MAX_EXP/MAX_DIM, `ids` holds validated point indices, and term slices are
-    // sized at compile time
-    fn eval_region_batch(
-        &self,
-        region: usize,
-        points: &BatchPoints,
-        ids: &[u32],
-        out: &mut [Summary],
-    ) {
-        let reg = &self.regions[region];
-        let poly = &reg.poly;
-        let dim = self.dim;
-        // lint: hot-path begin
-        // The ladder scratch is zeroed once per group: lanes past the tail
-        // length are never read, and zero-extent dimensions (never written)
-        // must read as the scalar path's `x = 0.0`.
-        let mut lad = [[[0.0f64; TILE]; MAX_EXP]; MAX_DIM];
-        let mut base = 0;
-        while base < ids.len() {
-            let tl = (ids.len() - base).min(TILE);
-            let tile = &ids[base..base + tl];
-            // Gathered, normalised coordinates (same arithmetic as the
-            // scalar path, including the zero-extent rule), then the power
-            // ladders: level `e` lane = level `e - 1` lane times `x`, the
-            // same single multiply per entry as the scalar ladder.
-            for d in 0..dim {
-                if reg.extent_f[d] != 0.0 {
-                    let column = points.column(d);
-                    let lo = reg.lo_f[d];
-                    let extent = reg.extent_f[d];
-                    for (j, &i) in tile.iter().enumerate() {
-                        lad[d][0][j] = (column[i as usize] as f64 - lo) / extent;
-                    }
-                }
-                let levels = poly.max_exp[d] as usize;
-                for e in 1..levels {
-                    for j in 0..tl {
-                        lad[d][e][j] = lad[d][e - 1][j] * lad[d][0][j];
-                    }
-                }
-            }
-            // Stream the monomial plan: build each term's basis lane from the
-            // ladders (skipping exact `* 1.0` factors), then feed the five
-            // register-resident accumulator lanes.
-            let mut acc = [[0.0f64; TILE]; 5];
-            for t in 0..poly.term_count {
-                let exps = &poly.exponents[t * dim..(t + 1) * dim];
-                let mut basis = [0.0f64; TILE];
-                let mut have_factor = false;
-                for (d, &e) in exps.iter().enumerate() {
-                    if e == 0 {
-                        continue;
-                    }
-                    let level = &lad[d][e as usize - 1];
-                    if have_factor {
-                        for j in 0..TILE {
-                            basis[j] *= level[j];
-                        }
-                    } else {
-                        basis.copy_from_slice(level);
-                        have_factor = true;
-                    }
-                }
-                if !have_factor {
-                    basis.fill(1.0);
-                }
-                let coeffs = &poly.coefficients[t * 5..t * 5 + 5];
-                for (row, &c) in acc.iter_mut().zip(coeffs) {
-                    for j in 0..TILE {
-                        row[j] += c * basis[j];
-                    }
-                }
-            }
-            // Clamp and scatter back to each point's slot, identical to the
-            // scalar epilogue.
-            for (j, &i) in tile.iter().enumerate() {
-                let mut values = [acc[0][j], acc[1][j], acc[2][j], acc[3][j], acc[4][j]];
-                for v in &mut values {
-                    if !v.is_nan() {
-                        *v = v.max(0.0);
-                    }
-                }
-                out[i as usize] = Summary::from_quantities(&values);
-            }
-            base += tl;
-        }
-        // lint: hot-path end
-    }
-
     /// Nearest-region fallback over a candidate subset (or all regions),
     /// with the same first-minimum semantics as the reference evaluator.
     // lint: allow(panic-free): candidate indices come from the fallback table or
@@ -1207,6 +859,25 @@ impl CompiledRoutineModel {
     /// submodel (flag key) and region (index in source region order) answered
     /// — the per-call hook behind the serving layer's refinement telemetry.
     pub fn estimate_traced(&self, call: &Call) -> Result<(Summary, FlagKey, u32)> {
+        let key = submodel_key(call);
+        let (sizes, len) = call.sizes_fixed();
+        let sizes = sizes.get(..len).unwrap_or_default();
+        let (summary, region) = self.estimate_parts(call, key, sizes)?;
+        Ok((summary, key, region))
+    }
+
+    /// The evaluation step of
+    /// [`estimate_traced`](CompiledRoutineModel::estimate_traced), from the
+    /// submodel key and sizes already extracted from `call`: callers that
+    /// key calls by shape decode each call once.  `call` itself is read
+    /// only for its routine and for the flag spelling of a missing-submodel
+    /// error.  Returns the estimate and the answering region.
+    pub fn estimate_parts(
+        &self,
+        call: &Call,
+        key: FlagKey,
+        sizes: &[usize],
+    ) -> Result<(Summary, u32)> {
         if call.routine() != self.routine {
             return Err(ModelError::MissingSubmodel(format!(
                 "model is for {}, call is {}",
@@ -1214,7 +885,6 @@ impl CompiledRoutineModel {
                 call.routine()
             )));
         }
-        let key = submodel_key(call);
         let submodel = self
             .submodels
             .iter()
@@ -1228,86 +898,14 @@ impl CompiledRoutineModel {
                     call.flag_chars()
                 ))
             })?;
-        let (sizes, len) = call.sizes_fixed();
         let mut clamped = [0usize; MAX_DIM];
-        for d in 0..len.min(MAX_DIM) {
-            // lint: allow(panic-free): d < len.min(MAX_DIM) bounds every array
-            clamped[d] = sizes[d].clamp(self.space_lo[d], self.space_hi[d]);
+        let bounds = self.space_lo.iter().zip(&self.space_hi);
+        for ((c, &size), (&lo, &hi)) in clamped.iter_mut().zip(sizes).zip(bounds) {
+            *c = size.clamp(lo, hi);
         }
-        submodel
-            // lint: allow(panic-free): len <= Call::MAX_SIZES, which never exceeds MAX_DIM
-            .eval_traced(&clamped[..len])
-            .map(|(summary, region)| (summary, key, region))
-    }
-
-    /// Returns `true` when a compiled submodel exists for this flag key.
-    pub fn has_submodel(&self, key: FlagKey) -> bool {
-        self.submodels.iter().any(|(k, _)| *k == key)
-    }
-
-    /// Clamps `sizes` into the model's sampled space — the exact per-call
-    /// clamping [`estimate_traced`](CompiledRoutineModel::estimate_traced)
-    /// applies before evaluation, exposed so batch callers can pre-clamp
-    /// points into a [`BatchPoints`] column store.
-    pub fn clamp_sizes(&self, sizes: &[usize], clamped: &mut [usize; MAX_DIM]) {
-        for d in 0..sizes.len().min(MAX_DIM) {
-            clamped[d] = sizes[d].clamp(self.space_lo[d], self.space_hi[d]);
-        }
-    }
-
-    /// Batch counterpart of the evaluation step of
-    /// [`estimate_traced`](CompiledRoutineModel::estimate_traced): evaluates
-    /// every (already clamped) point of `points` against the submodel for
-    /// `key`, filling `out` (and `regions`, when given, with the answering
-    /// region index per point).  Results are bit-identical to the pointwise
-    /// path.
-    pub fn estimate_batch_clamped(
-        &self,
-        key: FlagKey,
-        points: &BatchPoints,
-        out: &mut Vec<Summary>,
-        mut regions: Option<&mut Vec<u32>>,
-    ) -> Result<()> {
-        let submodel = self
-            .submodels
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| s)
-            .ok_or_else(|| {
-                ModelError::MissingSubmodel(format!(
-                    "no submodel for {} flags {:?}",
-                    self.routine, key
-                ))
-            })?;
-        match submodel {
-            CompiledSubmodel::Fast(c) => {
-                c.eval_batch_traced_into(points, out, regions.as_deref_mut())
-            }
-            CompiledSubmodel::Reference(m) => {
-                let dim = points.dim();
-                if dim > MAX_DIM {
-                    return Err(ModelError::OutOfDomain(format!(
-                        "point arity {dim} exceeds the supported maximum {MAX_DIM}"
-                    )));
-                }
-                out.clear();
-                out.reserve(points.len());
-                if let Some(r) = regions.as_deref_mut() {
-                    r.clear();
-                    r.reserve(points.len());
-                }
-                let mut scratch = [0usize; MAX_DIM];
-                for i in 0..points.len() {
-                    points.read_point(i, &mut scratch);
-                    let (summary, region) = m.eval_traced(&scratch[..dim])?;
-                    out.push(summary);
-                    if let Some(r) = regions.as_deref_mut() {
-                        r.push(region as u32);
-                    }
-                }
-                Ok(())
-            }
-        }
+        // More sizes than MAX_DIM leave an empty point, which the
+        // submodel's arity check rejects.
+        submodel.eval_traced(clamped.get(..sizes.len()).unwrap_or_default())
     }
 
     pub(crate) fn submodels(&self) -> &[(FlagKey, CompiledSubmodel)] {
@@ -1555,30 +1153,6 @@ mod tests {
         for p in space.sample_grid(9, 1) {
             assert_matches(&model, &compiled, &p);
         }
-        // Batch evaluation agrees bit-for-bit with pointwise evaluation,
-        // through both the row adapter and the column store directly.
-        let points = space.sample_grid(5, 8);
-        let batch = compiled.eval_batch_rows(&points).unwrap();
-        for (p, b) in points.iter().zip(&batch) {
-            assert_eq!(compiled.eval(p).unwrap(), *b);
-        }
-        let columns = BatchPoints::from_rows(2, &points).unwrap();
-        assert_eq!(columns.len(), points.len());
-        assert_eq!(compiled.eval_batch(&columns).unwrap(), batch);
-        // The traced variant reports the same regions as scalar tracing.
-        let mut out = Vec::new();
-        let mut regs = Vec::new();
-        compiled
-            .eval_batch_traced_into(&columns, &mut out, Some(&mut regs))
-            .unwrap();
-        for ((p, s), r) in points.iter().zip(&out).zip(&regs) {
-            let (scalar, region) = compiled.eval_traced(p).unwrap();
-            assert_eq!(scalar, *s);
-            assert_eq!(region, *r);
-        }
-        // Arity mismatches surface as errors on the batch path too.
-        let wrong = BatchPoints::from_rows(1, &[vec![64]]).unwrap();
-        assert!(compiled.eval_batch(&wrong).is_err());
     }
 
     /// The cell table equals a per-cell scan: the first minimal-error region

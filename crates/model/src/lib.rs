@@ -60,8 +60,8 @@ mod telemetry;
 mod validate;
 
 pub use eval::{
-    BatchPoints, CompiledPiecewise, CompiledRepository, CompiledRoutineModel,
-    CompiledVectorPolynomial, RoutineTable, MAX_DIM,
+    CompiledPiecewise, CompiledRepository, CompiledRoutineModel, CompiledVectorPolynomial,
+    RoutineTable, MAX_DIM,
 };
 pub use fit::FitWorkspace;
 pub use piecewise::{error_order, PiecewiseModel, RegionModel, VectorPolynomial};

@@ -16,8 +16,9 @@ pub struct BlockSizeSweep {
     pub n: usize,
     /// `(block size, predicted efficiency)` for every candidate.
     pub candidates: Vec<(usize, EfficiencyPrediction)>,
-    /// Total per-call model evaluations behind the sweep (all candidate
-    /// traces combined, degenerate calls excluded).
+    /// Calls predicted (non-degenerate calls) over all candidate traces
+    /// combined.  The batched path evaluates a repeated call once but
+    /// counts every repeat here.
     pub evaluated_calls: usize,
 }
 

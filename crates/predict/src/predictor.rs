@@ -1,4 +1,13 @@
 //! Trace prediction: evaluating and accumulating per-call model estimates.
+//!
+//! A trace is predicted as the paper does it (Section IV): evaluate the
+//! model of every call and accumulate the estimates.  Blocked algorithms
+//! issue the same calls again and again, so the batched path behind
+//! [`TraceEvaluator::predict_traces`] keys each call of a batch by its
+//! shape (routine, submodel key, raw sizes), evaluates every distinct shape
+//! once on the compiled engine, and accumulates each trace in call order
+//! from those answers; the results are bit-identical to the pointwise walk
+//! of [`TraceEvaluator::predict_trace`].
 
 use std::sync::Arc;
 
@@ -7,8 +16,8 @@ use dla_blas::{Call, Routine};
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
 use dla_model::{
-    submodel_key, BatchPoints, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError,
-    ModelRepository, Result, RoutineTable, MAX_DIM,
+    submodel_key, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError, ModelRepository,
+    Result, RoutineTable,
 };
 
 /// The predicted execution time of a whole trace.
@@ -19,7 +28,8 @@ pub struct TracePrediction {
     pub ticks: Summary,
     /// Total floating-point operations of the trace.
     pub flops: f64,
-    /// Number of calls whose models were evaluated.
+    /// Calls predicted (non-degenerate calls).  The batched path evaluates
+    /// a repeated call once but counts every repeat here.
     pub predicted_calls: usize,
     /// Number of degenerate calls (a zero dimension) skipped at zero cost.
     pub skipped_calls: usize,
@@ -222,126 +232,81 @@ impl Predictor {
     }
 
     /// The batched trace path, shared by [`Predictor`] and
-    /// [`ModelService`](crate::ModelService): groups every call of every
-    /// trace by (routine, flag key, arity) into flat [`BatchPoints`] column
-    /// stores, evaluates each group through the SoA block kernel, then
-    /// accumulates per trace in original call order — bit-identical results
-    /// to the pointwise path.
+    /// [`ModelService`](crate::ModelService): predicts each distinct call
+    /// shape of the batch once and accumulates every trace in call order.
     ///
-    /// When `answered` is given it is called once per predicted call, in
-    /// trace order, with the routine, submodel and region that answered —
-    /// exactly the sequence a call-by-call walk over
-    /// [`predict_call_traced`](Predictor::predict_call_traced) would see,
-    /// collapsed duplicates included.
+    /// A call's [`Shape`] is its routine, submodel key and raw sizes.  The
+    /// first call of a shape is evaluated on the compiled engine (decoded
+    /// once, through [`CompiledRoutineModel::estimate_parts`]); later calls
+    /// of the shape, anywhere in the batch, reuse its estimate and flop
+    /// count.  Degenerate calls (a zero size) are skipped before any model
+    /// lookup, and the first failing call in trace order returns the error
+    /// the pointwise walk would — so the results are bit-identical to
+    /// [`TraceEvaluator::predict_trace`] over each trace.
+    ///
+    /// When `answered` is given and the whole batch succeeds, it is called
+    /// once per evaluated shape with the routine, submodel and region that
+    /// answered and the number of predicted calls of that shape: the counts
+    /// a call-by-call walk over
+    /// [`predict_call_traced`](Predictor::predict_call_traced) would see.
     pub(crate) fn predict_traces_batched(
         &self,
         traces: &[&[Call]],
-        mut answered: Option<&mut dyn FnMut(Routine, FlagKey, u32)>,
+        answered: Option<&mut dyn FnMut(Routine, FlagKey, u32, u64)>,
     ) -> Result<Vec<TracePrediction>> {
-        enum Placement {
-            Skip,
-            At(usize, usize),
-        }
-        struct Group {
-            slot: usize,
-            routine: Routine,
-            key: FlagKey,
-            dim: usize,
-            points: BatchPoints,
-            summaries: Vec<Summary>,
-            regions: Vec<u32>,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        let mut placements: Vec<Vec<Placement>> = Vec::with_capacity(traces.len());
-        for trace in traces {
-            let mut places = Vec::with_capacity(trace.len());
-            for call in *trace {
-                if is_empty_call(call) {
-                    places.push(Placement::Skip);
-                    continue;
-                }
-                let slot = self.table.slot(call.routine()).ok_or_else(|| {
-                    missing_model_error(call.routine(), &self.machine.id(), self.locality)
-                })?;
-                let model = self.compiled.model_at(slot);
-                let key = submodel_key(call);
-                if !model.has_submodel(key) {
-                    // Reproduce the exact pointwise error (with the call's
-                    // flag characters) by asking the scalar path.
-                    return match model.estimate(call) {
-                        Err(e) => Err(e),
-                        Ok(_) => Err(ModelError::MissingSubmodel(format!(
-                            "submodel for {} appeared mid-batch",
-                            call.routine()
-                        ))),
-                    };
-                }
-                let (sizes, len) = call.sizes_fixed();
-                let mut clamped = [0usize; MAX_DIM];
-                model.clamp_sizes(&sizes[..len], &mut clamped);
-                let group = match groups
-                    .iter()
-                    .position(|g| g.slot == slot && g.key == key && g.dim == len)
-                {
-                    Some(g) => g,
-                    None => {
-                        groups.push(Group {
-                            slot,
-                            routine: call.routine(),
-                            key,
-                            dim: len,
-                            points: BatchPoints::new(len),
-                            summaries: Vec::new(),
-                            regions: Vec::new(),
-                        });
-                        groups.len() - 1
-                    }
-                };
-                // Consecutive duplicates collapse onto one batch slot: loop
-                // algorithms re-issue identical calls every iteration (e.g.
-                // the constant-size unblocked factor in a blocked sweep), and
-                // the placement table already shares indices naturally.
-                let last = groups[group].points.len();
-                let dup = last > 0
-                    && (0..len).all(|d| groups[group].points.column(d)[last - 1] == clamped[d]);
-                let index = if dup {
-                    last - 1
-                } else {
-                    groups[group].points.push(&clamped[..len]);
-                    last
-                };
-                places.push(Placement::At(group, index));
-            }
-            placements.push(places);
-        }
-        let want_regions = answered.is_some();
-        for g in &mut groups {
-            self.compiled.model_at(g.slot).estimate_batch_clamped(
-                g.key,
-                &g.points,
-                &mut g.summaries,
-                want_regions.then_some(&mut g.regions),
-            )?;
-        }
+        let calls = traces.iter().map(|trace| trace.len()).sum();
+        let mut table = ShapeTable::for_calls(calls);
+        let mut answers: Vec<Answer> = Vec::new();
+        // The previous call's shape and answer: an immediate repeat skips
+        // the probe.
+        let mut previous: Option<(Shape, usize)> = None;
         let mut out = Vec::with_capacity(traces.len());
-        for (trace, places) in traces.iter().zip(&placements) {
+        for trace in traces {
             let mut ticks = Summary::zero();
             let mut flops = 0.0;
             let mut predicted = 0;
             let mut skipped = 0;
-            for (call, place) in trace.iter().zip(places) {
-                match place {
-                    Placement::Skip => skipped += 1,
-                    Placement::At(g, i) => {
-                        let group = &groups[*g];
-                        ticks.accumulate(&group.summaries[*i]);
-                        if let Some(answered) = answered.as_mut() {
-                            answered(group.routine, group.key, group.regions[*i]);
-                        }
-                        flops += call.flops();
-                        predicted += 1;
-                    }
+            for call in *trace {
+                let (sizes, len) = call.sizes_fixed();
+                let sizes_used = &sizes[..len];
+                if sizes_used.contains(&0) {
+                    skipped += 1;
+                    continue;
                 }
+                let shape = Shape {
+                    routine: call.routine(),
+                    key: submodel_key(call),
+                    sizes,
+                };
+                let index = match previous {
+                    Some((last, index)) if last == shape => index,
+                    _ => {
+                        let index = match table.probe(&shape, &answers) {
+                            Ok(index) => index,
+                            Err(slot) => {
+                                let (summary, region) = self
+                                    .model(shape.routine)?
+                                    .estimate_parts(call, shape.key, sizes_used)?;
+                                table.remember(slot, answers.len());
+                                answers.push(Answer {
+                                    shape,
+                                    summary,
+                                    flops: call.flops(),
+                                    region,
+                                    uses: 0,
+                                });
+                                answers.len() - 1
+                            }
+                        };
+                        previous = Some((shape, index));
+                        index
+                    }
+                };
+                let answer = &mut answers[index];
+                answer.uses += 1;
+                ticks.accumulate(&answer.summary);
+                flops += answer.flops;
+                predicted += 1;
             }
             out.push(TracePrediction {
                 ticks,
@@ -349,6 +314,12 @@ impl Predictor {
                 predicted_calls: predicted,
                 skipped_calls: skipped,
             });
+        }
+        if let Some(answered) = answered {
+            for answer in &answers {
+                let shape = &answer.shape;
+                answered(shape.routine, shape.key, answer.region, answer.uses);
+            }
         }
         Ok(out)
     }
@@ -361,6 +332,93 @@ impl Predictor {
         useful_flops: f64,
     ) -> Result<EfficiencyPrediction> {
         TraceEvaluator::predict_efficiency(self, trace, useful_flops)
+    }
+}
+
+/// A call's shape: everything its estimate and flop count depend on (the
+/// routine, the submodel key with `diag` folded away, and the raw sizes).
+/// Calls that differ only in scalars, leading dimensions or `diag` share a
+/// shape.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    routine: Routine,
+    key: FlagKey,
+    /// [`Call::sizes_fixed`]'s array: entries past the routine's size count
+    /// are zero, so comparing whole arrays compares the sizes exactly.
+    sizes: [usize; Call::MAX_SIZES],
+}
+
+impl Shape {
+    /// A multiplicative mix of every field.  The table compares shapes
+    /// exactly, so the hash only has to spread them; its top bits are the
+    /// best mixed.
+    fn hash(&self) -> u64 {
+        const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+        let head = self.key.to_bits() << 3 | self.routine.index() as u64;
+        let mut h = head.wrapping_mul(MIX);
+        for &size in &self.sizes {
+            h = (h ^ size as u64).wrapping_mul(MIX);
+        }
+        h
+    }
+}
+
+/// One shape's answer in a batch.
+struct Answer {
+    shape: Shape,
+    summary: Summary,
+    flops: f64,
+    region: u32,
+    /// Predicted calls of the batch that this answer stands for.
+    uses: u64,
+}
+
+/// Most slots a batch's shape table holds.  The table remembers at most half
+/// as many shapes; a batch with more distinct shapes still evaluates the
+/// rest, once per call not answered by the previous call.  The bound also
+/// caps what a batch of shapes crafted to collide can cost: probes stay
+/// within one 64 KiB table.
+const MAX_SLOTS: usize = 1 << 14;
+
+/// A batch's open-addressed shape table (linear probing, load at most one
+/// half): a slot holds one plus the index of a remembered answer, or 0 when
+/// free.
+struct ShapeTable {
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick its first slot.
+    shift: u32,
+}
+
+impl ShapeTable {
+    /// A table sized for a batch of `calls` calls: twice the call count,
+    /// rounded up to a power of two, within 16..=[`MAX_SLOTS`].
+    fn for_calls(calls: usize) -> ShapeTable {
+        let len = (2 * calls.min(MAX_SLOTS / 2)).next_power_of_two().max(16);
+        ShapeTable {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The index of `shape`'s answer, or the free slot that ends its probe.
+    fn probe(&self, shape: &Shape, answers: &[Answer]) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (shape.hash() >> self.shift) as usize;
+        loop {
+            match self.slots[slot] as usize {
+                0 => return Err(slot),
+                held if answers[held - 1].shape == *shape => return Ok(held - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Remembers `answer` in the free `slot` that [`probe`](ShapeTable::probe)
+    /// returned, unless the table already holds its share of shapes.
+    fn remember(&mut self, slot: usize, answer: usize) {
+        if answer < self.slots.len() / 2 {
+            self.slots[slot] = answer as u32 + 1;
+        }
     }
 }
 
@@ -516,6 +574,50 @@ mod tests {
         assert_eq!(p.predicted_calls, 0);
         assert_eq!(p.skipped_calls, 1);
         assert_eq!(p.ticks.median, 0.0);
+    }
+
+    #[test]
+    fn shapes_past_the_table_bound_are_still_answered() {
+        let (repo, machine) = small_repo();
+        let predictor = Predictor::new(&repo, machine, Locality::InCache);
+        let trsm = |m: usize, n: usize| {
+            Call::trsm(
+                Side::Left,
+                Uplo::Lower,
+                Trans::NoTrans,
+                Diag::NonUnit,
+                m,
+                n,
+                1.0,
+            )
+        };
+        // More distinct shapes than the table remembers, then repeats of
+        // shapes from both sides of the bound.
+        let first: Vec<Call> = (0..MAX_SLOTS / 2 + 500)
+            .map(|i| trsm(8 + i % 128, 8 + i / 128))
+            .collect();
+        let again: Vec<Call> = first.iter().rev().step_by(7).cloned().collect();
+        let traces: Vec<&[Call]> = vec![&first, &again];
+        let pointwise: Vec<TracePrediction> = traces
+            .iter()
+            .map(|t| TraceEvaluator::predict_trace(&predictor, t).unwrap())
+            .collect();
+        let mut counted = std::collections::BTreeMap::new();
+        let batched = predictor
+            .predict_traces_batched(
+                &traces,
+                Some(&mut |_, key, region, uses| {
+                    *counted.entry((key, region)).or_insert(0) += uses;
+                }),
+            )
+            .unwrap();
+        assert_eq!(batched, pointwise);
+        let mut walked = std::collections::BTreeMap::new();
+        for call in traces.iter().flat_map(|t| t.iter()) {
+            let (_, key, region) = predictor.predict_call_traced(call).unwrap();
+            *walked.entry((key, region)).or_insert(0) += 1;
+        }
+        assert_eq!(counted, walked);
     }
 
     #[test]

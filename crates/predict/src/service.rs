@@ -18,9 +18,12 @@
 //!   [`predict_call`](ModelService::predict_call) is one read of the handle,
 //!   one traced evaluation and one relaxed counter increment, and
 //!   [`predict_traces`](ModelService::predict_traces) runs the
-//!   [`Predictor`]'s batched trace path with a callback that counts each
-//!   answering region.  There is no memo cache: a compiled evaluation costs
-//!   less than hashing the call into one;
+//!   [`Predictor`]'s batched trace path, which evaluates each distinct call
+//!   shape of the batch once and reports each answering region once, with
+//!   its number of calls.  There is no memo cache across requests: a
+//!   compiled evaluation costs less than hashing the call into a shared,
+//!   synchronised one, while a batch's own shape table is private and
+//!   hashes cheaply;
 //! * it keeps lightweight **refinement telemetry**: the compiled evaluators
 //!   report which `(routine, flags, region)` cell answered each query, and
 //!   the service counts queries per cell with relaxed atomics.
@@ -124,15 +127,15 @@ impl Telemetry {
         }
     }
 
-    /// Counts one query answered by `region` of `routine`'s submodel `key`;
-    /// a cell outside the layout is not counted.
+    /// Counts `queries` queries answered by `region` of `routine`'s
+    /// submodel `key`; a cell outside the layout is not counted.
     ///
     /// The increment is a relaxed load + store, **deliberately not an RMW**:
     /// a lock-prefixed `fetch_add` costs a sizable share of the compiled
     /// evaluation it counts, and an increment lost to a concurrent one only
     /// perturbs a best-effort statistic (refinement ranks by magnitudes, not
     /// exact counts).  Counts from a single thread are exact.
-    fn count(&self, routine: Routine, key: FlagKey, region: u32) {
+    fn count(&self, routine: Routine, key: FlagKey, region: u32, queries: u64) {
         let slot = self
             .index
             .get(routine.index())
@@ -145,7 +148,7 @@ impl Telemetry {
             // ordering: Relaxed on both halves — no other memory depends on
             // this value; see the method docs for why losing an increment is
             // fine.
-            counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            counter.store(counter.load(Ordering::Relaxed) + queries, Ordering::Relaxed);
         }
     }
 }
@@ -396,7 +399,7 @@ impl ModelService {
     pub fn predict_call(&self, call: &Call) -> dla_model::Result<Summary> {
         let current = self.current.read();
         let (summary, key, region) = current.predictor.predict_call_traced(call)?;
-        current.telemetry.count(call.routine(), key, region);
+        current.telemetry.count(call.routine(), key, region, 1);
         Ok(summary)
     }
 
@@ -448,14 +451,16 @@ impl ModelService {
 
     /// Predicts a batch of traces against one generation, through the
     /// [`Predictor`]'s batched trace path (see
-    /// [`TraceEvaluator::predict_traces`]).  Telemetry counts every predicted
-    /// call exactly as a call-by-call walk would.
+    /// [`TraceEvaluator::predict_traces`]), which evaluates each distinct
+    /// call shape once.  Telemetry is counted once per shape with its number
+    /// of predicted calls, so every cell ends with the count a call-by-call
+    /// walk would give it; a batch that fails counts nothing.
     pub fn predict_traces(&self, traces: &[&[Call]]) -> dla_model::Result<Vec<TracePrediction>> {
         let current = self.published();
         let telemetry = &current.telemetry;
         current.predictor.predict_traces_batched(
             traces,
-            Some(&mut |routine, key, region| telemetry.count(routine, key, region)),
+            Some(&mut |routine, key, region, uses| telemetry.count(routine, key, region, uses)),
         )
     }
 
@@ -835,13 +840,27 @@ mod tests {
         let walked = quick_service();
         let batched = quick_service();
         let empty = Call::gemm(Trans::NoTrans, Trans::NoTrans, 0, 64, 32, 1.0, 1.0);
+        // One shape, repeated non-consecutively across three traces; its
+        // scalars and leading dimensions vary without changing the shape.
+        let repeated =
+            |alpha: f64| Call::gemm(Trans::NoTrans, Trans::NoTrans, 48, 80, 16, alpha, 1.0);
         let traces: Vec<Vec<Call>> = vec![
-            // Consecutive repeats (collapsed onto one batch slot)...
+            // Consecutive repeats...
             (0..20).map(|_| gemm(96)).collect(),
             // ...non-consecutive repeats, within and across traces, and a
             // degenerate call that must not count.
-            vec![gemm(32), gemm(96), gemm(32), empty, gemm(4096), gemm(32)],
-            vec![gemm(96), gemm(64), gemm(96)],
+            vec![
+                gemm(32),
+                repeated(1.0),
+                gemm(96),
+                gemm(32),
+                empty,
+                gemm(4096),
+                repeated(-2.0).with_leading_dims(4000),
+                gemm(32),
+            ],
+            vec![repeated(1.0), gemm(96), gemm(64), gemm(96), repeated(0.5)],
+            vec![gemm(64), repeated(1.0), gemm(8), repeated(1.0)],
         ];
         let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
         for trace in &slices {
@@ -859,5 +878,30 @@ mod tests {
         assert_eq!(report.total_queries, expected_calls as u64);
         // Same totals, same cells, same per-cell counts.
         assert_eq!(report, walked.refinement_report());
+        // The repeated shape's cell counts every call it answered, each
+        // repeat included, although the batch evaluated the shape once.
+        let predictor = batched.predictor();
+        let (_, key, region) = predictor.predict_call_traced(&repeated(1.0)).unwrap();
+        let in_cell = slices
+            .iter()
+            .flat_map(|trace| trace.iter())
+            .filter(|c| !is_empty_call(c))
+            .filter(|c| {
+                let (_, k, r) = predictor.predict_call_traced(c).unwrap();
+                (k, r) == (key, region)
+            })
+            .count();
+        assert!(in_cell >= 6, "{in_cell}");
+        let snapshot = batched.snapshot();
+        let model = snapshot
+            .get(Routine::Gemm, &report.machine_id, report.locality)
+            .unwrap();
+        let answering = &model.submodel(key).unwrap().regions[region as usize].region;
+        let cell = report
+            .cells
+            .iter()
+            .find(|c| c.flags == key && &c.region == answering)
+            .unwrap();
+        assert_eq!(cell.queries, in_cell as u64);
     }
 }
