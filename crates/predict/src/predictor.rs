@@ -257,9 +257,6 @@ impl Predictor {
         let calls = traces.iter().map(|trace| trace.len()).sum();
         let mut table = ShapeTable::for_calls(calls);
         let mut answers: Vec<Answer> = Vec::new();
-        // The previous call's shape and answer: an immediate repeat skips
-        // the probe.
-        let mut previous: Option<(Shape, usize)> = None;
         let mut out = Vec::with_capacity(traces.len());
         for trace in traces {
             let mut ticks = Summary::zero();
@@ -278,28 +275,21 @@ impl Predictor {
                     key: submodel_key(call),
                     sizes,
                 };
-                let index = match previous {
-                    Some((last, index)) if last == shape => index,
-                    _ => {
-                        let index = match table.probe(&shape, &answers) {
-                            Ok(index) => index,
-                            Err(slot) => {
-                                let (summary, region) = self
-                                    .model(shape.routine)?
-                                    .estimate_parts(call, shape.key, sizes_used)?;
-                                table.remember(slot, answers.len());
-                                answers.push(Answer {
-                                    shape,
-                                    summary,
-                                    flops: call.flops(),
-                                    region,
-                                    uses: 0,
-                                });
-                                answers.len() - 1
-                            }
-                        };
-                        previous = Some((shape, index));
-                        index
+                let index = match table.probe(&shape, &answers) {
+                    Ok(index) => index,
+                    Err(slot) => {
+                        let (summary, region) = self
+                            .model(shape.routine)?
+                            .estimate_parts(call, shape.key, sizes_used)?;
+                        table.remember(slot, answers.len());
+                        answers.push(Answer {
+                            shape,
+                            summary,
+                            flops: call.flops(),
+                            region,
+                            uses: 0,
+                        });
+                        answers.len() - 1
                     }
                 };
                 let answer = &mut answers[index];
@@ -375,9 +365,8 @@ struct Answer {
 
 /// Most slots a batch's shape table holds.  The table remembers at most half
 /// as many shapes; a batch with more distinct shapes still evaluates the
-/// rest, once per call not answered by the previous call.  The bound also
-/// caps what a batch of shapes crafted to collide can cost: probes stay
-/// within one 64 KiB table.
+/// rest, once per call.  The bound also caps what a batch of shapes crafted
+/// to collide can cost: probes stay within one 64 KiB table.
 const MAX_SLOTS: usize = 1 << 14;
 
 /// A batch's open-addressed shape table (linear probing, load at most one

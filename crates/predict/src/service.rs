@@ -19,11 +19,11 @@
 //!   one traced evaluation and one relaxed counter increment, and
 //!   [`predict_traces`](ModelService::predict_traces) runs the
 //!   [`Predictor`]'s batched trace path, which evaluates each distinct call
-//!   shape of the batch once and reports each answering region once, with
-//!   its number of calls.  There is no memo cache across requests: a
-//!   compiled evaluation costs less than hashing the call into a shared,
-//!   synchronised one, while a batch's own shape table is private and
-//!   hashes cheaply;
+//!   shape of the batch once and counts each answering region once, with
+//!   its number of calls, in one relaxed `fetch_add`.  There is no memo
+//!   cache across requests: a compiled evaluation costs less than hashing
+//!   the call into a shared, synchronised one, while a batch's own shape
+//!   table is private and hashes cheaply;
 //! * it keeps lightweight **refinement telemetry**: the compiled evaluators
 //!   report which `(routine, flags, region)` cell answered each query, and
 //!   the service counts queries per cell with relaxed atomics.
@@ -127,15 +127,9 @@ impl Telemetry {
         }
     }
 
-    /// Counts `queries` queries answered by `region` of `routine`'s
-    /// submodel `key`; a cell outside the layout is not counted.
-    ///
-    /// The increment is a relaxed load + store, **deliberately not an RMW**:
-    /// a lock-prefixed `fetch_add` costs a sizable share of the compiled
-    /// evaluation it counts, and an increment lost to a concurrent one only
-    /// perturbs a best-effort statistic (refinement ranks by magnitudes, not
-    /// exact counts).  Counts from a single thread are exact.
-    fn count(&self, routine: Routine, key: FlagKey, region: u32, queries: u64) {
+    /// The counter of `region` of `routine`'s submodel `key`, or `None` for
+    /// a cell outside the layout, which is not counted.
+    fn cell_counter(&self, routine: Routine, key: FlagKey, region: u32) -> Option<&AtomicU64> {
         let slot = self
             .index
             .get(routine.index())
@@ -144,11 +138,37 @@ impl Telemetry {
                     .find(|(k, _, count)| *k == key && region < *count)
             })
             .map(|(_, base, _)| (base + region) as usize);
-        if let Some(counter) = slot.and_then(|slot| self.counters.get(slot)) {
+        slot.and_then(|slot| self.counters.get(slot))
+    }
+
+    /// Counts one query answered by `region` of `routine`'s submodel `key`.
+    ///
+    /// The increment is a relaxed load + store, **deliberately not an RMW**:
+    /// a lock-prefixed `fetch_add` costs a sizable share of the one compiled
+    /// evaluation it counts.  A concurrent count landing between the load
+    /// and the store is lost: another query's 1, or a whole batch's count
+    /// for this cell (see [`count_batch`](Telemetry::count_batch)).  The
+    /// window is a few instructions and the statistic is best-effort
+    /// (refinement ranks by magnitudes, not exact counts).  Counts from a
+    /// single thread are exact.
+    fn count_one(&self, routine: Routine, key: FlagKey, region: u32) {
+        if let Some(counter) = self.cell_counter(routine, key, region) {
             // ordering: Relaxed on both halves — no other memory depends on
-            // this value; see the method docs for why losing an increment is
-            // fine.
-            counter.store(counter.load(Ordering::Relaxed) + queries, Ordering::Relaxed);
+            // this value; see the method docs for what a race can lose.
+            counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts the `queries` calls of one batch that `region` of `routine`'s
+    /// submodel `key` answered.
+    ///
+    /// One relaxed `fetch_add`: a batch counts each cell once with all its
+    /// calls, so the RMW is paid once per distinct shape, and two batches
+    /// never lose each other's counts.
+    fn count_batch(&self, routine: Routine, key: FlagKey, region: u32, queries: u64) {
+        if let Some(counter) = self.cell_counter(routine, key, region) {
+            // ordering: Relaxed — no other memory depends on this value.
+            counter.fetch_add(queries, Ordering::Relaxed);
         }
     }
 }
@@ -399,7 +419,7 @@ impl ModelService {
     pub fn predict_call(&self, call: &Call) -> dla_model::Result<Summary> {
         let current = self.current.read();
         let (summary, key, region) = current.predictor.predict_call_traced(call)?;
-        current.telemetry.count(call.routine(), key, region, 1);
+        current.telemetry.count_one(call.routine(), key, region);
         Ok(summary)
     }
 
@@ -460,7 +480,9 @@ impl ModelService {
         let telemetry = &current.telemetry;
         current.predictor.predict_traces_batched(
             traces,
-            Some(&mut |routine, key, region, uses| telemetry.count(routine, key, region, uses)),
+            Some(&mut |routine, key, region, uses| {
+                telemetry.count_batch(routine, key, region, uses)
+            }),
         )
     }
 

@@ -307,6 +307,33 @@ fn report_races_predict_and_reads_a_serialization() {
     });
 }
 
+/// Invariant: two batches racing on one cell never lose each other's
+/// counts.  Each batch counts the cell once with all its calls, so a lost
+/// update would drop a whole batch, not one query.
+#[test]
+fn racing_batches_count_every_call() {
+    let machine = harpertown_openblas();
+    let repo = repo_with(Routine::Trsm, &machine.id());
+    interleave::model(|| {
+        let service = Arc::new(ModelService::new(
+            repo.clone(),
+            machine.clone(),
+            Locality::InCache,
+        ));
+        let batch = vec![trsm_call(); 3];
+        let other_service = Arc::clone(&service);
+        let other_batch = batch.clone();
+        let other = interleave::thread::spawn(move || {
+            other_service
+                .predict_traces(&[other_batch.as_slice()])
+                .unwrap();
+        });
+        service.predict_traces(&[batch.as_slice()]).unwrap();
+        other.join().unwrap();
+        assert_eq!(service.refinement_report().total_queries, 6);
+    });
+}
+
 /// A repository whose only submodel carries a NaN coefficient — every
 /// publication gate must reject it.
 fn poisoned_repo(machine_id: &str) -> ModelRepository {
