@@ -1,8 +1,11 @@
-//! Criterion benchmarks of the compiled evaluation engine against the
-//! reference (naive) evaluator: piecewise point evaluation, trace
-//! prediction, and a block-size sweep.
+//! Benchmarks of the compiled evaluation engine against the reference
+//! (naive) evaluator: piecewise point evaluation, trace prediction, and a
+//! block-size sweep.  Writes `BENCH_eval.json`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::error::Error;
+use std::hint::black_box;
+
+use dla_bench::harness::Bench;
 use dla_core::blas::{Call, Trans};
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::Locality;
@@ -67,79 +70,61 @@ fn gemm_submodel(
     (submodel, points)
 }
 
-fn bench_point_eval(c: &mut Criterion) {
+fn main() -> Result<(), Box<dyn Error>> {
     let (repo, machine) = setup();
+    let mut bench = Bench::new("eval");
+
     let (submodel, points) = gemm_submodel(&repo, &machine);
     let compiled = CompiledPiecewise::compile(&submodel).expect("compilable submodel");
     assert!(compiled.is_indexed());
-    let mut group = c.benchmark_group("piecewise_point_eval");
-    group.bench_function("naive_512pts", |bench| {
-        bench.iter(|| {
-            let mut acc = 0.0;
-            for p in &points {
-                acc += submodel.eval(black_box(p)).unwrap().median;
-            }
-            acc
-        })
-    });
-    group.bench_function("compiled_512pts", |bench| {
-        bench.iter(|| {
-            let mut acc = 0.0;
-            for p in &points {
-                acc += compiled.eval(black_box(p)).unwrap().median;
-            }
-            acc
-        })
-    });
-    group.finish();
-}
+    let naive = bench.time("piecewise_point_eval/naive_512pts", "model", || {
+        let mut acc = 0.0;
+        for p in &points {
+            acc += submodel.eval(black_box(p)).unwrap().median;
+        }
+        acc
+    })?;
+    let fast = bench.time("piecewise_point_eval/compiled_512pts", "model", || {
+        let mut acc = 0.0;
+        for p in &points {
+            acc += compiled.eval(black_box(p)).unwrap().median;
+        }
+        acc
+    })?;
+    println!("  compiled vs naive: {:.1}x", naive / fast);
 
-fn bench_cold_trace_prediction(c: &mut Criterion) {
-    let (repo, machine) = setup();
-    let naive = NaiveEvaluator {
+    let naive_evaluator = NaiveEvaluator {
         repository: repo.clone(),
         machine: machine.clone(),
     };
     let predictor = Predictor::new(&repo, machine, Locality::InCache);
     let trace = trinv_trace(TrinvVariant::V3, 448, 96, 448);
-    let mut group = c.benchmark_group("cold_trace_prediction");
-    group.bench_function("naive_trinv_v3_n448", |bench| {
-        bench.iter(|| naive.predict_trace(black_box(&trace)).unwrap())
-    });
-    group.bench_function("compiled_trinv_v3_n448", |bench| {
-        bench.iter(|| predictor.predict_trace(black_box(&trace)).unwrap())
-    });
-    group.finish();
-}
+    let naive = bench.time(
+        "cold_trace_prediction/naive_trinv_v3_n448",
+        "predict.eval",
+        || naive_evaluator.predict_trace(black_box(&trace)).unwrap(),
+    )?;
+    let fast = bench.time(
+        "cold_trace_prediction/compiled_trinv_v3_n448",
+        "predict.eval",
+        || predictor.predict_trace(black_box(&trace)).unwrap(),
+    )?;
+    println!("  compiled vs naive: {:.1}x", naive / fast);
 
-fn bench_blocksize_sweep(c: &mut Criterion) {
-    let (repo, machine) = setup();
-    let naive = NaiveEvaluator {
-        repository: repo.clone(),
-        machine: machine.clone(),
-    };
-    let predictor = Predictor::new(&repo, machine, Locality::InCache);
     let candidates: Vec<usize> = (1..=32).map(|i| i * 8).collect();
-    let mut group = c.benchmark_group("blocksize_sweep_trinv_v3_n448");
-    group.bench_function("naive", |bench| {
-        bench.iter(|| {
-            optimize_block_size_trinv(&naive, TrinvVariant::V3, 448, black_box(&candidates))
-                .unwrap()
-        })
-    });
-    group.bench_function("compiled", |bench| {
-        bench.iter(|| {
-            optimize_block_size_trinv(&predictor, TrinvVariant::V3, 448, black_box(&candidates))
-                .unwrap()
-        })
-    });
-    group.finish();
+    let naive = bench.time("blocksize_sweep_trinv_v3_n448/naive", "predict", || {
+        optimize_block_size_trinv(
+            &naive_evaluator,
+            TrinvVariant::V3,
+            448,
+            black_box(&candidates),
+        )
+        .unwrap()
+    })?;
+    let fast = bench.time("blocksize_sweep_trinv_v3_n448/compiled", "predict", || {
+        optimize_block_size_trinv(&predictor, TrinvVariant::V3, 448, black_box(&candidates))
+            .unwrap()
+    })?;
+    println!("  compiled vs naive: {:.1}x", naive / fast);
+    Ok(bench.finish()?)
 }
-
-criterion_group!(
-    eval,
-    bench_point_eval,
-    bench_cold_trace_prediction,
-    bench_blocksize_sweep
-);
-criterion_main!(eval);

@@ -1,11 +1,12 @@
-//! Criterion benchmarks of the fleet serving tier: the overhead of a fresh
+//! Benchmarks of the fleet serving tier: the overhead of a fresh
 //! fleet-routed query over a bare [`ModelService`] prediction, and the cost
 //! of the two degraded answer paths (stale snapshot, efficiency-scaled
-//! proxy) relative to the fresh path.
+//! proxy) relative to the fresh path.  Writes `BENCH_fleet.json`.
 
+use std::error::Error;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use dla_bench::harness::Bench;
 use dla_core::blas::{Diag, Side, Trans, Uplo};
 use dla_core::machine::presets::{
     harpertown_openblas, sandy_bridge_openblas, sandy_bridge_openblas_threaded,
@@ -142,33 +143,30 @@ fn query(ids: &[String], target: usize, call: &Call, id: u64) -> FleetQuery {
     }
 }
 
-fn bench_fleet_paths(c: &mut Criterion) {
+fn main() -> Result<(), Box<dyn Error>> {
     let repos = repositories();
     let calls = serving_calls();
-    let mut group = c.benchmark_group("fleet_query");
+    let mut bench = Bench::new("fleet");
+    let layer = "predict.fleet.request";
 
     // Baseline: the bare service, no fleet tier around it.
-    let bare = ModelService::new(repos[1].1.clone(), repos[1].0.clone(), Locality::InCache);
-    group.bench_function("bare_service", |bench| {
-        let mut i = 0usize;
-        bench.iter(|| {
-            let call = &calls[i % calls.len()];
-            i += 1;
-            bare.predict_call(call).expect("in-space call")
-        })
-    });
+    let service = ModelService::new(repos[1].1.clone(), repos[1].0.clone(), Locality::InCache);
+    let mut i = 0usize;
+    let bare = bench.time("fleet_query/bare_service", "predict.service.call", || {
+        let call = &calls[i % calls.len()];
+        i += 1;
+        service.predict_call(call).expect("in-space call")
+    })?;
 
-    // Fresh path: every shard healthy, the fleet only adds routing,
-    // admission and breaker bookkeeping.
+    // Fresh path: every shard healthy, the fleet only adds routing and
+    // breaker bookkeeping.
     let (fleet, ids) = build_fleet(&repos, &[]);
-    group.bench_function("fresh", |bench| {
-        let mut i = 0u64;
-        bench.iter(|| {
-            let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
-            i += 1;
-            fleet.query(&q).expect("routable")
-        })
-    });
+    let mut i = 0u64;
+    let fresh = bench.time("fleet_query/fresh", layer, || {
+        let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
+        i += 1;
+        fleet.query(&q).expect("routable")
+    })?;
 
     // Stale path: the target is hard-down but retains a last-good snapshot
     // (earned before the chaos flag flips), so every answer is a local
@@ -204,29 +202,25 @@ fn bench_fleet_paths(c: &mut Criterion) {
         flags[1].set_forced_down(true);
         (fleet, ids)
     };
-    group.bench_function("stale", |bench| {
-        let mut i = 0u64;
-        bench.iter(|| {
-            let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
-            i += 1;
-            fleet.query(&q).expect("routable")
-        })
-    });
+    let mut i = 0u64;
+    let stale = bench.time("fleet_query/stale", layer, || {
+        let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
+        i += 1;
+        fleet.query(&q).expect("routable")
+    })?;
 
     // Proxied path: the target is hard-down with no snapshot, so every
     // answer comes from the nearest machine, efficiency-scaled.
     let (fleet, ids) = build_fleet(&repos, &[1]);
-    group.bench_function("proxied", |bench| {
-        let mut i = 0u64;
-        bench.iter(|| {
-            let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
-            i += 1;
-            fleet.query(&q).expect("routable")
-        })
-    });
+    let mut i = 0u64;
+    let proxied = bench.time("fleet_query/proxied", layer, || {
+        let q = query(&ids, 1, &calls[i as usize % calls.len()], i);
+        i += 1;
+        fleet.query(&q).expect("routable")
+    })?;
 
-    group.finish();
+    println!("  fresh vs bare service: {:.2}x", fresh / bare);
+    println!("  stale vs fresh:        {:.2}x", stale / fresh);
+    println!("  proxied vs fresh:      {:.2}x", proxied / fresh);
+    Ok(bench.finish()?)
 }
-
-criterion_group!(benches, bench_fleet_paths);
-criterion_main!(benches);

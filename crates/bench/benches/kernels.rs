@@ -1,112 +1,79 @@
-//! Criterion benchmarks of the pure-Rust BLAS kernels.
+//! Benchmarks of the pure-Rust BLAS kernels.
 //!
 //! These measure the reproduction's own compute substrate (used by the native
 //! executor and the correctness tests); the performance-modeling experiments
 //! themselves run on the simulated machine and are regenerated by the `fig_*`
-//! binaries.
+//! binaries.  Writes `BENCH_kernels.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::error::Error;
+
+use dla_bench::harness::Bench;
 use dla_core::blas::{dgemm, dtrsm, dtrtri_unb, threaded::dgemm_threaded, Diag, Side, Trans, Uplo};
 use dla_core::mat::gen::MatrixGenerator;
 
-fn bench_dgemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dgemm_square");
-    for &n in &[64usize, 128, 256] {
+fn main() -> Result<(), Box<dyn Error>> {
+    let mut bench = Bench::new("kernels");
+    for n in [64usize, 128, 256] {
         let mut g = MatrixGenerator::new(1);
         let a = g.general(n, n);
         let b = g.general(n, n);
         let mut out = g.general(n, n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| {
-                dgemm(
-                    Trans::NoTrans,
-                    Trans::NoTrans,
-                    1.0,
-                    a.as_ref(),
-                    b.as_ref(),
-                    0.0,
-                    out.as_mut(),
-                );
-            })
-        });
+        bench.time(&format!("dgemm_square/{n}"), "blas", || {
+            dgemm(
+                Trans::NoTrans,
+                Trans::NoTrans,
+                1.0,
+                a.as_ref(),
+                b.as_ref(),
+                0.0,
+                out.as_mut(),
+            )
+        })?;
     }
-    group.finish();
-}
-
-fn bench_dgemm_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dgemm_threaded_256");
-    for &threads in &[1usize, 2, 4] {
+    for threads in [1usize, 2, 4] {
         let mut g = MatrixGenerator::new(2);
         let n = 256;
         let a = g.general(n, n);
         let b = g.general(n, n);
         let mut out = g.general(n, n);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |bench, &t| {
-                bench.iter(|| {
-                    dgemm_threaded(
-                        t,
-                        Trans::NoTrans,
-                        Trans::NoTrans,
-                        1.0,
-                        a.as_ref(),
-                        b.as_ref(),
-                        0.0,
-                        out.as_mut(),
-                    );
-                })
-            },
-        );
+        bench.time(&format!("dgemm_threaded_256/{threads}"), "blas", || {
+            dgemm_threaded(
+                threads,
+                Trans::NoTrans,
+                Trans::NoTrans,
+                1.0,
+                a.as_ref(),
+                b.as_ref(),
+                0.0,
+                out.as_mut(),
+            )
+        })?;
     }
-    group.finish();
-}
-
-fn bench_dtrsm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dtrsm_left_lower");
-    for &n in &[64usize, 128, 256] {
+    for n in [64usize, 128, 256] {
         let mut g = MatrixGenerator::new(3);
         let a = g.lower_triangular(n, false);
         let mut b = g.general(n, n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| {
-                dtrsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Trans::NoTrans,
-                    Diag::NonUnit,
-                    1.0,
-                    a.as_ref(),
-                    b.as_mut(),
-                );
-            })
-        });
+        bench.time(&format!("dtrsm_left_lower/{n}"), "blas", || {
+            dtrsm(
+                Side::Left,
+                Uplo::Lower,
+                Trans::NoTrans,
+                Diag::NonUnit,
+                1.0,
+                a.as_ref(),
+                b.as_mut(),
+            )
+        })?;
     }
-    group.finish();
-}
-
-fn bench_dtrtri(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dtrtri_unb");
-    for &n in &[32usize, 96, 192] {
+    for n in [32usize, 96, 192] {
         let mut g = MatrixGenerator::new(4);
         let a = g.lower_triangular(n, false);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter_batched(
-                || a.clone(),
-                |mut work| dtrtri_unb(Uplo::Lower, Diag::NonUnit, work.as_mut()),
-                criterion::BatchSize::SmallInput,
-            )
-        });
+        bench.time_with_setup(
+            &format!("dtrtri_unb/{n}"),
+            "blas",
+            || a.clone(),
+            |mut work| dtrtri_unb(Uplo::Lower, Diag::NonUnit, work.as_mut()),
+        )?;
     }
-    group.finish();
+    Ok(bench.finish()?)
 }
-
-criterion_group!(
-    kernels,
-    bench_dgemm,
-    bench_dgemm_threaded,
-    bench_dtrsm,
-    bench_dtrtri
-);
-criterion_main!(kernels);

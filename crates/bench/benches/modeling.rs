@@ -1,16 +1,18 @@
-//! Criterion benchmarks of the modeling layer: how expensive it is to build a
-//! model with either strategy, and how fast the simulated Sampler is.
+//! Benchmarks of the modeling layer: building one submodel with either
+//! strategy.  perfbench builds with Refinement only; Expansion is timed here
+//! against it.  Writes `BENCH_modeling.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::error::Error;
+
+use dla_bench::harness::Bench;
 use dla_core::blas::{Call, Diag, Side, Trans, Uplo};
 use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::{Locality, SimExecutor};
 use dla_core::model::Region;
 use dla_core::modeler::{ExpansionConfig, Modeler, RefinementConfig, Strategy};
-use dla_core::sampler::{Sampler, SamplerConfig};
 
-fn trsm_template() -> Call {
-    Call::trsm(
+fn main() -> Result<(), Box<dyn Error>> {
+    let template = Call::trsm(
         Side::Left,
         Uplo::Lower,
         Trans::NoTrans,
@@ -18,55 +20,34 @@ fn trsm_template() -> Call {
         8,
         8,
         0.5,
-    )
-}
-
-fn bench_sampler(c: &mut Criterion) {
-    c.bench_function("sampler_dtrsm_256_x10", |bench| {
-        let mut sampler = Sampler::new(
-            SimExecutor::new(harpertown_openblas(), 1),
-            SamplerConfig::in_cache(10),
-        );
-        let call = trsm_template().with_sizes(&[256, 256]);
-        bench.iter(|| sampler.sample(&call))
-    });
-}
-
-fn bench_strategies(c: &mut Criterion) {
+    );
     let space = Region::new(vec![8, 8], vec![512, 512]);
-    c.bench_function("modeler_adaptive_refinement_512", |bench| {
-        bench.iter(|| {
-            let mut modeler = Modeler::new(
-                SimExecutor::noiseless(harpertown_openblas()),
-                Locality::InCache,
-                1,
-                Strategy::Refinement(RefinementConfig {
-                    error_bound: 0.10,
-                    min_region_size: 64,
-                    grid_per_dim: 3,
-                    degree: 2,
-                }),
-            );
-            modeler.build_submodel(&trsm_template(), &space)
-        })
-    });
-    c.bench_function("modeler_model_expansion_512", |bench| {
-        bench.iter(|| {
-            let mut modeler = Modeler::new(
-                SimExecutor::noiseless(harpertown_openblas()),
-                Locality::InCache,
-                1,
-                Strategy::Expansion(ExpansionConfig {
-                    error_bound: 0.10,
-                    initial_size: 128,
-                    grid_per_dim: 3,
-                    ..Default::default()
-                }),
-            );
-            modeler.build_submodel(&trsm_template(), &space)
-        })
-    });
+    let build = |strategy: Strategy| {
+        let mut modeler = Modeler::new(
+            SimExecutor::noiseless(harpertown_openblas()),
+            Locality::InCache,
+            1,
+            strategy,
+        );
+        modeler.build_submodel(&template, &space)
+    };
+    let mut bench = Bench::new("modeling");
+    let refinement = bench.time("modeler_adaptive_refinement_512", "modeler.build", || {
+        build(Strategy::Refinement(RefinementConfig {
+            error_bound: 0.10,
+            min_region_size: 64,
+            grid_per_dim: 3,
+            degree: 2,
+        }))
+    })?;
+    let expansion = bench.time("modeler_model_expansion_512", "modeler.build", || {
+        build(Strategy::Expansion(ExpansionConfig {
+            error_bound: 0.10,
+            initial_size: 128,
+            grid_per_dim: 3,
+            ..Default::default()
+        }))
+    })?;
+    println!("  expansion vs refinement: {:.2}x", expansion / refinement);
+    Ok(bench.finish()?)
 }
-
-criterion_group!(modeling, bench_sampler, bench_strategies);
-criterion_main!(modeling);

@@ -10,21 +10,62 @@
 use dla_mat::gen::MatrixGenerator;
 use dla_mat::Matrix;
 
-use crate::{dgemm, dsylv_unb, dsyrk, dtrmm, dtrsm, dtrtri_unb, Call, Side, Trans, Uplo};
+use crate::{dgemm, dsylv_unb, dsyrk, dtrmm, dtrsm, dtrtri_unb, Call, Diag, Side, Trans, Uplo};
 
 /// A routine call together with allocated operands, ready to run repeatedly.
 #[derive(Debug)]
 pub struct PreparedCall {
     call: Call,
-    /// First operand (A / L).
-    a: Matrix,
-    /// Second operand (B / U), if any.
-    b: Option<Matrix>,
-    /// Output operand (C / X), if distinct from `b`.
-    c: Option<Matrix>,
-    /// Pristine copy of the operand that the routine overwrites, used by
-    /// [`PreparedCall::reset`].
+    kernel: Kernel,
+    /// The operand the kernel overwrites (C, B, A or X).
+    out: Matrix,
+    /// Pristine copy of `out`, used by [`PreparedCall::reset`].
     pristine: Matrix,
+}
+
+/// The kernel a call runs, with its parameters and read-only operands: each
+/// variant holds exactly the operands its routine reads.
+#[derive(Debug)]
+enum Kernel {
+    Gemm {
+        transa: Trans,
+        transb: Trans,
+        alpha: f64,
+        beta: f64,
+        a: Matrix,
+        b: Matrix,
+    },
+    Trsm {
+        side: Side,
+        uplo: Uplo,
+        transa: Trans,
+        diag: Diag,
+        alpha: f64,
+        a: Matrix,
+    },
+    Trmm {
+        side: Side,
+        uplo: Uplo,
+        transa: Trans,
+        diag: Diag,
+        alpha: f64,
+        a: Matrix,
+    },
+    Syrk {
+        uplo: Uplo,
+        trans: Trans,
+        alpha: f64,
+        beta: f64,
+        a: Matrix,
+    },
+    Trtri {
+        uplo: Uplo,
+        diag: Diag,
+    },
+    Sylv {
+        l: Matrix,
+        u: Matrix,
+    },
 }
 
 impl PreparedCall {
@@ -32,94 +73,121 @@ impl PreparedCall {
     /// `seed`.
     pub fn new(call: &Call, seed: u64) -> PreparedCall {
         let mut g = MatrixGenerator::new(seed);
-        match call {
+        let triangular = |g: &mut MatrixGenerator, uplo: Uplo, order: usize| match uplo {
+            Uplo::Lower => g.lower_triangular(order, false),
+            Uplo::Upper => g.upper_triangular(order, false),
+        };
+        let (kernel, out) = match *call {
             Call::Gemm {
                 transa,
                 transb,
                 m,
                 n,
                 k,
+                alpha,
+                beta,
                 ..
             } => {
                 let a = match transa {
-                    Trans::NoTrans => g.general(*m, *k),
-                    Trans::Trans => g.general(*k, *m),
+                    Trans::NoTrans => g.general(m, k),
+                    Trans::Trans => g.general(k, m),
                 };
                 let b = match transb {
-                    Trans::NoTrans => g.general(*k, *n),
-                    Trans::Trans => g.general(*n, *k),
+                    Trans::NoTrans => g.general(k, n),
+                    Trans::Trans => g.general(n, k),
                 };
-                let c = g.general(*m, *n);
-                PreparedCall {
-                    call: call.clone(),
+                let kernel = Kernel::Gemm {
+                    transa,
+                    transb,
+                    alpha,
+                    beta,
                     a,
-                    b: Some(b),
-                    pristine: c.clone(),
-                    c: Some(c),
-                }
+                    b,
+                };
+                (kernel, g.general(m, n))
             }
             Call::Trsm {
-                side, uplo, m, n, ..
+                side,
+                uplo,
+                transa,
+                diag,
+                m,
+                n,
+                alpha,
+                ..
             }
             | Call::Trmm {
-                side, uplo, m, n, ..
+                side,
+                uplo,
+                transa,
+                diag,
+                m,
+                n,
+                alpha,
+                ..
             } => {
                 let order = match side {
-                    Side::Left => *m,
-                    Side::Right => *n,
+                    Side::Left => m,
+                    Side::Right => n,
                 };
-                let a = match uplo {
-                    Uplo::Lower => g.lower_triangular(order, false),
-                    Uplo::Upper => g.upper_triangular(order, false),
+                let a = triangular(&mut g, uplo, order);
+                let kernel = if matches!(call, Call::Trsm { .. }) {
+                    Kernel::Trsm {
+                        side,
+                        uplo,
+                        transa,
+                        diag,
+                        alpha,
+                        a,
+                    }
+                } else {
+                    Kernel::Trmm {
+                        side,
+                        uplo,
+                        transa,
+                        diag,
+                        alpha,
+                        a,
+                    }
                 };
-                let b = g.general(*m, *n);
-                PreparedCall {
-                    call: call.clone(),
-                    a,
-                    pristine: b.clone(),
-                    b: Some(b),
-                    c: None,
-                }
+                (kernel, g.general(m, n))
             }
-            Call::Syrk { trans, n, k, .. } => {
+            Call::Syrk {
+                uplo,
+                trans,
+                n,
+                k,
+                alpha,
+                beta,
+                ..
+            } => {
                 let a = match trans {
-                    Trans::NoTrans => g.general(*n, *k),
-                    Trans::Trans => g.general(*k, *n),
+                    Trans::NoTrans => g.general(n, k),
+                    Trans::Trans => g.general(k, n),
                 };
-                let c = g.general(*n, *n);
-                PreparedCall {
-                    call: call.clone(),
+                let kernel = Kernel::Syrk {
+                    uplo,
+                    trans,
+                    alpha,
+                    beta,
                     a,
-                    b: None,
-                    pristine: c.clone(),
-                    c: Some(c),
-                }
+                };
+                (kernel, g.general(n, n))
             }
-            Call::TrtriUnb { uplo, n, .. } => {
-                let a = match uplo {
-                    Uplo::Lower => g.lower_triangular(*n, false),
-                    Uplo::Upper => g.upper_triangular(*n, false),
-                };
-                PreparedCall {
-                    call: call.clone(),
-                    pristine: a.clone(),
-                    a,
-                    b: None,
-                    c: None,
-                }
+            Call::TrtriUnb { uplo, diag, n, .. } => {
+                (Kernel::Trtri { uplo, diag }, triangular(&mut g, uplo, n))
             }
             Call::SylvUnb { m, n, .. } => {
-                let l = g.lower_triangular(*m, false);
-                let u = g.upper_triangular(*n, false);
-                let x = g.general(*m, *n);
-                PreparedCall {
-                    call: call.clone(),
-                    a: l,
-                    b: Some(u),
-                    pristine: x.clone(),
-                    c: Some(x),
-                }
+                let l = g.lower_triangular(m, false);
+                let u = g.upper_triangular(n, false);
+                (Kernel::Sylv { l, u }, g.general(m, n))
             }
+        };
+        PreparedCall {
+            call: call.clone(),
+            kernel,
+            pristine: out.clone(),
+            out,
         }
     }
 
@@ -130,128 +198,63 @@ impl PreparedCall {
 
     /// Total size of the allocated operands in bytes.
     pub fn operand_bytes(&self) -> usize {
-        let mut total = self.a.as_slice().len();
-        if let Some(b) = &self.b {
-            total += b.as_slice().len();
-        }
-        if let Some(c) = &self.c {
-            total += c.as_slice().len();
-        }
-        total * std::mem::size_of::<f64>()
+        let inputs = match &self.kernel {
+            Kernel::Gemm { a, b, .. } => a.as_slice().len() + b.as_slice().len(),
+            Kernel::Trsm { a, .. } | Kernel::Trmm { a, .. } | Kernel::Syrk { a, .. } => {
+                a.as_slice().len()
+            }
+            Kernel::Trtri { .. } => 0,
+            Kernel::Sylv { l, u } => l.as_slice().len() + u.as_slice().len(),
+        };
+        (inputs + self.out.as_slice().len()) * std::mem::size_of::<f64>()
     }
 
     /// Restores the overwritten operand to its pristine contents so that
     /// repeated `run()` calls operate on identical data.
     pub fn reset(&mut self) {
-        match &self.call {
-            Call::Gemm { .. } | Call::Syrk { .. } | Call::SylvUnb { .. } => {
-                if let Some(c) = &mut self.c {
-                    // lint: allow(unwrap): the pristine copy was allocated with identical dimensions at construction
-                    c.copy_from(&self.pristine).expect("pristine copy matches");
-                }
-            }
-            Call::Trsm { .. } | Call::Trmm { .. } => {
-                if let Some(b) = &mut self.b {
-                    // lint: allow(unwrap): the pristine copy was allocated with identical dimensions at construction
-                    b.copy_from(&self.pristine).expect("pristine copy matches");
-                }
-            }
-            Call::TrtriUnb { .. } => {
-                self.a
-                    .copy_from(&self.pristine)
-                    // lint: allow(unwrap): the pristine copy was allocated with identical dimensions at construction
-                    .expect("pristine copy matches");
-            }
-        }
+        self.out
+            .copy_from(&self.pristine)
+            // lint: allow(unwrap): the pristine copy was cloned from `out` at construction
+            .expect("pristine copy matches");
     }
 
     /// Executes the kernel once on the prepared operands.
     pub fn run(&mut self) {
-        match &self.call {
-            Call::Gemm {
+        let out = self.out.as_mut();
+        match &self.kernel {
+            Kernel::Gemm {
                 transa,
                 transb,
                 alpha,
                 beta,
-                ..
-            } => {
-                // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                let c = self.c.as_mut().expect("gemm has a C operand");
-                dgemm(
-                    *transa,
-                    *transb,
-                    *alpha,
-                    self.a.as_ref(),
-                    // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                    self.b.as_ref().expect("gemm has a B operand").as_ref(),
-                    *beta,
-                    c.as_mut(),
-                );
-            }
-            Call::Trsm {
+                a,
+                b,
+            } => dgemm(*transa, *transb, *alpha, a.as_ref(), b.as_ref(), *beta, out),
+            Kernel::Trsm {
                 side,
                 uplo,
                 transa,
                 diag,
                 alpha,
-                ..
-            } => {
-                // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                let b = self.b.as_mut().expect("trsm has a B operand");
-                dtrsm(
-                    *side,
-                    *uplo,
-                    *transa,
-                    *diag,
-                    *alpha,
-                    self.a.as_ref(),
-                    b.as_mut(),
-                );
-            }
-            Call::Trmm {
+                a,
+            } => dtrsm(*side, *uplo, *transa, *diag, *alpha, a.as_ref(), out),
+            Kernel::Trmm {
                 side,
                 uplo,
                 transa,
                 diag,
                 alpha,
-                ..
-            } => {
-                // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                let b = self.b.as_mut().expect("trmm has a B operand");
-                dtrmm(
-                    *side,
-                    *uplo,
-                    *transa,
-                    *diag,
-                    *alpha,
-                    self.a.as_ref(),
-                    b.as_mut(),
-                );
-            }
-            Call::Syrk {
+                a,
+            } => dtrmm(*side, *uplo, *transa, *diag, *alpha, a.as_ref(), out),
+            Kernel::Syrk {
                 uplo,
                 trans,
                 alpha,
                 beta,
-                ..
-            } => {
-                // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                let c = self.c.as_mut().expect("syrk has a C operand");
-                dsyrk(*uplo, *trans, *alpha, self.a.as_ref(), *beta, c.as_mut());
-            }
-            Call::TrtriUnb { uplo, diag, .. } => {
-                dtrtri_unb(*uplo, *diag, self.a.as_mut());
-            }
-            Call::SylvUnb { .. } => {
-                // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                let x = self.c.as_mut().expect("sylv has an X operand");
-                dsylv_unb(
-                    self.a.as_ref(),
-                    // lint: allow(unwrap): operand presence follows from the matched Call variant (set up in prepare)
-                    self.b.as_ref().expect("sylv has a U operand").as_ref(),
-                    x.as_mut(),
-                );
-            }
+                a,
+            } => dsyrk(*uplo, *trans, *alpha, a.as_ref(), *beta, out),
+            Kernel::Trtri { uplo, diag } => dtrtri_unb(*uplo, *diag, out),
+            Kernel::Sylv { l, u } => dsylv_unb(l.as_ref(), u.as_ref(), out),
         }
     }
 
@@ -265,19 +268,17 @@ impl PreparedCall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Diag;
 
     #[test]
     fn prepared_gemm_runs_and_resets() {
         let call = Call::gemm(Trans::NoTrans, Trans::Trans, 12, 9, 7, 1.0, 0.5);
         let mut p = PreparedCall::new(&call, 1);
         assert_eq!(p.call(), &call);
-        let before = p.c.as_ref().unwrap().clone();
+        let before = p.out.clone();
         p.run();
-        let after = p.c.as_ref().unwrap().clone();
-        assert!(!after.approx_eq(&before, 1e-15));
+        assert!(!p.out.approx_eq(&before, 1e-15));
         p.reset();
-        assert!(p.c.as_ref().unwrap().approx_eq(&before, 0.0));
+        assert!(p.out.approx_eq(&before, 0.0));
     }
 
     #[test]
@@ -293,21 +294,20 @@ mod tests {
         );
         let mut p = PreparedCall::new(&call, 2);
         p.reset_and_run();
-        let first = p.b.as_ref().unwrap().clone();
+        let first = p.out.clone();
         p.reset_and_run();
-        let second = p.b.as_ref().unwrap().clone();
-        assert!(first.approx_eq(&second, 0.0));
+        assert!(first.approx_eq(&p.out, 0.0));
     }
 
     #[test]
     fn prepared_trtri_inverts_in_place() {
         let call = Call::trtri_unb(Uplo::Lower, Diag::NonUnit, 24);
         let mut p = PreparedCall::new(&call, 3);
-        let original = p.a.clone();
+        let original = p.out.clone();
         p.run();
-        assert!(!p.a.approx_eq(&original, 1e-15));
+        assert!(!p.out.approx_eq(&original, 1e-15));
         p.reset();
-        assert!(p.a.approx_eq(&original, 0.0));
+        assert!(p.out.approx_eq(&original, 0.0));
     }
 
     #[test]
@@ -333,8 +333,8 @@ mod tests {
         let call = Call::gemm(Trans::NoTrans, Trans::NoTrans, 5, 5, 5, 1.0, 0.0);
         let p1 = PreparedCall::new(&call, 42);
         let p2 = PreparedCall::new(&call, 42);
-        assert!(p1.a.approx_eq(&p2.a, 0.0));
+        assert!(p1.out.approx_eq(&p2.out, 0.0));
         let p3 = PreparedCall::new(&call, 43);
-        assert!(!p1.a.approx_eq(&p3.a, 0.0));
+        assert!(!p1.out.approx_eq(&p3.out, 0.0));
     }
 }

@@ -3,10 +3,11 @@
 //! format with byte-identical re-serialisation and predictions identical to
 //! both the text roundtrip and the directly compiled original; corrupted,
 //! truncated, wrong-version and wrong-endian inputs are rejected with a
-//! structured error, never a panic; a binary-loaded repository keeps
-//! participating in the merge/refine loop; and the batched trace-prediction
-//! path (shared by the compiled predictor and the service) is bit-identical
-//! to the pointwise walk and counts telemetry like it.
+//! structured error, never a panic, and corrupted text loads or fails but
+//! never panics either; a binary-loaded repository keeps participating in
+//! the merge/refine loop; and the batched trace-prediction path (shared by
+//! the compiled predictor and the service) is bit-identical to the
+//! pointwise walk and counts telemetry like it.
 
 use dla_core::blas::{Call, Diag, Routine, Side, Trans, Uplo};
 use dla_core::machine::presets::harpertown_openblas;
@@ -292,6 +293,40 @@ proptest! {
         // practice).
         prop_assert!(ModelRepository::from_binary(b"dlaperf-models v1\n").is_err());
         prop_assert!(ModelRepository::from_text(&String::from_utf8_lossy(&bytes)).is_err());
+    }
+
+    /// Truncated, byte-substituted and garbage text inputs give `Ok` or
+    /// `Err` from the text codec, never a panic, and any repository that
+    /// parses still compiles and encodes.
+    #[test]
+    fn corrupted_text_is_rejected_or_loaded_not_panics(seed in 0u64..1_000_000_000) {
+        let text = random_repository(seed, "machine_a").to_text().unwrap();
+        let bytes = text.as_bytes();
+        let load = |input: &[u8]| {
+            if let Ok(repo) = ModelRepository::from_text(&String::from_utf8_lossy(input)) {
+                repo.to_binary().expect("a parsed repository compiles and encodes");
+            }
+        };
+        let stride = (bytes.len() / 61).max(1);
+        for cut in (0..bytes.len()).step_by(stride) {
+            load(&bytes[..cut]);
+        }
+        // A digit becomes an extreme one (what inverts a region's bounds);
+        // any other byte becomes a digit, a separator or a letter in turn.
+        for (k, i) in (0..bytes.len()).step_by(stride).enumerate() {
+            let mut corrupt = bytes.to_vec();
+            corrupt[i] = if bytes[i].is_ascii_digit() {
+                b"09"[k % 2]
+            } else {
+                b"7 \nx-."[k % 6]
+            };
+            load(&corrupt);
+        }
+        let mut gen = Gen(seed);
+        let garbage: Vec<u8> = (0..bytes.len() / 8).map(|_| gen.next_u64() as u8).collect();
+        load(&garbage);
+        let header = text.lines().next().unwrap_or_default();
+        load(format!("{header}\n{}", String::from_utf8_lossy(&garbage)).as_bytes());
     }
 
     /// The batched trace-prediction path of the compiled predictor is

@@ -164,12 +164,9 @@ enum Fault {
     NonFinite,
     /// The measurement overran the harness deadline (+∞ ticks / no delivery).
     Timeout,
-    /// The measurement fell into a hard outage window of the given total
-    /// length (every measurement in the window reports this kind).
-    Outage {
-        #[allow(dead_code)] // carried for symmetry with the config knob
-        duration_draws: u64,
-    },
+    /// The measurement fell into a hard outage window (every measurement in
+    /// the window reports this kind).
+    Outage,
 }
 
 impl Fault {
@@ -178,10 +175,7 @@ impl Fault {
     /// measurement came back; retrying may succeed" — exactly
     /// [`ExecError::Transient`]'s contract.
     fn undelivered(&self) -> bool {
-        matches!(
-            self,
-            Fault::Transient | Fault::Timeout | Fault::Outage { .. }
-        )
+        matches!(self, Fault::Transient | Fault::Timeout | Fault::Outage)
     }
 }
 
@@ -268,13 +262,7 @@ impl<E: Executor> ChaosExecutor<E> {
         if self.outage_left > 0 {
             self.outage_left -= 1;
             self.counts.outage_lost += 1;
-            let window = self.config.outage_draws.max(1);
-            return (
-                f64::NAN,
-                Fault::Outage {
-                    duration_draws: window,
-                },
-            );
+            return (f64::NAN, Fault::Outage);
         }
         let p_transient = c.transient_probability.max(0.0);
         let p_spike = c.spike_probability.max(0.0);
@@ -310,12 +298,7 @@ impl<E: Executor> ChaosExecutor<E> {
             self.counts.outages += 1;
             self.counts.outage_lost += 1;
             self.outage_left = window - 1;
-            (
-                f64::NAN,
-                Fault::Outage {
-                    duration_draws: window,
-                },
-            )
+            (f64::NAN, Fault::Outage)
         } else {
             (t, Fault::None)
         }

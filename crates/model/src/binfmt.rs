@@ -705,10 +705,7 @@ fn decode_model(
 fn decode_region(u64s: &mut Cursor<'_, u64>, dim: usize) -> Result<Region> {
     let lo = usizes(u64s.take(dim)?, "region bound")?;
     let hi = usizes(u64s.take(dim)?, "region bound")?;
-    if lo.iter().zip(&hi).any(|(l, h)| l > h) {
-        return Err(perr("region bounds inverted"));
-    }
-    Ok(Region::new(lo, hi))
+    Region::try_new(lo, hi).ok_or_else(|| perr("region bounds inverted"))
 }
 
 fn decode_fast_submodel(

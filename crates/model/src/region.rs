@@ -12,12 +12,21 @@ impl Region {
     /// Creates a region; panics if the bounds have different arity or are
     /// inverted.
     pub fn new(lo: Vec<usize>, hi: Vec<usize>) -> Region {
-        assert_eq!(lo.len(), hi.len(), "region bounds must have the same arity");
         assert!(
-            lo.iter().zip(hi.iter()).all(|(l, h)| l <= h),
-            "region bounds inverted: {lo:?}..{hi:?}"
+            Region::valid_bounds(&lo, &hi),
+            "region bounds inverted or of different arity: {lo:?}..{hi:?}"
         );
         Region { lo, hi }
+    }
+
+    /// Creates a region, or `None` if the bounds have different arity or are
+    /// inverted: the form decoders of untrusted input use.
+    pub fn try_new(lo: Vec<usize>, hi: Vec<usize>) -> Option<Region> {
+        Region::valid_bounds(&lo, &hi).then_some(Region { lo, hi })
+    }
+
+    fn valid_bounds(lo: &[usize], hi: &[usize]) -> bool {
+        lo.len() == hi.len() && lo.iter().zip(hi).all(|(l, h)| l <= h)
     }
 
     /// A one-dimensional region.

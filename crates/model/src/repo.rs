@@ -424,7 +424,7 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
     }
     let lo = parse_usizes(n, &toks[1..1 + dim])?;
     let hi = parse_usizes(n, &toks[1 + dim..])?;
-    let space = Region::new(lo, hi);
+    let space = Region::try_new(lo, hi).ok_or_else(|| parse_err(n, "space bounds inverted"))?;
     let mut model = RoutineModel::new(routine, machine_id, locality, space.clone());
 
     loop {
@@ -474,6 +474,8 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
             if toks[1 + 2 * dim] != "error" || toks[3 + 2 * dim] != "samples" {
                 return Err(parse_err(n, format!("malformed region line '{line}'")));
             }
+            let region =
+                Region::try_new(lo, hi).ok_or_else(|| parse_err(n, "region bounds inverted"))?;
             let error: f64 = toks[2 + 2 * dim]
                 .parse()
                 .map_err(|_| parse_err(n, "bad error value"))?;
@@ -524,7 +526,7 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
                 return Err(parse_err(n, format!("expected end_region, got '{end}'")));
             }
             regions.push(RegionModel {
-                region: Region::new(lo, hi),
+                region,
                 poly: VectorPolynomial::new(polys)
                     .map_err(|e| parse_err(n, format!("invalid vector polynomial: {e}")))?,
                 error,
@@ -784,6 +786,10 @@ mod tests {
             "{FORMAT_HEADER}\nmodel dxyz machine m locality in-cache dim 2\nspace 8 8 16 16\nend_model\n"
         );
         assert!(ModelRepository::from_text(&bad_routine).is_err());
+        let inverted_space = format!(
+            "{FORMAT_HEADER}\nmodel dtrsm machine m locality in-cache dim 2\nspace 8 8 16 4\nend_model\n"
+        );
+        assert!(ModelRepository::from_text(&inverted_space).is_err());
     }
 
     #[test]
