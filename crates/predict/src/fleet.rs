@@ -2,9 +2,9 @@
 //! degraded-mode prediction.
 //!
 //! A [`FleetService`] owns one [`ModelService`] **shard** per machine preset
-//! (Harpertown, Sandy Bridge, their threaded variants, …), routed by machine
-//! id through an immutable id → shard-index table built once at
-//! construction, so the same query always lands on the same shard.  Every
+//! (Harpertown, Sandy Bridge, their threaded variants, …), routed by a scan
+//! of the shards' machine ids (a fleet holds a handful; build rejects a
+//! repeated id), so the same query always lands on the same shard.  Every
 //! query carries a **deadline budget** in deterministic virtual cost units;
 //! against that budget the fleet runs a layered defence:
 //!
@@ -14,7 +14,9 @@
 //!    `(fleet seed, query id, attempt)`, so it is reproducible across runs
 //!    *and across worker counts*.
 //! 2. **Circuit breaking.**  A per-shard [`CircuitBreaker`] driven by query
-//!    failures and by the shard's [`ServiceHealth`] ledger (rejected
+//!    failures (timeouts, unavailability, over-budget or corrupt replies; a
+//!    definitive [`ShardError::Failed`] is the call's fault, not the
+//!    shard's) and by the shard's [`ServiceHealth`] ledger (rejected
 //!    publishes; see [`FleetService::apply_ledger_pressure`]) trips
 //!    Healthy → Degraded → Down, with half-open probing after a cooldown:
 //!    exactly one query wins the probe slot, everyone else is rejected
@@ -100,7 +102,8 @@ pub struct FleetQuery {
 pub enum Served {
     /// The shard's live model answered within budget.
     Fresh {
-        /// Repository generation that answered.
+        /// Repository generation whose models produced the answer (the
+        /// shard's [`ShardReply::generation`]).
         generation: u64,
     },
     /// The shard failed or was not admitted; the answer came from its
@@ -523,6 +526,9 @@ pub struct ShardReply {
     pub summary: Summary,
     /// Virtual cost of producing it.
     pub cost: u64,
+    /// Repository generation whose models produced `summary`; a fresh fleet
+    /// answer carries it as its tag.
+    pub generation: u64,
 }
 
 /// A failed shard attempt.  Every variant carries the cost the attempt
@@ -596,10 +602,11 @@ impl ServiceClient {
 
 impl ShardClient for ServiceClient {
     fn predict(&self, call: &ShardCall<'_>) -> Result<ShardReply, ShardError> {
-        match self.service.predict_call(call.call) {
-            Ok(summary) => Ok(ShardReply {
+        match self.service.predict_call_tagged(call.call) {
+            Ok((summary, generation)) => Ok(ShardReply {
                 summary,
                 cost: self.cost,
+                generation,
             }),
             Err(err) => Err(ShardError::Failed {
                 reason: err.to_string(),
@@ -787,8 +794,8 @@ impl<C: ShardClient> ShardClient for ChaosShard<C> {
             };
             let slowed = (reply.cost as f64 * factor).ceil() as u64;
             return Ok(ShardReply {
-                summary: reply.summary,
                 cost: slowed.max(reply.cost),
+                ..reply
             });
         }
         edge += c.non_finite_probability;
@@ -798,7 +805,7 @@ impl<C: ShardClient> ShardClient for ChaosShard<C> {
             let reply = self.inner.predict(call)?;
             return Ok(ShardReply {
                 summary: reply.summary.scale(f64::NAN),
-                cost: reply.cost,
+                ..reply
             });
         }
         self.inner.predict(call)
@@ -859,7 +866,8 @@ pub struct ShardHealth {
     pub machine_id: String,
     /// Current breaker state.
     pub state: BreakerState,
-    /// Queries routed to this shard.
+    /// Queries routed to this shard: `fresh + stale + proxied + shed`, since
+    /// every routed query ends in exactly one of the four outcomes.
     pub queries: u64,
     /// Answered fresh.
     pub fresh: u64,
@@ -892,7 +900,7 @@ pub struct ShardHealth {
 /// The fleet-wide health roll-up: per-shard slices plus their exact sums.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetHealth {
-    /// Total queries routed (Σ shards).
+    /// Total queries routed (Σ shards): `fresh + stale + proxied + shed`.
     pub queries: u64,
     /// Fresh answers (Σ shards).
     pub fresh: u64,
@@ -973,30 +981,47 @@ pub struct ShardBudget {
 /// A retention slot for the most recent **known-good** published generation
 /// of a serving shard — the degraded-serving fallback of the fleet tier.
 ///
-/// The fleet's query path retains the shard's [`Published`] handle after
-/// every successful fresh answer; when the shard later trips its circuit
-/// breaker or misses its deadline, queries are answered from the retained
-/// handle and explicitly tagged *stale* with its generation.  The handle is
-/// one `Arc`, so the generation tag and the models that answer can never
-/// disagree.  The slot is monotone in the generation:
+/// The fleet's query path retains the shard's [`Published`] handle after a
+/// fresh answer from a generation newer than the held one (once per
+/// publication); when the shard later trips its circuit breaker or misses
+/// its deadline, queries are answered from the retained handle and
+/// explicitly tagged *stale* with its generation.  The handle is one `Arc`,
+/// so the generation tag and the models that answer can never disagree.
+/// The slot is monotone in the generation:
 /// [`retain`](LastGoodSnapshot::retain) only replaces the held handle with
 /// one of a **newer** generation, so two racing retainers can never regress
 /// the slot to an older repository (the generation check runs under the
 /// write lock; model-checked under `--cfg interleave` in
 /// `tests/interleave_fleet.rs`).
 ///
+/// The held generation is mirrored in an atomic, so
+/// [`generation`](LastGoodSnapshot::generation) — what the query path reads
+/// after every fresh answer — is one load and takes no lock.
+///
 /// Like the rest of the serving tier, the lock comes from the
 /// [`dla_model::sync`] facade and is non-poisoning: a panicking retainer can
 /// only abandon its replacement handle, never half-apply it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LastGoodSnapshot {
     slot: RwLock<Option<Arc<Published>>>,
+    /// The held handle's generation + 1, or 0 while the slot is empty;
+    /// stored only under the slot's write lock.
+    held: AtomicU64,
+}
+
+impl Default for LastGoodSnapshot {
+    fn default() -> LastGoodSnapshot {
+        LastGoodSnapshot::new()
+    }
 }
 
 impl LastGoodSnapshot {
     /// An empty slot (nothing known-good yet).
     pub fn new() -> LastGoodSnapshot {
-        LastGoodSnapshot::default()
+        LastGoodSnapshot {
+            slot: RwLock::new(None),
+            held: AtomicU64::new(0),
+        }
     }
 
     /// Retains `published` as the last-good generation, unless the slot
@@ -1004,14 +1029,15 @@ impl LastGoodSnapshot {
     /// the slot was updated.
     pub fn retain(&self, published: Arc<Published>) -> bool {
         let generation = published.generation();
-        // Cheap fast path: most fresh answers come from an unchanged
-        // generation, which never needs the write lock.
+        // Cheap fast path: a slot already at this generation or past it
+        // never needs the write lock.
         if self.generation().is_some_and(|held| held >= generation) {
             return false;
         }
         let mut guard = self.slot.write();
-        // Re-check under the write lock: a racing retainer with a newer
-        // generation must win regardless of who gets the lock first.
+        // Re-check the guarded handle under the write lock: a racing
+        // retainer with a newer generation must win regardless of who gets
+        // the lock first.
         if guard
             .as_ref()
             .is_some_and(|held| held.generation() >= generation)
@@ -1019,6 +1045,10 @@ impl LastGoodSnapshot {
             return false;
         }
         *guard = Some(published);
+        // ordering: Release, under the write lock — pairs with the Acquire
+        // load in `generation`, so a reader that sees the new mirror value
+        // also sees the handle stored just above.
+        self.held.store(generation + 1, Ordering::Release);
         true
     }
 
@@ -1027,16 +1057,18 @@ impl LastGoodSnapshot {
         self.slot.read().clone()
     }
 
-    /// The generation of the retained handle, if any.
+    /// The generation of the retained handle, if any — one atomic load.
     pub fn generation(&self) -> Option<u64> {
-        self.slot.read().as_ref().map(|held| held.generation())
+        // ordering: Acquire — pairs with the Release store in `retain`.
+        self.held.load(Ordering::Acquire).checked_sub(1)
     }
 }
 
 /// Per-shard fleet-side counters.  Relaxed throughout: each field is an
-/// independent statistic folded in exactly once per query.
+/// independent statistic folded in once per query.  Routed queries are not
+/// counted apart: each ends in exactly one of the four outcomes, so their
+/// sum is the query count.
 struct ShardCounters {
-    queries: AtomicU64,
     fresh: AtomicU64,
     stale: AtomicU64,
     proxied: AtomicU64,
@@ -1049,7 +1081,6 @@ struct ShardCounters {
 impl ShardCounters {
     fn new() -> ShardCounters {
         ShardCounters {
-            queries: AtomicU64::new(0),
             fresh: AtomicU64::new(0),
             stale: AtomicU64::new(0),
             proxied: AtomicU64::new(0),
@@ -1068,6 +1099,9 @@ struct Shard {
     breaker: CircuitBreaker,
     last_good: LastGoodSnapshot,
     counters: ShardCounters,
+    /// Indices of the shards that can stand in for this one, nearest
+    /// efficiency first (see [`order_fallbacks`]).
+    fallbacks: Vec<usize>,
     /// Watermark of `publishes_rejected` last seen by
     /// [`FleetService::apply_ledger_pressure`].
     rejected_seen: AtomicU64,
@@ -1081,16 +1115,6 @@ struct QueryStats {
     timeouts: u64,
     errors: u64,
     elapsed: u64,
-}
-
-enum CallOutcome {
-    /// A finite in-budget answer; carries the serving generation.
-    Answered(Summary, u64),
-    /// Attempts ran and all failed (the breaker was struck).
-    Failed,
-    /// The breaker rejected the query or no attempt fit the deadline (no
-    /// strike: nothing new was learnt about the shard).
-    NotAdmitted,
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,8 +1158,8 @@ impl FleetBuilder {
         self
     }
 
-    /// Builds the fleet: indexes shards by machine id in registration
-    /// order, calibrates cross-machine efficiency ratios over
+    /// Builds the fleet: keeps the shards in registration order, calibrates
+    /// cross-machine efficiency ratios over
     /// [`FleetConfig::calibration_calls`], and orders each shard's proxy
     /// fallbacks nearest-efficiency-first.  A fleet without shards, or with
     /// two shards for one machine id, is a build error.
@@ -1143,11 +1167,10 @@ impl FleetBuilder {
         if self.shards.is_empty() {
             return Err(FleetError::EmptyFleet);
         }
-        let mut index = HashMap::with_capacity(self.shards.len());
-        let mut shards = Vec::with_capacity(self.shards.len());
+        let mut shards: Vec<Shard> = Vec::with_capacity(self.shards.len());
         for (service, client) in self.shards {
             let machine_id = service.machine().id();
-            if index.insert(machine_id.clone(), shards.len()).is_some() {
+            if shards.iter().any(|shard| shard.machine_id == machine_id) {
                 return Err(FleetError::DuplicateMachine(machine_id));
             }
             shards.push(Shard {
@@ -1157,19 +1180,20 @@ impl FleetBuilder {
                 breaker: CircuitBreaker::new(),
                 last_good: LastGoodSnapshot::new(),
                 counters: ShardCounters::new(),
+                fallbacks: Vec::new(),
                 rejected_seen: AtomicU64::new(0),
             });
         }
 
         let calibration = calibrate_ratios(&shards, &self.config.calibration_calls);
-        let fallbacks = order_fallbacks(&calibration.global);
+        for (shard, fallbacks) in shards.iter_mut().zip(order_fallbacks(&calibration.global)) {
+            shard.fallbacks = fallbacks;
+        }
 
         Ok(FleetService {
             config: self.config,
-            index,
             shards,
             calibration,
-            fallbacks,
         })
     }
 }
@@ -1420,12 +1444,10 @@ fn order_fallbacks(ratios: &[Vec<f64>]) -> Vec<Vec<usize>> {
 /// degradation ladder.
 pub struct FleetService {
     config: FleetConfig,
-    /// Machine id → shard index; immutable after build, so routing is
+    /// In registration order, immutable after build, so routing is
     /// reproducible across runs and worker counts.
-    index: HashMap<String, usize>,
     shards: Vec<Shard>,
     calibration: Calibration,
-    fallbacks: Vec<Vec<usize>>,
 }
 
 impl std::fmt::Debug for FleetService {
@@ -1443,23 +1465,24 @@ impl FleetService {
     /// is a tagged [`FleetResponse`].
     // lint: panic-free
     pub fn query(&self, query: &FleetQuery) -> Result<FleetResponse, FleetError> {
-        let Some(&target) = self.index.get(&query.machine_id) else {
+        let Some((target, shard)) = self
+            .shards
+            .iter()
+            .enumerate()
+            .find(|(_, shard)| shard.machine_id == query.machine_id)
+        else {
             return Err(FleetError::UnknownMachine(query.machine_id.clone()));
         };
-        // lint: allow(panic-free): the id index only holds in-range shard indices
-        let shard = &self.shards[target];
-        // ordering: Relaxed — standalone statistic.
-        shard.counters.queries.fetch_add(1, Ordering::Relaxed);
 
         let mut stats = QueryStats::default();
         let backoff_seed = derive_stream_seed(self.config.seed, query.id);
 
         // 1. Direct path.
-        match self.call_shard(target, query, backoff_seed, &mut stats) {
-            CallOutcome::Answered(summary, generation) => {
-                return Ok(self.finish(shard, Some(summary), Served::Fresh { generation }, stats));
-            }
-            CallOutcome::Failed | CallOutcome::NotAdmitted => {}
+        if let Some(reply) = self.call_shard(shard, query, backoff_seed, &mut stats) {
+            let served = Served::Fresh {
+                generation: reply.generation,
+            };
+            return Ok(self.finish(shard, Some(reply.summary), served, stats));
         }
 
         // 2. Stale path: the retained last-good generation, if any.  Its
@@ -1484,15 +1507,15 @@ impl FleetService {
         }
 
         // 3. Proxy path: nearest healthy machine, efficiency-scaled.
-        // lint: allow(panic-free): fallback lists are built with one entry per shard
-        for &via in &self.fallbacks[target] {
+        for &via in &shard.fallbacks {
             if stats.elapsed + LOCAL_EVAL_COST > query.deadline {
                 break;
             }
+            let Some(proxy) = self.shards.get(via) else {
+                continue;
+            };
             let via_seed = derive_stream_seed(backoff_seed, 0x9e37_79b9_7f4a_7c15 ^ via as u64);
-            if let CallOutcome::Answered(summary, _) =
-                self.call_shard(via, query, via_seed, &mut stats)
-            {
+            if let Some(reply) = self.call_shard(proxy, query, via_seed, &mut stats) {
                 if stats.elapsed + LOCAL_EVAL_COST > query.deadline {
                     break;
                 }
@@ -1500,10 +1523,9 @@ impl FleetService {
                 let ratio = self.calibration.ratio(target, via, &query.call);
                 return Ok(self.finish(
                     shard,
-                    Some(summary.scale(ratio)),
+                    Some(reply.summary.scale(ratio)),
                     Served::Proxied {
-                        // lint: allow(panic-free): via comes from the per-shard fallback list
-                        via: self.shards[via].machine_id.clone(),
+                        via: proxy.machine_id.clone(),
                         ratio,
                     },
                     stats,
@@ -1520,24 +1542,29 @@ impl FleetService {
         Ok(self.finish(shard, None, Served::Shed { reason }, stats))
     }
 
-    /// Runs the bounded-retry attempt loop against shard `index`.  The loop
-    /// always leaves [`LOCAL_EVAL_COST`] units of deadline headroom so a
-    /// degraded answer still fits afterwards.
+    /// Runs the bounded-retry attempt loop against `shard`, returning its
+    /// finite in-budget reply, if any.  The loop always leaves
+    /// [`LOCAL_EVAL_COST`] units of deadline headroom so a degraded answer
+    /// still fits afterwards.
+    ///
+    /// The breaker is struck once when an attempt timed out, found the
+    /// shard unavailable, or got an over-budget or corrupt reply.  A
+    /// definitive [`ShardError::Failed`] ends the loop without a strike: the
+    /// shard answered, the call was at fault.  A breaker rejection, or a
+    /// deadline too short for any attempt, learns nothing and strikes
+    /// nothing either.
     fn call_shard(
         &self,
-        index: usize,
+        shard: &Shard,
         query: &FleetQuery,
         backoff_seed: u64,
         stats: &mut QueryStats,
-    ) -> CallOutcome {
-        // lint: allow(panic-free): callers pass routed shard indices
-        let shard = &self.shards[index];
-        let admission = shard.breaker.admit(&self.config.breaker);
-        if admission == Admission::Reject {
-            return CallOutcome::NotAdmitted;
+    ) -> Option<ShardReply> {
+        if shard.breaker.admit(&self.config.breaker) == Admission::Reject {
+            return None;
         }
         let mut attempt: u32 = 0;
-        let mut attempted = false;
+        let mut faulted = false;
         loop {
             let headroom = query
                 .deadline
@@ -1553,8 +1580,6 @@ impl FleetService {
                 attempt,
                 budget,
             });
-            attempted = true;
-            let mut retryable = true;
             match outcome {
                 Ok(reply) => {
                     if reply.cost > budget {
@@ -1570,26 +1595,36 @@ impl FleetService {
                     } else {
                         stats.elapsed += reply.cost;
                         shard.breaker.record_success();
-                        // One handle: the retained generation number and
-                        // models cannot disagree, whatever swap lands now.
-                        let published = shard.service.published();
-                        let generation = published.generation();
-                        shard.last_good.retain(published);
-                        return CallOutcome::Answered(reply.summary, generation);
+                        // The slot only moves after a publication: one
+                        // atomic load per answer.  The retained handle is
+                        // one `Arc`, so its generation number and models
+                        // cannot disagree, whatever swap lands now.
+                        if shard
+                            .last_good
+                            .generation()
+                            .is_none_or(|held| held < reply.generation)
+                        {
+                            shard.last_good.retain(shard.service.published());
+                        }
+                        return Some(reply);
                     }
+                }
+                Err(ShardError::Failed { cost, .. }) => {
+                    stats.elapsed += cost.min(budget);
+                    stats.errors += 1;
+                    break;
                 }
                 Err(error) => {
                     stats.elapsed += error.cost().min(budget);
-                    match &error {
-                        ShardError::Timeout { .. } => stats.timeouts += 1,
-                        ShardError::Unavailable { .. } | ShardError::Failed { .. } => {
-                            stats.errors += 1;
-                        }
+                    if matches!(error, ShardError::Timeout { .. }) {
+                        stats.timeouts += 1;
+                    } else {
+                        stats.errors += 1;
                     }
-                    retryable = error.is_retryable();
                 }
             }
-            if !retryable || attempt >= self.config.retry.max_retries {
+            faulted = true;
+            if attempt >= self.config.retry.max_retries {
                 break;
             }
             let pause = self.config.retry.backoff(backoff_seed, attempt);
@@ -1604,16 +1639,15 @@ impl FleetService {
             stats.retries += 1;
             attempt += 1;
         }
-        if attempted {
+        if faulted {
             shard.breaker.record_failure(&self.config.breaker);
-            CallOutcome::Failed
-        } else {
-            CallOutcome::NotAdmitted
         }
+        None
     }
 
     /// Folds the query's running totals into the target shard's counters
-    /// (exactly once per query) and builds the response.
+    /// (once per query: one outcome increment, plus each non-zero fault
+    /// total) and builds the response.
     fn finish(
         &self,
         shard: &Shard,
@@ -1621,29 +1655,25 @@ impl FleetService {
         served: Served,
         stats: QueryStats,
     ) -> FleetResponse {
+        let counters = &shard.counters;
         let outcome = match &served {
-            Served::Fresh { .. } => &shard.counters.fresh,
-            Served::Stale { .. } => &shard.counters.stale,
-            Served::Proxied { .. } => &shard.counters.proxied,
-            Served::Shed { .. } => &shard.counters.shed,
+            Served::Fresh { .. } => &counters.fresh,
+            Served::Stale { .. } => &counters.stale,
+            Served::Proxied { .. } => &counters.proxied,
+            Served::Shed { .. } => &counters.shed,
         };
         // ordering: Relaxed — standalone statistic.
         outcome.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — standalone statistic.
-        shard
-            .counters
-            .retries
-            .fetch_add(stats.retries, Ordering::Relaxed);
-        // ordering: Relaxed — standalone statistic.
-        shard
-            .counters
-            .timeouts
-            .fetch_add(stats.timeouts, Ordering::Relaxed);
-        // ordering: Relaxed — standalone statistic.
-        shard
-            .counters
-            .errors
-            .fetch_add(stats.errors, Ordering::Relaxed);
+        for (counter, value) in [
+            (&counters.retries, stats.retries),
+            (&counters.timeouts, stats.timeouts),
+            (&counters.errors, stats.errors),
+        ] {
+            if value > 0 {
+                // ordering: Relaxed — standalone statistic.
+                counter.fetch_add(value, Ordering::Relaxed);
+            }
+        }
         FleetResponse {
             summary,
             served,
@@ -1745,19 +1775,22 @@ impl FleetService {
             .iter()
             .map(|shard| {
                 let breaker = shard.breaker.stats();
+                // ordering: Relaxed — statistics snapshot.
+                let fresh = shard.counters.fresh.load(Ordering::Relaxed);
+                // ordering: Relaxed — statistics snapshot.
+                let stale = shard.counters.stale.load(Ordering::Relaxed);
+                // ordering: Relaxed — statistics snapshot.
+                let proxied = shard.counters.proxied.load(Ordering::Relaxed);
+                // ordering: Relaxed — statistics snapshot.
+                let shed = shard.counters.shed.load(Ordering::Relaxed);
                 ShardHealth {
                     machine_id: shard.machine_id.clone(),
                     state: breaker.state,
-                    // ordering: Relaxed — statistics snapshot.
-                    queries: shard.counters.queries.load(Ordering::Relaxed),
-                    // ordering: Relaxed — statistics snapshot.
-                    fresh: shard.counters.fresh.load(Ordering::Relaxed),
-                    // ordering: Relaxed — statistics snapshot.
-                    stale: shard.counters.stale.load(Ordering::Relaxed),
-                    // ordering: Relaxed — statistics snapshot.
-                    proxied: shard.counters.proxied.load(Ordering::Relaxed),
-                    // ordering: Relaxed — statistics snapshot.
-                    shed: shard.counters.shed.load(Ordering::Relaxed),
+                    queries: fresh + stale + proxied + shed,
+                    fresh,
+                    stale,
+                    proxied,
+                    shed,
                     // ordering: Relaxed — statistics snapshot.
                     retries: shard.counters.retries.load(Ordering::Relaxed),
                     // ordering: Relaxed — statistics snapshot.
@@ -2177,6 +2210,95 @@ mod tests {
             fleet.apply_ledger_pressure(),
             [BreakerState::Healthy, BreakerState::Degraded]
         );
+    }
+
+    /// A one-shard fleet over a one-region trsm repository answering 1000,
+    /// whose call path runs through a fault-free [`ChaosShard`] the test can
+    /// force down.
+    fn trsm_fleet() -> (
+        Arc<ModelService>,
+        Arc<ChaosShard<ServiceClient>>,
+        FleetService,
+    ) {
+        let machine = harpertown_openblas();
+        let repo = one_region_trsm(&machine, 0.1, 1000.0);
+        let service = Arc::new(ModelService::new(repo, machine, Locality::InCache));
+        let chaos = Arc::new(ChaosShard::new(
+            ServiceClient::new(Arc::clone(&service), 8),
+            ChaosConfig::default(),
+        ));
+        let client: Arc<dyn ShardClient> = chaos.clone();
+        let fleet = FleetBuilder::new(FleetConfig::default())
+            .shard_with_client(Arc::clone(&service), client)
+            .build()
+            .unwrap();
+        (service, chaos, fleet)
+    }
+
+    fn ask(fleet: &FleetService, id: u64, call: Call) -> FleetResponse {
+        let query = FleetQuery {
+            id,
+            call,
+            ..query_for(harpertown_openblas().id())
+        };
+        fleet.query(&query).unwrap()
+    }
+
+    #[test]
+    fn definitive_call_errors_do_not_strike_the_breaker() {
+        let (_, _, fleet) = trsm_fleet();
+        assert_eq!(
+            ask(&fleet, 0, trsm_call()).served,
+            Served::Fresh { generation: 0 }
+        );
+        // The shard has no syrk model: each syrk call fails definitively.
+        // The shard did answer, so its breaker must not be struck — six
+        // strikes would take the default breaker down.
+        let syrk = Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 64, 1.0, 1.0);
+        for id in 1..=6 {
+            let response = ask(&fleet, id, syrk.clone());
+            assert_eq!(
+                response.served,
+                Served::Shed {
+                    reason: ShedReason::NoFallback
+                }
+            );
+            assert_eq!((response.errors, response.retries), (1, 0));
+        }
+        assert_eq!(fleet.health().shards[0].state, BreakerState::Healthy);
+        for id in 7..=9 {
+            assert_eq!(
+                ask(&fleet, id, trsm_call()).served,
+                Served::Fresh { generation: 0 },
+                "query {id} must still reach the live models"
+            );
+        }
+        let health = fleet.health();
+        assert_eq!((health.fresh, health.shed, health.queries), (4, 6, 10));
+        assert_eq!((health.trips_degraded, health.trips_down), (0, 0));
+    }
+
+    #[test]
+    fn fresh_answers_carry_the_last_good_slot_across_publications() {
+        let (service, chaos, fleet) = trsm_fleet();
+        let first = ask(&fleet, 1, trsm_call());
+        assert_eq!(first.served, Served::Fresh { generation: 0 });
+
+        let machine = harpertown_openblas();
+        service
+            .swap(one_region_trsm(&machine, 0.1, 3000.0))
+            .unwrap();
+        let second = ask(&fleet, 2, trsm_call());
+        assert_eq!(second.served, Served::Fresh { generation: 1 });
+        assert_ne!(second.summary, first.summary);
+
+        // With the shard down, the slot must answer from the generation the
+        // last fresh answer came from, not the first one it retained.
+        chaos.set_forced_down(true);
+        let stale = ask(&fleet, 3, trsm_call());
+        assert_eq!(stale.served, Served::Stale { generation: 1 });
+        assert_eq!(stale.summary, second.summary);
+        assert_eq!(fleet.health().shards[0].last_good_generation, Some(1));
     }
 
     #[test]

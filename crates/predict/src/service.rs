@@ -417,10 +417,18 @@ impl ModelService {
     /// counting the answering region in the served generation's telemetry.
     // lint: panic-free
     pub fn predict_call(&self, call: &Call) -> dla_model::Result<Summary> {
+        self.predict_call_tagged(call).map(|(summary, _)| summary)
+    }
+
+    /// [`predict_call`](ModelService::predict_call), also returning the
+    /// number of the generation that answered, read under the same guard as
+    /// the evaluation, so a racing publication cannot mistag the answer.
+    // lint: panic-free
+    pub(crate) fn predict_call_tagged(&self, call: &Call) -> dla_model::Result<(Summary, u64)> {
         let current = self.current.read();
         let (summary, key, region) = current.predictor.predict_call_traced(call)?;
         current.telemetry.count_one(call.routine(), key, region);
-        Ok(summary)
+        Ok((summary, current.generation))
     }
 
     /// Snapshots the current generation's telemetry into a ranked

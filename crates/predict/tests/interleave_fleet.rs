@@ -157,6 +157,11 @@ fn racing_retainers_keep_the_slot_monotone() {
             Arc::ptr_eq(&held, &newer),
             "the held handle must be the one published as generation 1"
         );
+        assert_eq!(
+            slot.generation(),
+            Some(1),
+            "the lock-free generation must mirror the held handle"
+        );
     });
 }
 
@@ -207,11 +212,12 @@ fn trsm_query(id: u64, machine_id: &str) -> FleetQuery {
     }
 }
 
-/// Invariant: a swap racing a fresh answer never leaves the last-good slot
-/// holding models that were not published under its generation.  After the
-/// race, the shard is forced down so the next query is answered stale from
-/// the slot: the answer must come from exactly the repository its
-/// generation tag names, in every interleaving.
+/// Invariant: a swap racing a fresh answer never mistags the answer and
+/// never leaves the last-good slot holding models that were not published
+/// under its generation.  The fresh answer must come from exactly the
+/// repository its generation tag names.  After the race, the shard is forced
+/// down so the next query is answered stale from the slot: that answer too
+/// must match its tag, in every interleaving.
 #[test]
 fn swap_racing_a_fresh_answer_retains_a_consistent_generation() {
     let machine = harpertown_openblas();
@@ -247,8 +253,20 @@ fn swap_racing_a_fresh_answer_retains_a_consistent_generation() {
             swapper_service.swap(repo).unwrap();
         });
         let fresh = fleet.query(&trsm_query(1, &machine_id)).unwrap();
-        assert!(matches!(fresh.served, Served::Fresh { .. }));
         swapper.join().unwrap();
+        let Served::Fresh { generation } = fresh.served else {
+            panic!("a healthy shard answers fresh");
+        };
+        let expected = if generation == 0 {
+            old_answer
+        } else {
+            new_answer
+        };
+        assert_eq!(
+            fresh.summary,
+            Some(expected),
+            "fresh answer tagged generation {generation} came from other models"
+        );
 
         chaos.set_forced_down(true);
         let stale = fleet.query(&trsm_query(2, &machine_id)).unwrap();
