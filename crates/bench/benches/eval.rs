@@ -1,22 +1,29 @@
 //! Benchmarks of the compiled evaluation engine against the reference
 //! (naive) evaluator: piecewise point evaluation, trace prediction, and a
-//! block-size sweep.  Writes `BENCH_eval.json`.
+//! block-size sweep; plus the engine alone on a `serve`-shaped call mix.
+//! Writes `BENCH_eval.json`.
 
 use std::error::Error;
 use std::hint::black_box;
 
 use dla_bench::harness::Bench;
+use dla_core::algos::sylv_trace;
+use dla_core::blas::flops::is_empty_call;
 use dla_core::blas::{Call, Trans};
 use dla_core::machine::presets::harpertown_openblas;
-use dla_core::machine::Locality;
+use dla_core::machine::{derive_stream_seed, Locality};
 use dla_core::mat::stats::Summary;
 use dla_core::model::{submodel_key, CompiledPiecewise, PiecewiseModel, Region};
 use dla_core::predict::blocksize::optimize_block_size_trinv;
 use dla_core::predict::modelset::{build_repository, ModelSetConfig, Workload};
 use dla_core::predict::TraceEvaluator;
 use dla_core::{
-    algos::trinv_trace, MachineConfig, ModelRepository, Predictor, Routine, TrinvVariant,
+    algos::trinv_trace, MachineConfig, ModelRepository, Predictor, Routine, SylvVariant,
+    TrinvVariant,
 };
+
+/// Trace requests in the `serve`-shaped call mix.
+const SERVE_MIX_OPS: u64 = 24;
 
 /// The pre-compiled-engine evaluator: repository lookup plus
 /// `RoutineModel::estimate` per call.  This is the "before" side of every
@@ -68,6 +75,27 @@ fn gemm_submodel(
     let space = Region::new(model.space.lo().to_vec(), model.space.hi().to_vec());
     let points = space.sample_grid(8, 1);
     (submodel, points)
+}
+
+/// The non-empty calls of `ops` seeded trace requests shaped like
+/// perfbench `serve`'s: trinv or sylv, any variant, n in 64..=512 and a
+/// block size of 16, 32 or 48.
+fn serve_mix(seed: u64, ops: u64) -> Vec<Call> {
+    let mut calls = Vec::new();
+    for op in 0..ops {
+        let draw = |k: u64| derive_stream_seed(seed, op * 4 + k) as usize;
+        let n = 64 + draw(0) % 449;
+        let b = [16, 32, 48][draw(1) % 3];
+        let variant = draw(2) % 16;
+        let trace = if draw(3) % 2 == 0 {
+            trinv_trace(TrinvVariant::ALL[variant % 4], n, b, n)
+        } else {
+            let v = SylvVariant::new(variant + 1).expect("variant index in 1..=16");
+            sylv_trace(v, n, n, b, n)
+        };
+        calls.extend(trace.into_iter().filter(|c| !is_empty_call(c)));
+    }
+    calls
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -126,5 +154,32 @@ fn main() -> Result<(), Box<dyn Error>> {
             .unwrap()
     })?;
     println!("  compiled vs naive: {:.1}x", naive / fast);
+
+    // The engine behind every `serve` query, on the repository `serve`
+    // builds: `ModelSetConfig::default()` trinv+sylv models.
+    let machine = harpertown_openblas();
+    let (repo, _) = build_repository(
+        &machine,
+        Locality::InCache,
+        1,
+        &ModelSetConfig::default(),
+        &[Workload::Trinv, Workload::Sylv],
+    );
+    let predictor = Predictor::new(&repo, machine, Locality::InCache);
+    let calls = serve_mix(1, SERVE_MIX_OPS);
+    bench.count(
+        "predict_call/serve_mix_calls",
+        "predict",
+        "calls",
+        calls.len(),
+    );
+    let mix = bench.time("predict_call/serve_mix", "predict.eval", || {
+        let mut acc = 0.0;
+        for call in &calls {
+            acc += predictor.predict_call(black_box(call)).unwrap().median;
+        }
+        acc
+    })?;
+    println!("  {:.1} ns per call", mix * 1e3 / calls.len() as f64);
     Ok(bench.finish()?)
 }

@@ -16,7 +16,9 @@
 //! distinct shapes) are rows with a count unit, a MAD of 0 and n = 1.
 //! Derived ratios are printed by the target, not stored.
 
+use std::ffi::OsString;
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dla_core::mat::stats::{StatsError, Summary};
@@ -125,11 +127,7 @@ impl Bench {
             self.target,
             rows.join(",\n")
         );
-        let path = format!(
-            "{}/../../BENCH_{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            self.target
-        );
+        let path = output_path(self.target, std::env::var_os("CARGO_MANIFEST_DIR"));
         std::fs::write(&path, json)?;
         println!("wrote BENCH_{}.json", self.target);
         Ok(())
@@ -169,6 +167,17 @@ impl Bench {
     fn qualified(&self, name: &str) -> String {
         format!("{}/{name}", self.target)
     }
+}
+
+/// `BENCH_<target>.json` at the root of the checkout whose `dla-bench`
+/// manifest directory is `manifest_dir`.  `cargo bench` sets
+/// `CARGO_MANIFEST_DIR` when it runs a target, so a binary reused from
+/// another checkout's build writes into the checkout running it; without
+/// the variable, the directory the binary was compiled in is used.
+fn output_path(target: &str, manifest_dir: Option<OsString>) -> PathBuf {
+    let manifest_dir =
+        manifest_dir.map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    manifest_dir.join(format!("../../BENCH_{target}.json"))
 }
 
 /// Median of the samples kept by the outlier trim, scaled MAD of all
@@ -216,6 +225,20 @@ mod tests {
             row_json(&row),
             "    {\"name\": \"g/case\", \"layer\": \"blas\", \"unit\": \"us\", \
              \"median\": 1.5000, \"mad\": 0.2500, \"n\": 21}"
+        );
+    }
+
+    #[test]
+    fn output_lands_in_the_running_checkout() {
+        let running = OsString::from("/elsewhere/checkout/crates/bench");
+        assert_eq!(
+            output_path("eval", Some(running)),
+            PathBuf::from("/elsewhere/checkout/crates/bench/../../BENCH_eval.json")
+        );
+        // Run outside cargo: the checkout the binary was compiled in.
+        assert_eq!(
+            output_path("eval", None),
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_eval.json")
         );
     }
 }

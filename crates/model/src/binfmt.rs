@@ -866,12 +866,11 @@ mod tests {
     use super::*;
     use crate::FlagKey;
 
-    /// A one-model binary file whose only submodel (key `[0, 0, 0]`) the
-    /// compiler declines — an exponent past the power ladder — so it is
-    /// stored in reference mode.
-    fn reference_mode_file() -> Vec<u8> {
+    /// A one-model binary file: one trsm submodel (key `[0, 0, 0]`) of one
+    /// region over `[8, 512]²` whose five quantities are `poly`, and the
+    /// number of its submodels the compiler accepted.
+    fn one_region_file(poly: Polynomial) -> (Vec<u8>, usize) {
         let space = Region::new(vec![8, 8], vec![512, 512]);
-        let poly = Polynomial::new(2, vec![vec![0, 0], vec![8, 0]], vec![1.0, 1e-20]).unwrap();
         let region = RegionModel {
             region: space.clone(),
             poly: VectorPolynomial::new(vec![poly; Quantity::ALL.len()]).unwrap(),
@@ -888,12 +887,25 @@ mod tests {
         repo.insert(model);
         let compiled = repo.compiled();
         let entry = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
-        assert_eq!(
-            entry.fast_submodel_count(),
-            0,
-            "must be stored in reference mode"
-        );
-        encode(&compiled).unwrap()
+        (encode(&compiled).unwrap(), entry.fast_submodel_count())
+    }
+
+    /// A one-model binary file whose only submodel the compiler declines —
+    /// an exponent past the power ladder — so it is stored in reference
+    /// mode.
+    fn reference_mode_file() -> Vec<u8> {
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![8, 0]], vec![1.0, 1e-20]).unwrap();
+        let (bytes, fast) = one_region_file(poly);
+        assert_eq!(fast, 0, "must be stored in reference mode");
+        bytes
+    }
+
+    /// Recomputes and stores the checksum of a patched file.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+        let sum = checksum(&bytes);
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     /// Rewrites the first flag of the file's only submodel key and reseals
@@ -904,10 +916,33 @@ mod tests {
         let meta = u64::from_le_bytes(bytes[48..56].try_into().unwrap()) as usize;
         let at = meta + 8 * 4;
         bytes[at..at + 8].copy_from_slice(&flag.to_le_bytes());
-        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
-        let sum = checksum(&bytes);
-        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-        bytes
+        resealed(bytes)
+    }
+
+    #[test]
+    fn an_indexed_model_spanning_past_the_cap_is_a_decode_error() {
+        // One compiled region, hence one cell: indexed, with the cuts
+        // [8, 513] in each dimension.
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![1, 0]], vec![1.0, 2.0]).unwrap();
+        let (mut bytes, fast) = one_region_file(poly);
+        assert_eq!(fast, 1, "must be stored in fast mode");
+        assert!(decode(&bytes).is_ok());
+        // The last cut of the second dimension is the last 513 in `U64S`
+        // (section 1): region bounds end at 512.  Moving it to 2^40 keeps
+        // the cuts ascending and the cell grid unchanged, but the locate
+        // table would need ~2^40 entries.
+        let entry = HEADER_LEN + TABLE_ENTRY_LEN;
+        let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+        let at = (off..off + len)
+            .step_by(8)
+            .rfind(|&i| bytes[i..i + 8] == 513u64.to_le_bytes())
+            .expect("the last cut is stored");
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        match decode(&resealed(bytes)) {
+            Err(ModelError::Parse(msg)) => assert!(msg.contains("span"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

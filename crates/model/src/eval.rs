@@ -1,4 +1,4 @@
-//! The compiled evaluation engine: indexed region lookup and fused,
+//! The compiled evaluation engine: constant-time region lookup and fused,
 //! zero-allocation polynomial evaluation.
 //!
 //! [`PiecewiseModel::eval`] is the *reference* implementation: it scans every
@@ -13,12 +13,19 @@
 //!   polynomials of a [`VectorPolynomial`] share one monomial plan; each
 //!   monomial is computed once per point from per-dimension power ladders
 //!   (no `powi`) and feeds five fused dot products against an SoA
-//!   coefficient matrix.
+//!   coefficient matrix.  Evaluation dispatches once on the dimension into a
+//!   kernel specialised for it, whose coordinates and ladders are
+//!   fixed-size arrays.
 //! * **Region index** ([`CompiledPiecewise`]): refinement regions stem from
 //!   axis-aligned splits, so their boundaries induce per-dimension sorted cut
-//!   arrays.  A query point maps to a grid cell by binary search; every cell
+//!   arrays that divide the space into a grid of cells.  Every cell
 //!   precomputes its best (minimum-error) containing region, and uncovered
-//!   cells precompute the candidate set for the nearest-region fallback.
+//!   cells precompute the candidate set for the nearest-region fallback.  A
+//!   per-dimension table maps every coordinate between the first and the
+//!   last cut straight to its cell's offset in the cell table, so locating a
+//!   point is one table load per dimension.  The tables are derived from the
+//!   cut arrays when a model is compiled or decoded; they are never
+//!   serialised.
 //! * **Zero-allocation path**: normalised coordinates live in fixed scratch
 //!   ([`MAX_DIM`]), submodel lookup uses the fixed-size
 //!   [`FlagKey`](crate::FlagKey), and [`CompiledRepository::resolve`]
@@ -26,10 +33,11 @@
 //!   path performs no hashing and no string comparison.
 //!
 //! Shapes the fast path cannot represent (dimension above [`MAX_DIM`],
-//! exponents beyond the power ladder, oversized cell tables) transparently
-//! fall back to the reference implementation, so compiled evaluation is
-//! always *available*, merely not always accelerated.  Equivalence between
-//! the two implementations is enforced by property tests
+//! exponents beyond the power ladder) transparently fall back to the
+//! reference implementation, and models whose index would be oversized
+//! locate by an in-order region scan, so compiled evaluation is always
+//! *available*, merely not always accelerated.  Equivalence between the two
+//! implementations is enforced by property tests
 //! (`crates/core/tests/eval_equivalence.rs`).
 //!
 //! Every query is a point query: there is no separate batch kernel.  Batch
@@ -38,7 +46,7 @@
 //! submodel key and sizes they already extracted, so a call is decoded
 //! once.
 
-// The evaluators below are index-heavy numeric loops over fixed-size scratch
+// The compile-time builders below are index-heavy loops over fixed-size
 // arrays; iterator rewrites obscure the per-dimension structure (same policy
 // as the kernel crates).
 #![allow(clippy::needless_range_loop)]
@@ -65,17 +73,46 @@ pub const MAX_DIM: usize = 4;
 /// higher exponents fall back to the reference evaluator.
 pub(crate) const MAX_EXP: usize = 7;
 
-/// Upper bound on the size of a cell table; larger index grids degrade to an
+// The kernel reads ladder entry `e & MAX_EXP`: for the validated exponents
+// `e <= MAX_EXP` that is `e`, and it is in bounds for any byte.
+const _: () = assert!((MAX_EXP + 1).is_power_of_two());
+
+/// Upper bound on the size of a cell table, and on the summed coordinate
+/// span of the per-dimension locate tables; larger indexes degrade to an
 /// in-order (but still allocation-free) region scan.
 const CELL_CAP: usize = 1 << 18;
+
+/// The dimension of a compiled model, `1..=MAX_DIM`: evaluation dispatches
+/// on it once into a kernel specialised for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arity {
+    One = 1,
+    Two,
+    Three,
+    Four,
+}
+
+const _: () = assert!(Arity::Four as usize == MAX_DIM);
+
+impl Arity {
+    fn new(dim: usize) -> Option<Arity> {
+        match dim {
+            1 => Some(Arity::One),
+            2 => Some(Arity::Two),
+            3 => Some(Arity::Three),
+            4 => Some(Arity::Four),
+            _ => None,
+        }
+    }
+}
 
 /// The five quantity polynomials of a [`VectorPolynomial`] compiled into one
 /// shared monomial plan with an SoA coefficient matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledVectorPolynomial {
-    dim: usize,
-    term_count: usize,
-    /// Term-major exponent matrix, `term_count * dim` entries.
+    arity: Arity,
+    /// Term-major exponent matrix, `term_count * dim` entries, each at most
+    /// [`MAX_EXP`].
     exponents: Vec<u8>,
     /// Term-major coefficient matrix, `term_count * 5` entries; column `q`
     /// holds the coefficient of quantity `q` (zero where a quantity's
@@ -90,9 +127,7 @@ impl CompiledVectorPolynomial {
     /// fast path (wrong arity, dimension above [`MAX_DIM`], exponent above
     /// the ladder bound).
     pub fn compile(vp: &VectorPolynomial, dim: usize) -> Option<CompiledVectorPolynomial> {
-        if dim == 0 || dim > MAX_DIM {
-            return None;
-        }
+        let arity = Arity::new(dim)?;
         // The shared plan: union of the five exponent lists, first-seen order
         // (the polynomials of one fit share the same basis, so the common
         // case is plan == basis of the first polynomial).
@@ -133,8 +168,7 @@ impl CompiledVectorPolynomial {
             }
         }
         Some(CompiledVectorPolynomial {
-            dim,
-            term_count,
+            arity,
             exponents,
             coefficients,
             max_exp,
@@ -143,12 +177,12 @@ impl CompiledVectorPolynomial {
 
     /// Number of terms in the shared monomial plan.
     pub fn term_count(&self) -> usize {
-        self.term_count
+        self.coefficients.len() / 5
     }
 
     /// The arity of the compiled plan.
     pub(crate) fn dim(&self) -> usize {
-        self.dim
+        self.arity as usize
     }
 
     /// The term-major exponent matrix (`term_count * dim` bytes) — the exact
@@ -171,11 +205,11 @@ impl CompiledVectorPolynomial {
         exponents: Vec<u8>,
         coefficients: Vec<f64>,
     ) -> Result<CompiledVectorPolynomial> {
-        if dim == 0 || dim > MAX_DIM {
+        let Some(arity) = Arity::new(dim) else {
             return Err(ModelError::Parse(format!(
                 "binary repository: compiled polynomial dimension {dim} outside 1..={MAX_DIM}"
             )));
-        }
+        };
         if !exponents.len().is_multiple_of(dim) {
             return Err(ModelError::Parse(format!(
                 "binary repository: exponent matrix length {} is not a multiple of dim {dim}",
@@ -201,41 +235,52 @@ impl CompiledVectorPolynomial {
             }
         }
         Ok(CompiledVectorPolynomial {
-            dim,
-            term_count,
+            arity,
             exponents,
             coefficients,
             max_exp,
         })
     }
 
-    /// Evaluates all five quantities at a normalised point, with the same
-    /// non-negativity clamp and NaN preservation as
-    /// [`VectorPolynomial::eval`].
-    // lint: allow(panic-free): dim and max_exp are clamped to MAX_DIM/MAX_EXP at
-    // compile time, and the exponent/coefficient slices are sized term_count*dim
-    // and term_count*5 by construction
-    #[inline]
+    /// Evaluates all five quantities at a normalised point (its first `dim`
+    /// coordinates), with the same non-negativity clamp and NaN preservation
+    /// as [`VectorPolynomial::eval`].
     pub fn eval(&self, x: &[f64; MAX_DIM]) -> [f64; 5] {
+        match self.arity {
+            Arity::One => self.kernel(&leading::<1>(x)),
+            Arity::Two => self.kernel(&leading::<2>(x)),
+            Arity::Three => self.kernel(&leading::<3>(x)),
+            Arity::Four => self.kernel(&leading::<4>(x)),
+        }
+    }
+
+    /// The fused kernel for `D == self.dim()`: one power ladder per
+    /// dimension, then one basis product and five multiply-adds per term, in
+    /// term order.
+    #[inline(always)]
+    fn kernel<const D: usize>(&self, x: &[f64; D]) -> [f64; 5] {
         // lint: hot-path begin
         // Power ladders: pows[d][e] = x[d]^e, built with one multiply per
         // entry instead of a `powi` per term and quantity.
-        let mut pows = [[1.0f64; MAX_EXP + 1]; MAX_DIM];
-        for d in 0..self.dim {
+        let mut pows = [[1.0f64; MAX_EXP + 1]; D];
+        for ((ladder, &xd), &top) in pows.iter_mut().zip(x).zip(&self.max_exp) {
             let mut p = 1.0;
-            for e in 1..=self.max_exp[d] as usize {
-                p *= x[d];
-                pows[d][e] = p;
+            for (slot, _) in ladder.iter_mut().skip(1).zip(0..top) {
+                p *= xd;
+                *slot = p;
             }
         }
         let mut acc = [0.0f64; 5];
-        for t in 0..self.term_count {
-            let exps = &self.exponents[t * self.dim..(t + 1) * self.dim];
+        let terms = self.exponents.chunks_exact(D);
+        for (exps, coeffs) in terms.zip(self.coefficients.chunks_exact(5)) {
             let mut basis = 1.0;
-            for (d, &e) in exps.iter().enumerate() {
-                basis *= pows[d][e as usize];
+            for (ladder, &e) in pows.iter().zip(exps) {
+                // Exponents are validated <= MAX_EXP, so the mask keeps `e`
+                // and lets the bounds check fold away.
+                if let Some(&power) = ladder.get(usize::from(e) & MAX_EXP) {
+                    basis *= power;
+                }
             }
-            let coeffs = &self.coefficients[t * 5..t * 5 + 5];
             for (a, &c) in acc.iter_mut().zip(coeffs) {
                 *a += c * basis;
             }
@@ -248,6 +293,16 @@ impl CompiledVectorPolynomial {
         // lint: hot-path end
         acc
     }
+}
+
+/// The first `D` coordinates of a scratch point.
+#[inline(always)]
+fn leading<const D: usize>(x: &[f64; MAX_DIM]) -> [f64; D] {
+    let mut out = [0.0; D];
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v;
+    }
+    out
 }
 
 /// One region with precomputed bounds and its compiled polynomial.
@@ -288,25 +343,29 @@ impl CompiledRegion {
         r
     }
 
-    // lint: allow(panic-free): d < dim <= MAX_DIM bounds the fixed arrays, and
-    // point arity is validated at the public entry
+    /// Whether the region contains the first `dim` coordinates of `point`.
     #[inline]
     fn contains(&self, dim: usize, point: &[usize]) -> bool {
-        (0..dim).all(|d| point[d] >= self.lo[d] && point[d] <= self.hi[d])
+        let bounds = self.lo.iter().zip(&self.hi);
+        point
+            .iter()
+            .zip(bounds)
+            .zip(0..dim)
+            .all(|((&p, (&lo, &hi)), _)| p >= lo && p <= hi)
     }
 
-    /// Same arithmetic as the reference `region_distance`.
-    // lint: allow(panic-free): d < dim <= MAX_DIM bounds the fixed arrays, and
-    // point arity is validated at the public entry
+    /// Same arithmetic as the reference `region_distance`, over the first
+    /// `dim` coordinates of `point`.
     #[inline]
     fn distance(&self, dim: usize, point: &[usize]) -> f64 {
         let mut acc = 0.0;
-        for d in 0..dim {
-            let p = point[d] as f64;
-            let dd = if p < self.lo_f[d] {
-                self.lo_f[d] - p
-            } else if p > self.hi_f[d] {
-                p - self.hi_f[d]
+        let bounds = self.lo_f.iter().zip(&self.hi_f);
+        for ((&p, (&lo, &hi)), _) in point.iter().zip(bounds).zip(0..dim) {
+            let p = p as f64;
+            let dd = if p < lo {
+                lo - p
+            } else if p > hi {
+                p - hi
             } else {
                 0.0
             };
@@ -315,38 +374,61 @@ impl CompiledRegion {
         acc.sqrt()
     }
 
-    /// Normalises into fixed scratch (same arithmetic as
-    /// [`Region::normalize`]) and evaluates the fused polynomial.
-    // lint: allow(panic-free): the scratch array is MAX_DIM-sized, d < dim <=
-    // MAX_DIM, and point arity is validated at the public entry
+    /// Normalises (same arithmetic as [`Region::normalize`]) and evaluates
+    /// the fused polynomial on the kernel of the region's dimension.  The
+    /// point holds exactly that many coordinates (checked at the public
+    /// entry).
     #[inline]
-    fn eval(&self, dim: usize, point: &[usize]) -> Summary {
+    fn eval(&self, point: &[usize]) -> Summary {
+        let quantities = match self.poly.arity {
+            Arity::One => self.eval_dim::<1>(point),
+            Arity::Two => self.eval_dim::<2>(point),
+            Arity::Three => self.eval_dim::<3>(point),
+            Arity::Four => self.eval_dim::<4>(point),
+        };
+        Summary::from_quantities(&quantities)
+    }
+
+    #[inline(always)]
+    fn eval_dim<const D: usize>(&self, point: &[usize]) -> [f64; 5] {
         // lint: hot-path begin
-        let mut x = [0.0f64; MAX_DIM];
-        for d in 0..dim {
-            x[d] = if self.extent_f[d] == 0.0 {
+        let mut x = [0.0f64; D];
+        let frame = self.lo_f.iter().zip(&self.extent_f);
+        for ((x, &p), (&lo, &extent)) in x.iter_mut().zip(point).zip(frame) {
+            *x = if extent == 0.0 {
                 0.0
             } else {
-                (point[d] as f64 - self.lo_f[d]) / self.extent_f[d]
+                (p as f64 - lo) / extent
             };
         }
-        let summary = Summary::from_quantities(&self.poly.eval(&x));
+        let quantities = self.poly.kernel(&x);
         // lint: hot-path end
-        summary
+        quantities
     }
 }
 
 /// Where a point resolved during location: a concrete region, a cell's
 /// precomputed fallback candidate set, or the full nearest-region scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PointLoc {
-    /// Covered by the region at this index (source region order).
-    Region(usize),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PointLoc<'a> {
+    /// Covered by this region, at this index in source region order.
+    Region(u32, &'a CompiledRegion),
     /// Uncovered but inside the index: nearest among this fallback set.
-    NearestAmong(usize),
+    NearestAmong(&'a [u32]),
     /// Outside the indexed range (or unindexed and uncovered): nearest over
     /// all regions.
     NearestAll,
+}
+
+/// One dimension's slice of a [`CompiledPiecewise`]'s locate tables: for
+/// every coordinate `p` in `first..first + span` (from the first cut up to,
+/// excluding, the last), entry `start + (p - first)` is `i * stride`, where
+/// `i` is the index along this dimension of the cell holding `p`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Axis {
+    first: usize,
+    span: usize,
+    start: usize,
 }
 
 /// A [`PiecewiseModel`] compiled into an indexed, allocation-free evaluator.
@@ -365,9 +447,53 @@ pub struct CompiledPiecewise {
     strides: [usize; MAX_DIM],
     /// Candidate region sets for uncovered cells.
     fallbacks: Vec<Vec<u32>>,
-    /// `false` when the cell table would exceed [`CELL_CAP`]: point location
-    /// then degrades to an in-order region scan (still allocation-free).
+    /// The per-dimension locate tables, back to back: `axes[d]` delimits
+    /// dimension `d`'s.  Derived from `cuts` and `strides` (never
+    /// serialised); empty when not indexed.
+    offsets: Vec<u32>,
+    axes: [Axis; MAX_DIM],
+    /// `false` when the cell table or the locate tables would exceed
+    /// [`CELL_CAP`]: point location then degrades to an in-order region
+    /// scan (still allocation-free).
     indexed: bool,
+}
+
+/// The summed coordinate span of the cut arrays, `Σ_d (last − first)`: the
+/// length of the locate tables.  `None` on overflow.
+fn coordinate_span(cuts: &[Vec<usize>]) -> Option<usize> {
+    cuts.iter().try_fold(0usize, |acc, c| {
+        acc.checked_add(c.last()?.checked_sub(*c.first()?)?)
+    })
+}
+
+/// Row-major strides of the cell grid: the last dimension is contiguous.
+fn cell_strides(cuts: &[Vec<usize>]) -> [usize; MAX_DIM] {
+    let mut strides = [0usize; MAX_DIM];
+    let mut stride = 1;
+    for d in (0..cuts.len()).rev() {
+        strides[d] = stride;
+        stride *= cuts[d].len() - 1;
+    }
+    strides
+}
+
+/// Builds the locate tables from ascending cut arrays whose cell grid and
+/// coordinate span both fit [`CELL_CAP`] (so every entry fits a `u32`).
+fn locate_tables(cuts: &[Vec<usize>], strides: &[usize; MAX_DIM]) -> (Vec<u32>, [Axis; MAX_DIM]) {
+    let mut offsets = Vec::with_capacity(coordinate_span(cuts).unwrap_or(0));
+    let mut axes = [Axis::default(); MAX_DIM];
+    for ((axis, c), &stride) in axes.iter_mut().zip(cuts).zip(strides) {
+        let start = offsets.len();
+        for (i, w) in c.windows(2).enumerate() {
+            offsets.extend(std::iter::repeat_n((i * stride) as u32, w[1] - w[0]));
+        }
+        *axis = Axis {
+            first: c[0],
+            span: offsets.len() - start,
+            start,
+        };
+    }
+    (offsets, axes)
 }
 
 impl CompiledPiecewise {
@@ -401,12 +527,14 @@ impl CompiledPiecewise {
             c.dedup();
         }
         let cells_per_dim: Vec<usize> = cuts.iter().map(|c| c.len() - 1).collect();
-        // Checked product: a degenerate model with enough region boundaries
-        // could overflow, which must degrade to the scan path, not wrap.
+        // Checked product and sum: a degenerate model with enough region
+        // boundaries, or with huge coordinates, could overflow, which must
+        // degrade to the scan path, not wrap.
         let total_cells = cells_per_dim
             .iter()
             .try_fold(1usize, |acc, &c| acc.checked_mul(c));
-        let indexed = matches!(total_cells, Some(t) if (1..=CELL_CAP).contains(&t));
+        let indexed = matches!(total_cells, Some(t) if (1..=CELL_CAP).contains(&t))
+            && matches!(coordinate_span(&cuts), Some(s) if s <= CELL_CAP);
 
         let mut compiled = CompiledPiecewise {
             dim,
@@ -415,6 +543,8 @@ impl CompiledPiecewise {
             cells: Vec::new(),
             strides: [0; MAX_DIM],
             fallbacks: Vec::new(),
+            offsets: Vec::new(),
+            axes: [Axis::default(); MAX_DIM],
             indexed,
         };
         if !indexed {
@@ -422,12 +552,8 @@ impl CompiledPiecewise {
         }
         // lint: allow(unwrap): the indexed flag is only set together with a valid cell count
         let total_cells = total_cells.expect("indexed implies a valid cell count");
-        // Row-major strides: last dimension contiguous.
-        let mut stride = 1;
-        for d in (0..dim).rev() {
-            compiled.strides[d] = stride;
-            stride *= cells_per_dim[d];
-        }
+        compiled.strides = cell_strides(&compiled.cuts);
+        (compiled.offsets, compiled.axes) = locate_tables(&compiled.cuts, &compiled.strides);
         // Winners: every region boundary is a cut, so a region covers a
         // whole box of cells.  Claiming each region's box in region order,
         // replacing the holder only on a strictly better error, picks the
@@ -533,7 +659,8 @@ impl CompiledPiecewise {
 
     /// Rebuilds a compiled piecewise model from serialized sections,
     /// re-validating every invariant [`compile`](CompiledPiecewise::compile)
-    /// establishes so corrupt inputs surface as errors, never panics.
+    /// establishes so corrupt inputs surface as errors, never panics, and
+    /// re-deriving the locate tables.
     pub(crate) fn from_raw_parts(
         dim: usize,
         regions: Vec<CompiledRegion>,
@@ -572,11 +699,20 @@ impl CompiledPiecewise {
             };
         }
         let mut strides = [0usize; MAX_DIM];
+        let mut offsets = Vec::new();
+        let mut axes = [Axis::default(); MAX_DIM];
         if indexed {
             if total != cells.len() {
                 return bad(format!(
                     "cell table length {} does not match cut grid ({total} cells)",
                     cells.len()
+                ));
+            }
+            // Checked before the tables are allocated: a corrupt cut must
+            // not turn into a huge allocation.
+            if !matches!(coordinate_span(&cuts), Some(s) if s <= CELL_CAP) {
+                return bad(format!(
+                    "indexed model's cut coordinates span more than {CELL_CAP}"
                 ));
             }
             let limit = regions.len() + fallbacks.len();
@@ -589,11 +725,8 @@ impl CompiledPiecewise {
             {
                 return bad("fallback candidate out of range".to_string());
             }
-            let mut stride = 1usize;
-            for d in (0..dim).rev() {
-                strides[d] = stride;
-                stride *= cuts[d].len() - 1;
-            }
+            strides = cell_strides(&cuts);
+            (offsets, axes) = locate_tables(&cuts, &strides);
         } else if !cells.is_empty() || !fallbacks.is_empty() {
             return bad("unindexed model carries a cell table".to_string());
         }
@@ -604,6 +737,8 @@ impl CompiledPiecewise {
             cells,
             strides,
             fallbacks,
+            offsets,
+            axes,
             indexed,
         })
     }
@@ -628,48 +763,60 @@ impl CompiledPiecewise {
             )));
         }
         Ok(match self.locate(point) {
-            // lint: allow(panic-free): locate only returns indices into self.regions
-            PointLoc::Region(r) => (self.regions[r].eval(self.dim, point), r as u32),
-            // lint: allow(panic-free): locate only returns indices into self.fallbacks
-            PointLoc::NearestAmong(f) => self.nearest(point, Some(&self.fallbacks[f])),
+            PointLoc::Region(index, region) => (region.eval(point), index),
+            PointLoc::NearestAmong(candidates) => self.nearest(point, Some(candidates)),
             PointLoc::NearestAll => self.nearest(point, None),
         })
+    }
+
+    /// The cell-table index of the cell holding `point`: one locate-table
+    /// load per dimension.  `None` when a coordinate lies below its
+    /// dimension's first cut or at or above its last, hence outside every
+    /// region.  Only meaningful on an indexed model.
+    #[inline]
+    fn cell_of(&self, point: &[usize]) -> Option<usize> {
+        // lint: hot-path begin
+        let mut cell = 0usize;
+        for (&p, axis) in point.iter().zip(&self.axes) {
+            // Below the first cut the subtraction wraps to a huge offset, so
+            // one comparison tests both ends of the range.
+            let off = p.wrapping_sub(axis.first);
+            if off >= axis.span {
+                return None;
+            }
+            cell += *self.offsets.get(axis.start + off)? as usize;
+        }
+        // lint: hot-path end
+        Some(cell)
     }
 
     /// Locates the region that answers `point`: the cell table's precomputed
     /// winner on the indexed path, the in-order scan otherwise, or a
     /// nearest-region fallback directive for uncovered points.
-    // lint: allow(panic-free): point arity is validated by eval_traced, d < dim
-    // bounds the cut/stride tables, and the cell index stays inside the table
-    // because every dimension's contribution is clamped by partition_point
     #[inline]
-    fn locate(&self, point: &[usize]) -> PointLoc {
+    fn locate(&self, point: &[usize]) -> PointLoc<'_> {
         // lint: hot-path begin
-        if !self.indexed {
-            return match best_containing(&self.regions, self.dim, point) {
-                Some(best) => PointLoc::Region(best),
-                None => PointLoc::NearestAll,
-            };
-        }
-        let mut cell = 0usize;
-        for d in 0..self.dim {
-            let cuts = &self.cuts[d];
-            let p = point[d];
-            // lint: allow(unwrap): the index is only built for models with at least one region, so cuts are non-empty
-            if p < cuts[0] || p >= *cuts.last().expect("non-empty cuts") {
-                // Outside the indexed range in this dimension, hence outside
-                // every region: exact nearest-region fallback.
-                return PointLoc::NearestAll;
+        let found = if self.indexed {
+            match self.cell_of(point).and_then(|cell| self.cells.get(cell)) {
+                Some(&v) => v as usize,
+                // Outside the indexed range in some dimension: exact
+                // nearest-region fallback.
+                None => return PointLoc::NearestAll,
             }
-            cell += (cuts.partition_point(|&b| b <= p) - 1) * self.strides[d];
-        }
-        let v = self.cells[cell] as usize;
-        // lint: hot-path end
-        if v < self.regions.len() {
-            PointLoc::Region(v)
         } else {
-            PointLoc::NearestAmong(v - self.regions.len())
+            match best_containing(&self.regions, self.dim, point) {
+                Some(best) => best,
+                None => return PointLoc::NearestAll,
+            }
+        };
+        if let Some(region) = self.regions.get(found) {
+            return PointLoc::Region(found as u32, region);
         }
+        match self.fallbacks.get(found - self.regions.len()) {
+            Some(candidates) => PointLoc::NearestAmong(candidates),
+            None => PointLoc::NearestAll,
+        }
+        // lint: hot-path end
     }
 
     /// Nearest-region fallback over a candidate subset (or all regions),
@@ -692,31 +839,25 @@ impl CompiledPiecewise {
             None => (0..self.regions.len()).for_each(&mut consider),
         }
         // lint: hot-path end
-        (self.regions[best].eval(self.dim, point), best as u32)
+        (self.regions[best].eval(point), best as u32)
     }
 }
 
 /// The best (minimum-error, NaN-last, first-wins) region containing `point`,
 /// iterating in stored order exactly like the reference evaluator.
-// lint: allow(panic-free): `b` indexes the same slice enumerate produced it from
 fn best_containing(regions: &[CompiledRegion], dim: usize, point: &[usize]) -> Option<usize> {
     // lint: hot-path begin
-    let mut best: Option<usize> = None;
+    let mut best: Option<(usize, f64)> = None;
     for (i, r) in regions.iter().enumerate() {
         if !r.contains(dim, point) {
             continue;
         }
-        match best {
-            None => best = Some(i),
-            Some(b) => {
-                if error_order(r.error, regions[b].error) == Ordering::Less {
-                    best = Some(i);
-                }
-            }
+        if best.is_none_or(|(_, error)| error_order(r.error, error) == Ordering::Less) {
+            best = Some((i, r.error));
         }
     }
     // lint: hot-path end
-    best
+    best.map(|(i, _)| i)
 }
 
 /// The regions that can be nearest to *some* point of the cell
@@ -1002,8 +1143,11 @@ impl CompiledRepository {
         machine_id: &str,
         locality: Locality,
     ) -> Option<&CompiledRoutineModel> {
-        let routine_name = routine.name();
-        let locality_name = locality.name();
+        // Qualified calls: dla-lint resolves a `.name()` method call to every
+        // workspace `name` method, some of which allocate, and a slice
+        // `.get(…)` on the query path resolves to this function.
+        let routine_name = Routine::name(&routine);
+        let locality_name = Locality::name(&locality);
         self.entries
             .iter()
             .find(|(key, _)| {
@@ -1209,6 +1353,149 @@ mod tests {
         }
         assert!(fallbacks_seen > 0, "the layout leaves uncovered cells");
         assert_eq!(fallbacks_seen, compiled.fallbacks.len());
+    }
+
+    /// The binary search the locate tables replace: the cell-table index of
+    /// `point`'s cell, `None` when a coordinate lies outside its dimension's
+    /// cut range.
+    fn searched_cell(compiled: &CompiledPiecewise, point: &[usize]) -> Option<usize> {
+        let mut cell = 0;
+        for (d, &p) in point.iter().enumerate() {
+            let cuts = &compiled.cuts[d];
+            if p < cuts[0] || p >= *cuts.last().unwrap() {
+                return None;
+            }
+            cell += (cuts.partition_point(|&b| b <= p) - 1) * compiled.strides[d];
+        }
+        Some(cell)
+    }
+
+    /// Sweeps every dimension from two below its first cut to two above its
+    /// last, with the other coordinates at their first cut, a middle cut and
+    /// their last covered coordinate, and checks the table locate against
+    /// the binary search: the same cell inside the cut range, `NearestAll`
+    /// outside it, and otherwise the cell's winner or fallback set.
+    fn assert_tables_match_binary_search(compiled: &CompiledPiecewise) {
+        assert!(compiled.is_indexed());
+        let n = compiled.regions.len();
+        let probes: Vec<[usize; 3]> = compiled
+            .cuts
+            .iter()
+            .map(|c| [c[0], c[c.len() / 2], c[c.len() - 1] - 1])
+            .collect();
+        let mut checked = 0;
+        for d in 0..compiled.dim {
+            let cuts = &compiled.cuts[d];
+            let others = probes.len() - 1;
+            for combo in 0..3usize.pow(others as u32) {
+                let mut point: Vec<usize> = Vec::with_capacity(compiled.dim);
+                let mut digits = combo;
+                for (e, probe) in probes.iter().enumerate() {
+                    if e == d {
+                        point.push(0);
+                    } else {
+                        point.push(probe[digits % 3]);
+                        digits /= 3;
+                    }
+                }
+                for p in cuts[0].saturating_sub(2)..=cuts[cuts.len() - 1] + 2 {
+                    point[d] = p;
+                    let expected = searched_cell(compiled, &point);
+                    assert_eq!(compiled.cell_of(&point), expected, "cell at {point:?}");
+                    match (compiled.locate(&point), expected) {
+                        (PointLoc::NearestAll, None) => {}
+                        (PointLoc::Region(i, region), Some(cell)) => {
+                            assert_eq!(i, compiled.cells[cell], "winner at {point:?}");
+                            assert_eq!(region, &compiled.regions[i as usize]);
+                        }
+                        (PointLoc::NearestAmong(candidates), Some(cell)) => {
+                            let v = compiled.cells[cell] as usize;
+                            assert!(v >= n, "fallback at a covered cell {point:?}");
+                            assert_eq!(candidates, compiled.fallbacks[v - n].as_slice());
+                        }
+                        (loc, expected) => {
+                            panic!("{point:?}: located {loc:?}, searched {expected:?}")
+                        }
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn locate_tables_match_a_binary_search() {
+        // A 2-D model with overlaps and uncovered cells.
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let boxes = [
+            ([8, 8], [200, 300], 0.2),
+            ([100, 50], [400, 256], 0.1),
+            ([150, 150], [512, 512], 0.1),
+            ([8, 400], [64, 512], 0.3),
+            ([300, 8], [512, 100], 0.05),
+        ];
+        let regions: Vec<RegionModel> = boxes
+            .iter()
+            .map(|(lo, hi, error)| {
+                let mut rm = fitted_region(&Region::new(lo.to_vec(), hi.to_vec()), 3);
+                rm.error = *error;
+                rm
+            })
+            .collect();
+        let compiled =
+            CompiledPiecewise::compile(&PiecewiseModel::new(space, regions, 45)).unwrap();
+        assert!(
+            !compiled.fallbacks.is_empty(),
+            "the layout leaves uncovered cells"
+        );
+        assert_tables_match_binary_search(&compiled);
+
+        // A gemm-shaped 3-D model: the default gemm space, split twice in
+        // places so the cuts are uneven.
+        let space = Region::new(vec![8, 8, 8], vec![1024, 1024, 256]);
+        let mut boxes = Vec::new();
+        for (i, r) in space.split(32, 8).into_iter().enumerate() {
+            if i % 3 == 0 {
+                boxes.extend(r.split(32, 8));
+            } else {
+                boxes.push(r);
+            }
+        }
+        let regions: Vec<RegionModel> = boxes
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let mut rm = fitted_region(r, 3);
+                rm.error = 0.01 * (i + 1) as f64;
+                rm
+            })
+            .collect();
+        let model = PiecewiseModel::new(space, regions, 27);
+        let compiled = CompiledPiecewise::compile(&model).unwrap();
+        assert!(compiled.cuts.iter().all(|c| c.len() > 3));
+        assert_eq!(compiled.offsets.len(), 1017 + 1017 + 249);
+        assert_tables_match_binary_search(&compiled);
+    }
+
+    #[test]
+    fn spans_beyond_the_cap_locate_by_scan() {
+        // One cell, but a coordinate span past CELL_CAP: the locate tables
+        // would be oversized, so the model is not indexed.
+        let wide = Region::new(vec![8], vec![CELL_CAP + 8]);
+        let model = PiecewiseModel::new(wide.clone(), vec![fitted_region(&wide, 6)], 6);
+        let compiled = CompiledPiecewise::compile(&model).unwrap();
+        assert!(!compiled.is_indexed());
+        assert!(compiled.offsets.is_empty());
+        for p in [0, 8, 1000, CELL_CAP, CELL_CAP + 8, CELL_CAP + 100] {
+            assert_matches(&model, &compiled, &[p]);
+        }
+        // The same model one coordinate narrower fits the cap exactly.
+        let fits = Region::new(vec![8], vec![CELL_CAP + 7]);
+        let model = PiecewiseModel::new(fits.clone(), vec![fitted_region(&fits, 6)], 6);
+        let compiled = CompiledPiecewise::compile(&model).unwrap();
+        assert!(compiled.is_indexed());
+        assert_eq!(compiled.offsets.len(), CELL_CAP);
     }
 
     #[test]
