@@ -473,6 +473,30 @@ fn interesting_traces() -> Vec<Vec<Vec<Call>>> {
                 Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 64, 32, 1.0, 1.0),
             ],
         ],
+        // Trace 0 fails late, on a syrk call (a routine the random
+        // repository never models); trace 1 fails early, on a trsm whose
+        // mixed flags no random submodel has.  The batch must return trace
+        // 0's error, as the pointwise walk does, not the error of the
+        // shape that fails first in some other order (by routine, say).
+        vec![
+            vec![
+                gemm(64),
+                gemm(32),
+                Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 64, 1.0, 1.0),
+            ],
+            vec![
+                Call::trsm(
+                    Side::Right,
+                    Uplo::Lower,
+                    Trans::Trans,
+                    Diag::NonUnit,
+                    80,
+                    80,
+                    1.0,
+                ),
+                gemm(64),
+            ],
+        ],
         // An empty batch and an empty trace.
         vec![],
         vec![vec![]],

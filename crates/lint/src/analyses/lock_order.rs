@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn cycles_through_calls_are_detected() {
         let findings = run_on(
-            "fn outer(&self) {\n    let a = self.alpha.lock();\n    helper();\n}\n\
+            "fn outer(&self) {\n    let a = self.alpha.lock();\n    Self::helper(self);\n}\n\
              fn helper(&self) {\n    let b = self.beta.lock();\n}\n\
              fn reversed(&self) {\n    let b = self.beta.lock();\n    let a = self.alpha.lock();\n}\n",
         );

@@ -176,7 +176,7 @@ mod tests {
         let findings = run_on(&[(
             "crates/a/src/lib.rs",
             "// lint: panic-free\npub fn query() { step(); }\n\
-             fn step() { deep(); }\nfn deep(x: Option<u32>) { x.unwrap(); }\n",
+             fn step() { deep(None); }\nfn deep(x: Option<u32>) { x.unwrap(); }\n",
         )]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         let f = &findings[0];
@@ -190,7 +190,7 @@ mod tests {
     fn hot_regions_seed_their_call_sites_only() {
         let findings = run_on(&[(
             "crates/a/src/lib.rs",
-            "pub fn eval() {\n    setup();\n    // lint: hot-path begin\n    kernel();\n    \
+            "pub fn eval() {\n    setup(None);\n    // lint: hot-path begin\n    kernel();\n    \
              // lint: hot-path end\n}\n\
              fn setup(x: Option<u32>) { x.unwrap(); }\n\
              fn kernel() { inner(); }\nfn inner() { panic!(\"boom\"); }\n",
@@ -227,7 +227,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "// lint: panic-free\npub fn query() { audited(); }\n\
              // lint: allow(panic-free): fixed-degree arrays, verified manually\n\
-             fn audited(x: Option<u32>) { helper(); x.unwrap(); }\n\
+             fn audited(x: Option<u32>) { helper(x); x.unwrap(); }\n\
              fn helper(y: Option<u32>) { y.unwrap(); }\n",
         )]);
         assert!(findings.is_empty(), "{findings:?}");

@@ -108,20 +108,25 @@ impl CallGraph {
                 // neither `ptr.add(i)` nor an iterator's `.all(…)` resolves
                 // to a workspace `fn add` / associated `fn all()`); a bare
                 // unqualified `name(…)` call can only be a free function in
-                // scope.
+                // scope.  A call whose argument count is certain can only
+                // reach a function taking that many (a `Type::name(recv, …)`
+                // call passes the receiver as its first argument), so a
+                // slice's `.get(i)` does not resolve to a 3-parameter `get`.
                 let candidates: Vec<FnId> = candidates
                     .iter()
                     .copied()
                     .filter(|&c| {
                         let cd = &files[nodes[c].file].functions[nodes[c].def];
                         let associated = cd.qual.contains("::");
-                        if call.method {
+                        let shape = if call.method {
                             associated && cd.has_self
                         } else if call.qualifier.is_none() {
                             !associated
                         } else {
                             true
-                        }
+                        };
+                        let receiver = usize::from(cd.has_self && !call.method);
+                        shape && call.args.is_none_or(|args| args == cd.params + receiver)
                     })
                     .collect();
                 if candidates.is_empty() {
@@ -341,6 +346,41 @@ mod tests {
         assert_eq!(edges.len(), 1);
         let callee = g.node(edges[0].callee);
         assert_eq!(fs[callee.file].functions[callee.def].qual, "Good::build");
+    }
+
+    #[test]
+    fn argument_counts_rule_out_candidates_of_another_arity() {
+        let fs = files(&[
+            (
+                "crates/a/src/lib.rs",
+                "fn slice_get(xs: &[u32]) { xs.get(0); }\n\
+                 fn repo_get(r: &Repo) { r.get(Kind::A, \"m\", (1, 2)); }\n\
+                 fn ufcs_get(r: &Repo) { Repo::get(r, Kind::A, \"m\", (1, 2)); }\n\
+                 fn closure_get(r: &Repo) { r.get(|a, b| a, b, c); }\n\
+                 fn generic_get(r: &Repo) { r.get(x, y.into::<A, B>()); }\n",
+            ),
+            (
+                "crates/a/src/repo.rs",
+                "impl Repo {\n    pub fn get(&self, kind: Kind, id: &str, \
+                 at: HashMap<(u8, u8), Vec<u32>>) -> Option<&Model> { None }\n}\n",
+            ),
+        ]);
+        let g = CallGraph::build(&fs, |_| true);
+        let get = id_by_name(&g, &fs, "get");
+        assert_eq!(fs[1].functions[0].params, 3);
+        // A one-argument slice `.get(i)` cannot be the 3-parameter `get`.
+        assert!(g.edges(id_by_name(&g, &fs, "slice_get")).is_empty());
+        // A real 3-argument call still resolves, as method or with the
+        // receiver passed first.
+        for caller in ["repo_get", "ufcs_get"] {
+            let edges = g.edges(id_by_name(&g, &fs, caller));
+            assert_eq!(edges.len(), 1, "{caller}");
+            assert_eq!(edges[0].callee, get);
+        }
+        // Closure pipes and `<` leave the count uncertain: kept.
+        for caller in ["closure_get", "generic_get"] {
+            assert_eq!(g.edges(id_by_name(&g, &fs, caller)).len(), 1, "{caller}");
+        }
     }
 
     #[test]

@@ -421,7 +421,7 @@ mod tests {
         let findings = scan_sources(&[spec(
             "crates/a/src/lib.rs",
             "#![forbid(unsafe_code)]\n\
-                 // lint: panic-free\npub fn query() { helper(); }\n\
+                 // lint: panic-free\npub fn query() { helper(None); }\n\
                  pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )]);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
@@ -465,7 +465,7 @@ mod tests {
         let findings = scan_sources(&[spec(
             "crates/a/src/lib.rs",
             "#![forbid(unsafe_code)]\n\
-             // lint: panic-free\npub fn query() { helper(); }\n\
+             // lint: panic-free\npub fn query() { helper(None); }\n\
              pub fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )]);
         let legacy = filter_findings(findings.clone(), Some("legacy"), &[]);

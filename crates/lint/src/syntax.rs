@@ -60,6 +60,10 @@ pub struct CallEvent {
     pub qualifier: Option<String>,
     /// Whether this was a `.name(…)` method call.
     pub method: bool,
+    /// Number of top-level arguments inside the parens, or `None` when the
+    /// count is not certain: a closure's `|` or a `<` (a turbofish, generic
+    /// arguments or a comparison) at the top level of the parens.
+    pub args: Option<usize>,
     /// 1-indexed source line.
     pub line: u32,
     /// Position in the file's code-token sequence.
@@ -140,6 +144,8 @@ pub struct FnDef {
     /// Whether the parameter list starts with a `self` receiver — i.e. the
     /// item can be the target of a `.name(…)` method call.
     pub has_self: bool,
+    /// Number of parameters, not counting a `self` receiver.
+    pub params: usize,
     /// Function-level `// lint: allow(panic-free): …` waiver.
     pub trusted_panic_free: bool,
     /// Function-level `// lint: allow(hot-path): …` waiver.
@@ -606,6 +612,7 @@ impl ItemParser<'_> {
         // leading generics section (its bounds may nest parens, e.g.
         // `Fn(u32)`), then look for `self` before the first top-level comma.
         let mut has_self = false;
+        let mut params = 0;
         {
             let mut j = start + 2;
             if matches!(self.tok(j).map(|t| &t.kind), Some(TokenKind::Punct('<'))) {
@@ -625,6 +632,7 @@ impl ItemParser<'_> {
                     j += 1;
                 }
             }
+            let open = j;
             let mut d = 0i32;
             while j < k {
                 match self.tok(j) {
@@ -644,6 +652,12 @@ impl ItemParser<'_> {
                 }
                 j += 1;
             }
+            if self.is_punct(open, '(') {
+                params = self
+                    .top_level_items(open, true)
+                    .unwrap_or(0)
+                    .saturating_sub(usize::from(has_self));
+            }
         }
 
         let (trusted_panic_free, trusted_alloc, entry_marked) = self.fn_markers(sig_line);
@@ -660,6 +674,7 @@ impl ItemParser<'_> {
             body,
             in_test: gated_test,
             has_self,
+            params,
             trusted_panic_free,
             trusted_alloc,
             entry_panic_free: entry_marked,
@@ -775,6 +790,7 @@ impl ItemParser<'_> {
                             name: word,
                             qualifier,
                             method,
+                            args: self.top_level_items(ci + 1, false),
                             line,
                             cidx: ci,
                         }));
@@ -785,6 +801,50 @@ impl ItemParser<'_> {
             ci += 1;
         }
         events
+    }
+
+    /// The number of comma-separated items at the top level of the
+    /// parenthesised list opening at `open`, a trailing comma ignored.
+    ///
+    /// In a call's argument list (`signature` false) a top-level `|` or `<`
+    /// makes the count uncertain (`None`): a closure's parameters, or a
+    /// turbofish, generic arguments or a comparison.  In a signature's
+    /// parameter list (`signature` true) `<`/`>` nest generic arguments
+    /// instead (the `>` of `->` aside).
+    fn top_level_items(&self, open: usize, signature: bool) -> Option<usize> {
+        let mut depth = 0i32;
+        let mut angle = 0i32;
+        let mut items = 0;
+        let mut pending = false;
+        let mut k = open;
+        while let Some(t) = self.tok(k) {
+            match t.kind {
+                TokenKind::Punct('(' | '[' | '{') => depth += 1,
+                TokenKind::Punct(')' | ']' | '}') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(items + usize::from(pending));
+                    }
+                }
+                TokenKind::Punct('<') if depth == 1 && signature => angle += 1,
+                TokenKind::Punct('>') if depth == 1 && signature && !self.is_punct(k - 1, '-') => {
+                    angle -= 1
+                }
+                TokenKind::Punct('|' | '<') if depth == 1 && !signature => return None,
+                TokenKind::Punct(',') if depth == 1 && angle == 0 => {
+                    items += usize::from(pending);
+                    pending = false;
+                    k += 1;
+                    continue;
+                }
+                _ => {}
+            }
+            if depth == 1 && k > open {
+                pending = true;
+            }
+            k += 1;
+        }
+        None
     }
 
     /// Whether the `[` at `ci` is an indexing/slicing expression: it follows

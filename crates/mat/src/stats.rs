@@ -53,11 +53,13 @@ impl Quantity {
 
     /// Index of this quantity in [`Quantity::ALL`].
     pub fn index(&self) -> usize {
-        Quantity::ALL
-            .iter()
-            .position(|q| q == self)
-            // lint: allow(unwrap): Quantity::ALL lists every variant by definition
-            .expect("quantity listed in ALL")
+        match self {
+            Quantity::Min => 0,
+            Quantity::Mean => 1,
+            Quantity::Median => 2,
+            Quantity::Max => 3,
+            Quantity::StdDev => 4,
+        }
     }
 }
 
@@ -318,15 +320,17 @@ impl Summary {
         }
     }
 
-    /// Builds a summary from explicit per-quantity values (count is synthetic).
-    // lint: allow(panic-free): Quantity::index() is bounded by the five-quantity array
+    /// Builds a summary from explicit per-quantity values in
+    /// [`Quantity::ALL`] order (count is synthetic).
+    #[inline]
     pub fn from_quantities(values: &[f64; 5]) -> Summary {
+        let [min, mean, median, max, std_dev] = *values;
         Summary {
-            min: values[Quantity::Min.index()],
-            mean: values[Quantity::Mean.index()],
-            median: values[Quantity::Median.index()],
-            max: values[Quantity::Max.index()],
-            std_dev: values[Quantity::StdDev.index()],
+            min,
+            mean,
+            median,
+            max,
+            std_dev,
             count: 0,
         }
     }
@@ -525,6 +529,15 @@ mod tests {
         let back = Summary::from_quantities(&vals);
         assert_eq!(back.mean, 3.0);
         assert_eq!(back.std_dev, 0.0);
+        // Distinct values pin the order: `from_quantities` and `index`
+        // both follow `Quantity::ALL`.
+        let distinct = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let back = Summary::from_quantities(&distinct);
+        assert_eq!(back.to_quantities(), distinct);
+        for (i, q) in Quantity::ALL.into_iter().enumerate() {
+            assert_eq!(q.index(), i);
+            assert_eq!(back.get(q), distinct[i]);
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ use dla_machine::Locality;
 use dla_mat::stats::Summary;
 
 use crate::piecewise::error_order;
-use crate::routine_model::{submodel_key, FlagKey};
+use crate::routine_model::{decode_call, FlagKey};
 use crate::{
     ModelError, ModelKey, ModelRepository, PiecewiseModel, Region, Result, RoutineModel,
     VectorPolynomial,
@@ -1000,8 +1000,7 @@ impl CompiledRoutineModel {
     /// submodel (flag key) and region (index in source region order) answered
     /// — the per-call hook behind the serving layer's refinement telemetry.
     pub fn estimate_traced(&self, call: &Call) -> Result<(Summary, FlagKey, u32)> {
-        let key = submodel_key(call);
-        let (sizes, len) = call.sizes_fixed();
+        let (_, key, sizes, len) = decode_call(call);
         let sizes = sizes.get(..len).unwrap_or_default();
         let (summary, region) = self.estimate_parts(call, key, sizes)?;
         Ok((summary, key, region))
@@ -1009,10 +1008,12 @@ impl CompiledRoutineModel {
 
     /// The evaluation step of
     /// [`estimate_traced`](CompiledRoutineModel::estimate_traced), from the
-    /// submodel key and sizes already extracted from `call`: callers that
-    /// key calls by shape decode each call once.  `call` itself is read
-    /// only for its routine and for the flag spelling of a missing-submodel
-    /// error.  Returns the estimate and the answering region.
+    /// submodel key and sizes that [`decode_call`] read from `call`: the
+    /// batched trace path decodes every call once to intern it, and
+    /// evaluates only the first call of each distinct shape, here.  `call`
+    /// itself is read only for its routine and for the flag spelling of a
+    /// missing-submodel error.  Returns the estimate and the answering
+    /// region.
     pub fn estimate_parts(
         &self,
         call: &Call,
@@ -1143,16 +1144,11 @@ impl CompiledRepository {
         machine_id: &str,
         locality: Locality,
     ) -> Option<&CompiledRoutineModel> {
-        // Qualified calls: dla-lint resolves a `.name()` method call to every
-        // workspace `name` method, some of which allocate, and a slice
-        // `.get(…)` on the query path resolves to this function.
-        let routine_name = Routine::name(&routine);
-        let locality_name = Locality::name(&locality);
         self.entries
             .iter()
             .find(|(key, _)| {
-                key.routine == routine_name
-                    && key.locality == locality_name
+                key.routine == routine.name()
+                    && key.locality == locality.name()
                     && key.machine_id == machine_id
             })
             .map(|(_, model)| model)

@@ -18,18 +18,6 @@ use dla_mat::stats::Summary;
 
 use crate::{ModelError, PiecewiseModel, Region, Result};
 
-/// The number of flags kept in a submodel key for `routine` (the routine's
-/// flag count, with the `diag` flag folded away where applicable).
-fn submodel_flag_count(routine: Routine) -> usize {
-    match routine {
-        // side, uplo, transA, diag -> drop diag
-        Routine::Trsm | Routine::Trmm => 3,
-        // uplo, diag -> drop diag
-        Routine::TrtriUnb => 1,
-        other => other.flag_count(),
-    }
-}
-
 /// The submodel key of a flag combination: its flag indices in routine
 /// order, stored inline.
 ///
@@ -110,17 +98,79 @@ impl fmt::Debug for FlagKey {
 /// is minor; folding it halves the number of submodels for the triangular
 /// routines.
 pub fn submodel_key(call: &Call) -> FlagKey {
-    let (mut flags, len) = call.flag_indices_fixed();
-    let kept = len.min(submodel_flag_count(call.routine()));
-    // Zero the dropped flags: derived equality/hashing covers the whole
-    // array, so a folded `diag` flag must not distinguish two keys.
-    for f in flags.iter_mut().skip(kept) {
-        *f = 0;
-    }
-    FlagKey {
-        len: kept as u8,
-        flags,
-    }
+    decode_call(call).1
+}
+
+/// A call decoded for evaluation in one `match`: its routine, its submodel
+/// key ([`submodel_key`]: the flag indices in routine order, with `diag`
+/// folded away for trsm, trmm and trtri_unb) and its sizes as
+/// [`Call::sizes_fixed`] writes them, with their count.
+pub fn decode_call(call: &Call) -> (Routine, FlagKey, [usize; Call::MAX_SIZES], usize) {
+    let (routine, flags, kept, sizes, len) = match *call {
+        Call::Gemm {
+            transa,
+            transb,
+            m,
+            n,
+            k,
+            ..
+        } => (
+            Routine::Gemm,
+            [transa.as_index(), transb.as_index(), 0],
+            2,
+            [m, n, k],
+            3,
+        ),
+        Call::Trsm {
+            side,
+            uplo,
+            transa,
+            m,
+            n,
+            ..
+        } => (
+            Routine::Trsm,
+            [side.as_index(), uplo.as_index(), transa.as_index()],
+            3,
+            [m, n, 0],
+            2,
+        ),
+        Call::Trmm {
+            side,
+            uplo,
+            transa,
+            m,
+            n,
+            ..
+        } => (
+            Routine::Trmm,
+            [side.as_index(), uplo.as_index(), transa.as_index()],
+            3,
+            [m, n, 0],
+            2,
+        ),
+        Call::Syrk {
+            uplo, trans, n, k, ..
+        } => (
+            Routine::Syrk,
+            [uplo.as_index(), trans.as_index(), 0],
+            2,
+            [n, k, 0],
+            2,
+        ),
+        Call::TrtriUnb { uplo, n, .. } => {
+            (Routine::TrtriUnb, [uplo.as_index(), 0, 0], 1, [n, 0, 0], 1)
+        }
+        Call::SylvUnb { m, n, .. } => (Routine::SylvUnb, [0, 0, 0], 0, [m, n, 0], 2),
+    };
+    // Flags are 0/1 indices; the slots past `kept` stay zero, so derived
+    // equality and hashing cover the whole array.
+    let [a, b, c] = flags;
+    let key = FlagKey {
+        len: kept,
+        flags: [a as u8, b as u8, c as u8, 0],
+    };
+    (routine, key, sizes, len)
 }
 
 /// A performance model of one routine on one machine configuration and
@@ -373,6 +423,58 @@ mod tests {
                 // differ (`[]` vs `[0]` included).
                 assert_eq!(key(a).to_bits() == key(b).to_bits(), a == b);
             }
+        }
+    }
+
+    /// Every call variant under every flag combination, with zero and
+    /// non-zero sizes.
+    fn every_call() -> Vec<Call> {
+        let mut calls = Vec::new();
+        for (m, n, k) in [(7, 5, 3), (0, 5, 3), (7, 0, 3), (7, 5, 0), (0, 0, 0)] {
+            for ta in Trans::VALUES {
+                for tb in Trans::VALUES {
+                    calls.push(Call::gemm(ta, tb, m, n, k, 1.0, 0.0));
+                }
+                for uplo in Uplo::VALUES {
+                    calls.push(Call::syrk(uplo, ta, n, k, 1.0, 0.0));
+                    for side in Side::VALUES {
+                        for diag in Diag::VALUES {
+                            calls.push(Call::trsm(side, uplo, ta, diag, m, n, 1.0));
+                            calls.push(Call::trmm(side, uplo, ta, diag, m, n, 1.0));
+                        }
+                    }
+                }
+            }
+            for uplo in Uplo::VALUES {
+                for diag in Diag::VALUES {
+                    calls.push(Call::trtri_unb(uplo, diag, m));
+                }
+            }
+            calls.push(Call::sylv_unb(m, n));
+        }
+        calls
+    }
+
+    #[test]
+    fn decode_call_agrees_with_the_separate_accessors() {
+        let calls = every_call();
+        assert_eq!(calls.len(), 5 * (4 + 4 + 32 + 4 + 1));
+        for call in &calls {
+            let (routine, key, sizes, len) = decode_call(call);
+            assert_eq!(routine, call.routine(), "{call}");
+            assert_eq!((sizes, len), call.sizes_fixed(), "{call}");
+            assert_eq!(len, routine.size_count(), "{call}");
+            // The key rule, spelled independently: trsm and trmm keep their
+            // first 3 flags, trtri_unb its first, every other routine all.
+            let (flags, count) = call.flag_indices_fixed();
+            let kept = match routine {
+                Routine::Trsm | Routine::Trmm => 3,
+                Routine::TrtriUnb => 1,
+                _ => count,
+            };
+            let expected: Vec<usize> = flags[..kept].iter().map(|&f| usize::from(f)).collect();
+            assert_eq!(Some(key), FlagKey::from_slice(&expected), "{call}");
+            assert_eq!(submodel_key(call), key, "{call}");
         }
     }
 

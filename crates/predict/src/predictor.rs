@@ -3,11 +3,12 @@
 //! A trace is predicted as the paper does it (Section IV): evaluate the
 //! model of every call and accumulate the estimates.  Blocked algorithms
 //! issue the same calls again and again, so the batched path behind
-//! [`TraceEvaluator::predict_traces`] keys each call of a batch by its
-//! shape (routine, submodel key, raw sizes), evaluates every distinct shape
-//! once on the compiled engine, and accumulates each trace in call order
-//! from those answers; the results are bit-identical to the pointwise walk
-//! of [`TraceEvaluator::predict_trace`].
+//! [`TraceEvaluator::predict_traces`] runs in three passes: it interns
+//! every call of a batch as a shape id (routine, submodel key, raw sizes,
+//! decoded in one `match`), evaluates the distinct shapes back to back on
+//! the compiled engine, and accumulates each trace in call order from those
+//! answers.  The results are bit-identical to the pointwise walk of
+//! [`TraceEvaluator::predict_trace`].
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use dla_blas::{Call, Routine};
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
 use dla_model::{
-    submodel_key, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError, ModelRepository,
+    decode_call, CompiledRepository, CompiledRoutineModel, FlagKey, ModelError, ModelRepository,
     Result, RoutineTable,
 };
 
@@ -235,13 +236,21 @@ impl Predictor {
     /// [`ModelService`](crate::ModelService): predicts each distinct call
     /// shape of the batch once and accumulates every trace in call order.
     ///
-    /// A call's [`Shape`] is its routine, submodel key and raw sizes.  The
-    /// first call of a shape is evaluated on the compiled engine (decoded
-    /// once, through [`CompiledRoutineModel::estimate_parts`]); later calls
-    /// of the shape, anywhere in the batch, reuse its estimate and flop
-    /// count.  Degenerate calls (a zero size) are skipped before any model
-    /// lookup, and the first failing call in trace order returns the error
-    /// the pointwise walk would — so the results are bit-identical to
+    /// It runs in three passes over the batch:
+    ///
+    /// 1. **Intern.**  Every call is decoded once, by [`decode_call`], into
+    ///    its [`Shape`] (routine, submodel key, raw sizes).  A degenerate
+    ///    call (a zero size) gets the `DEGENERATE` id; any other call the id
+    ///    of its shape in the batch's list of distinct shapes, which the
+    ///    per-batch [`ShapeTable`] finds.
+    /// 2. **Evaluate.**  The distinct shapes are evaluated back to back, in
+    ///    first-occurrence order, each from its first call, through
+    ///    [`CompiledRoutineModel::estimate_parts`].  First-occurrence order
+    ///    is batch order, so the first failing shape is the first failing
+    ///    call, and the batch returns the error the pointwise walk would.
+    /// 3. **Accumulate.**  Each trace sums its calls' answers in call order.
+    ///
+    /// The results are bit-identical to
     /// [`TraceEvaluator::predict_trace`] over each trace.
     ///
     /// When `answered` is given and the whole batch succeeds, it is called
@@ -249,50 +258,85 @@ impl Predictor {
     /// answered and the number of predicted calls of that shape: the counts
     /// a call-by-call walk over
     /// [`predict_call_traced`](Predictor::predict_call_traced) would see.
+    ///
+    /// # Panics
+    ///
+    /// If the batch holds `u32::MAX` calls or more (shape ids are `u32`).
     pub(crate) fn predict_traces_batched(
         &self,
         traces: &[&[Call]],
         answered: Option<&mut dyn FnMut(Routine, FlagKey, u32, u64)>,
     ) -> Result<Vec<TracePrediction>> {
         let calls = traces.iter().map(|trace| trace.len()).sum();
+        assert!(
+            calls < DEGENERATE as usize,
+            "a batch of {calls} calls overflows its u32 shape ids"
+        );
+
+        // Pass 1: intern.  `shapes[i]` was first seen at `firsts[i]`.
         let mut table = ShapeTable::for_calls(calls);
-        let mut answers: Vec<Answer> = Vec::new();
-        let mut out = Vec::with_capacity(traces.len());
+        let mut shapes: Vec<Shape> = Vec::new();
+        let mut firsts: Vec<&Call> = Vec::new();
+        let mut ids: Vec<u32> = Vec::with_capacity(calls);
         for trace in traces {
+            for call in *trace {
+                let (routine, key, sizes, len) = decode_call(call);
+                // Sizes past `len` are zero: only the first `len` count.
+                let [s0, s1, s2] = sizes;
+                if s0 == 0 || (s1 == 0 && len > 1) || (s2 == 0 && len > 2) {
+                    ids.push(DEGENERATE);
+                    continue;
+                }
+                let shape = Shape {
+                    routine,
+                    key,
+                    sizes,
+                };
+                let id = match table.probe(&shape, &shapes) {
+                    Ok(id) => id,
+                    Err(slot) => {
+                        table.remember(slot, shapes.len());
+                        shapes.push(shape);
+                        firsts.push(call);
+                        shapes.len() - 1
+                    }
+                };
+                // Below `DEGENERATE`: the batch holds fewer calls.
+                ids.push(id as u32);
+            }
+        }
+
+        // Pass 2: evaluate each distinct shape once, in batch order.
+        let mut answers = Vec::with_capacity(shapes.len());
+        for (shape, call) in shapes.iter().zip(&firsts) {
+            let sizes = &shape.sizes[..shape.routine.size_count()];
+            let (summary, region) = self
+                .model(shape.routine)?
+                .estimate_parts(call, shape.key, sizes)?;
+            answers.push(Answer {
+                summary,
+                flops: call.flops(),
+                region,
+                uses: 0,
+            });
+        }
+
+        // Pass 3: accumulate every trace in call order.
+        let mut out = Vec::with_capacity(traces.len());
+        let mut rest = ids.as_slice();
+        for trace in traces {
+            let (trace_ids, tail) = rest.split_at(trace.len());
+            rest = tail;
             let mut ticks = Summary::zero();
             let mut flops = 0.0;
             let mut predicted = 0;
             let mut skipped = 0;
-            for call in *trace {
-                let (sizes, len) = call.sizes_fixed();
-                let sizes_used = &sizes[..len];
-                if sizes_used.contains(&0) {
+            for &id in trace_ids {
+                if id == DEGENERATE {
                     skipped += 1;
                     continue;
                 }
-                let shape = Shape {
-                    routine: call.routine(),
-                    key: submodel_key(call),
-                    sizes,
-                };
-                let index = match table.probe(&shape, &answers) {
-                    Ok(index) => index,
-                    Err(slot) => {
-                        let (summary, region) = self
-                            .model(shape.routine)?
-                            .estimate_parts(call, shape.key, sizes_used)?;
-                        table.remember(slot, answers.len());
-                        answers.push(Answer {
-                            shape,
-                            summary,
-                            flops: call.flops(),
-                            region,
-                            uses: 0,
-                        });
-                        answers.len() - 1
-                    }
-                };
-                let answer = &mut answers[index];
+                let answer = &mut answers[id as usize];
                 answer.uses += 1;
                 ticks.accumulate(&answer.summary);
                 flops += answer.flops;
@@ -306,8 +350,7 @@ impl Predictor {
             });
         }
         if let Some(answered) = answered {
-            for answer in &answers {
-                let shape = &answer.shape;
+            for (shape, answer) in shapes.iter().zip(&answers) {
                 answered(shape.routine, shape.key, answer.region, answer.uses);
             }
         }
@@ -353,9 +396,11 @@ impl Shape {
     }
 }
 
+/// The shape id of a degenerate call, which no shape has.
+const DEGENERATE: u32 = u32::MAX;
+
 /// One shape's answer in a batch.
 struct Answer {
-    shape: Shape,
     summary: Summary,
     flops: f64,
     region: u32,
@@ -364,13 +409,14 @@ struct Answer {
 }
 
 /// Most slots a batch's shape table holds.  The table remembers at most half
-/// as many shapes; a batch with more distinct shapes still evaluates the
-/// rest, once per call.  The bound also caps what a batch of shapes crafted
-/// to collide can cost: probes stay within one 64 KiB table.
+/// as many shapes; past them, each call of a shape the table does not hold
+/// gets an id of its own and is evaluated once.  The bound also caps what a
+/// batch of shapes crafted to collide can cost: probes stay within one
+/// 64 KiB table.
 const MAX_SLOTS: usize = 1 << 14;
 
 /// A batch's open-addressed shape table (linear probing, load at most one
-/// half): a slot holds one plus the index of a remembered answer, or 0 when
+/// half): a slot holds one plus the id of a remembered shape, or 0 when
 /// free.
 struct ShapeTable {
     slots: Vec<u32>,
@@ -389,24 +435,26 @@ impl ShapeTable {
         }
     }
 
-    /// The index of `shape`'s answer, or the free slot that ends its probe.
-    fn probe(&self, shape: &Shape, answers: &[Answer]) -> std::result::Result<usize, usize> {
+    /// The index of `shape` in `shapes`, or the free slot that ends its
+    /// probe.
+    fn probe(&self, shape: &Shape, shapes: &[Shape]) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = (shape.hash() >> self.shift) as usize;
         loop {
             match self.slots[slot] as usize {
                 0 => return Err(slot),
-                held if answers[held - 1].shape == *shape => return Ok(held - 1),
+                held if shapes[held - 1] == *shape => return Ok(held - 1),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Remembers `answer` in the free `slot` that [`probe`](ShapeTable::probe)
-    /// returned, unless the table already holds its share of shapes.
-    fn remember(&mut self, slot: usize, answer: usize) {
-        if answer < self.slots.len() / 2 {
-            self.slots[slot] = answer as u32 + 1;
+    /// Remembers shape `id` in the free `slot` that
+    /// [`probe`](ShapeTable::probe) returned, unless the table already holds
+    /// its share of shapes.
+    fn remember(&mut self, slot: usize, id: usize) {
+        if id < self.slots.len() / 2 {
+            self.slots[slot] = id as u32 + 1;
         }
     }
 }

@@ -534,7 +534,7 @@ mod tests {
     use super::*;
     use crate::modelset::{build_repository, ModelSetConfig, Workload};
     use dla_blas::flops::is_empty_call;
-    use dla_blas::Trans;
+    use dla_blas::{Trans, Uplo};
     use dla_machine::presets::harpertown_openblas;
     use dla_model::{submodel_key, ModelError};
 
@@ -863,6 +863,23 @@ mod tests {
             service.predict_traces(&traces).unwrap(),
             predictor.predict_traces(&traces).unwrap()
         );
+    }
+
+    #[test]
+    fn a_failing_batch_counts_no_telemetry() {
+        let service = quick_service();
+        // The trinv repository models no syrk: the batch's last call fails
+        // after three shapes have been evaluated.
+        let syrk = Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 64, 1.0, 1.0);
+        let traces: Vec<Vec<Call>> = vec![vec![gemm(96), gemm(32), gemm(96)], vec![gemm(64), syrk]];
+        let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
+        assert!(service.predict_traces(&slices).is_err());
+        let report = service.refinement_report();
+        assert_eq!(report.total_queries, 0);
+        assert!(report.cells.is_empty(), "{:?}", report.cells);
+        // Without the failing trace, every predicted call counts.
+        service.predict_traces(&slices[..1]).unwrap();
+        assert_eq!(service.refinement_report().total_queries, 3);
     }
 
     #[test]
