@@ -94,17 +94,6 @@ impl Routine {
             Routine::SylvUnb => 2,
         }
     }
-
-    /// Names of the integer size arguments, in order.
-    pub fn size_names(&self) -> &'static [&'static str] {
-        match self {
-            Routine::Gemm => &["m", "n", "k"],
-            Routine::Trsm | Routine::Trmm => &["m", "n"],
-            Routine::Syrk => &["n", "k"],
-            Routine::TrtriUnb => &["n"],
-            Routine::SylvUnb => &["m", "n"],
-        }
-    }
 }
 
 impl fmt::Display for Routine {
@@ -840,7 +829,6 @@ mod tests {
     fn routine_names_roundtrip() {
         for r in Routine::ALL {
             assert_eq!(Routine::from_name(r.name()), Some(r));
-            assert_eq!(r.size_names().len(), r.size_count());
         }
         assert_eq!(Routine::from_name("dfoo"), None);
     }

@@ -114,6 +114,7 @@ mod tests {
         let s1 = sylv_flops(100, 100);
         let s2 = sylv_flops(200, 200);
         assert!((s2 / s1 - 8.0).abs() < 0.01);
+        assert_eq!(sylv_flops(10, 20), 6000.0);
     }
 
     #[test]

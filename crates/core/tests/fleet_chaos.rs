@@ -24,7 +24,7 @@ use dla_core::machine::ChaosConfig;
 use dla_core::predict::modelset::{build_repository, ModelSetConfig, Workload};
 use dla_core::predict::{
     BreakerConfig, BreakerState, ChaosShard, FleetBuilder, FleetConfig, FleetQuery, FleetResponse,
-    FleetService, Priority, RetryPolicy, Served, ServiceClient, ShardClient,
+    FleetService, Priority, Served, ServiceClient, ShardClient,
 };
 use dla_core::{Call, Locality, MachineConfig, ModelRepository, ModelService};
 use proptest::prelude::*;
@@ -505,7 +505,6 @@ proptest! {
                 down_threshold: u32::MAX,
                 cooldown: 1,
             },
-            retry: RetryPolicy::default(),
             ..FleetConfig::default()
         };
 

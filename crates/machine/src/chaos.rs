@@ -3,8 +3,8 @@
 //! The follow-up cache study to the source paper (arXiv:1402.5897) shows that
 //! real kernel timings are noisy and state-dependent; production measurement
 //! sweeps additionally suffer transient harness failures, scheduler-induced
-//! latency spikes, corrupt counter reads and long "stuck-slow" phases while a
-//! competing job shares the machine.  [`ChaosExecutor`] wraps any
+//! latency spikes, corrupt counter reads, runs that never come back and
+//! outages of the whole harness.  [`ChaosExecutor`] wraps any
 //! [`Executor`] and injects exactly these fault classes on a deterministic,
 //! seed-forked schedule, so every downstream defense (retrying sampler,
 //! robust aggregation, refinement quarantine, publication validation) is
@@ -22,9 +22,6 @@ use crate::{ExecError, Executor, Locality, MachineConfig, Measurement};
 /// All probabilities are per executed measurement and drawn from the chaos
 /// executor's own seeded stream — independent of the wrapped executor's noise
 /// stream, so enabling injection never perturbs the underlying measurements.
-/// Stuck-slow phases are a pure function of the execution index (no
-/// randomness): executions `i` with `i % stuck_period < stuck_len` are slowed
-/// by `stuck_factor`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Seed of the chaos decision stream ([`Executor::fork`] derives child
@@ -57,12 +54,6 @@ pub struct ChaosConfig {
     pub outage_probability: f64,
     /// Length, in measurements, of each outage window (0 behaves as 1).
     pub outage_draws: u64,
-    /// Period (in executions) of the stuck-slow phase pattern; 0 disables it.
-    pub stuck_period: u64,
-    /// Leading executions of each period that run stuck-slow.
-    pub stuck_len: u64,
-    /// Multiplier applied to measurements inside a stuck-slow phase.
-    pub stuck_factor: f64,
 }
 
 impl Default for ChaosConfig {
@@ -76,9 +67,6 @@ impl Default for ChaosConfig {
             timeout_probability: 0.0,
             outage_probability: 0.0,
             outage_draws: 4,
-            stuck_period: 0,
-            stuck_len: 0,
-            stuck_factor: 4.0,
         }
     }
 }
@@ -143,14 +131,11 @@ pub struct FaultCounts {
     /// Measurements lost inside outage windows (the window-opening
     /// measurement included).
     pub outage_lost: u64,
-    /// Measurements slowed by a stuck-slow phase.
-    pub stuck: u64,
 }
 
 impl FaultCounts {
-    /// Total randomized faults injected (stuck-slow phases excluded — they
-    /// perturb measurements but do not destroy them).  Outages count one per
-    /// lost measurement, not one per window.
+    /// Total faults injected.  Outages count one per lost measurement, not
+    /// one per window.
     pub fn total(&self) -> u64 {
         self.transient + self.spikes + self.non_finite + self.timeouts + self.outage_lost
     }
@@ -251,12 +236,7 @@ impl<E: Executor> ChaosExecutor<E> {
     /// `execute` and `execute_ticks` sequences replay identically.
     fn transform(&mut self, ticks: f64) -> (f64, Fault) {
         self.executions += 1;
-        let mut t = ticks;
         let c = self.config;
-        if c.stuck_period > 0 && (self.executions - 1) % c.stuck_period < c.stuck_len {
-            t *= c.stuck_factor;
-            self.counts.stuck += 1;
-        }
         // An open outage window swallows the measurement before any draw is
         // consumed: a down harness does not advance the fault schedule.
         if self.outage_left > 0 {
@@ -270,7 +250,7 @@ impl<E: Executor> ChaosExecutor<E> {
         let p_timeout = c.timeout_probability.max(0.0);
         let p_outage = c.outage_probability.max(0.0);
         if p_transient + p_spike + p_non_finite + p_timeout + p_outage <= 0.0 {
-            return (t, Fault::None);
+            return (ticks, Fault::None);
         }
         let u: f64 = self.rng.gen_range(0.0..1.0);
         if u < p_transient {
@@ -278,7 +258,7 @@ impl<E: Executor> ChaosExecutor<E> {
             (f64::NAN, Fault::Transient)
         } else if u < p_transient + p_spike {
             self.counts.spikes += 1;
-            (t * c.spike_factor, Fault::Spike)
+            (ticks * c.spike_factor, Fault::Spike)
         } else if u < p_transient + p_spike + p_non_finite {
             self.counts.non_finite += 1;
             // Alternate the two non-finite corruptions so both are exercised.
@@ -300,7 +280,7 @@ impl<E: Executor> ChaosExecutor<E> {
             self.outage_left = window - 1;
             (f64::NAN, Fault::Outage)
         } else {
-            (t, Fault::None)
+            (ticks, Fault::None)
         }
     }
 }
@@ -314,7 +294,6 @@ impl<E: Executor> Executor for ChaosExecutor<E> {
         let mut m = self.inner.execute(call, locality);
         let (ticks, _) = self.transform(m.ticks);
         m.ticks = ticks;
-        m.counters.ticks = ticks;
         m
     }
 
@@ -327,7 +306,6 @@ impl<E: Executor> Executor for ChaosExecutor<E> {
             });
         }
         m.ticks = ticks;
-        m.counters.ticks = ticks;
         Ok(m)
     }
 
@@ -512,30 +490,6 @@ mod tests {
         }
         // The infallible surface reports the same fault as NaN ticks.
         assert!(ex.execute(&call(), Locality::InCache).ticks.is_nan());
-    }
-
-    #[test]
-    fn stuck_phases_follow_the_execution_index() {
-        let config = ChaosConfig {
-            stuck_period: 10,
-            stuck_len: 3,
-            stuck_factor: 4.0,
-            ..ChaosConfig::default()
-        };
-        let mut stuck = ChaosExecutor::new(SimExecutor::noiseless(machine()), config);
-        let mut clean = SimExecutor::noiseless(machine());
-        let mut got = Vec::new();
-        let mut base = Vec::new();
-        stuck.execute_ticks(&call(), Locality::InCache, 20, &mut got);
-        clean.execute_ticks(&call(), Locality::InCache, 20, &mut base);
-        for (i, (g, b)) in got.iter().zip(&base).enumerate() {
-            if i % 10 < 3 {
-                assert!((g / b - 4.0).abs() < 1e-9, "execution {i} should be stuck");
-            } else {
-                assert_eq!(g, b, "execution {i} should be clean");
-            }
-        }
-        assert_eq!(stuck.fault_counts().stuck, 6);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Machine configurations and measurement records.
 
-use crate::counters::CounterSet;
 use crate::{BlasProfile, CpuSpec};
 
 /// Memory-locality scenario of a measurement (paper Section II-B).
@@ -97,8 +96,6 @@ pub struct Measurement {
     pub ticks: f64,
     /// Floating-point operations performed by the call.
     pub flops: f64,
-    /// Virtual hardware counters associated with the execution.
-    pub counters: CounterSet,
 }
 
 impl Measurement {

@@ -27,7 +27,6 @@
 
 use dla_blas::{flops::is_empty_call, Call};
 
-use crate::counters::CounterSet;
 use crate::{Locality, MachineConfig};
 
 /// Deterministic kernel efficiency (fraction of peak) for a call.
@@ -104,40 +103,14 @@ fn out_of_cache_factor(machine: &MachineConfig, bytes: usize) -> f64 {
     1.0 + profile.out_of_cache_small_penalty * smallness + profile.out_of_cache_stream_penalty
 }
 
-/// Detailed breakdown of a cost estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostBreakdown {
-    /// Total estimated ticks.
-    pub ticks: f64,
-    /// Ticks attributable to computation.
-    pub compute_ticks: f64,
-    /// Ticks attributable to data movement.
-    pub memory_ticks: f64,
-    /// Fixed per-call overhead (including thread spawning).
-    pub overhead_ticks: f64,
-    /// Kernel efficiency used for the compute term.
-    pub efficiency: f64,
-    /// Bytes assumed to move through the serving memory level.
-    pub bytes_moved: f64,
-}
-
-/// Estimates the execution time of `call` in ticks, with a breakdown.
-pub fn estimate_cost(machine: &MachineConfig, call: &Call, locality: Locality) -> CostBreakdown {
+/// Estimates the execution time of `call` in ticks.
+pub fn estimate_ticks(machine: &MachineConfig, call: &Call, locality: Locality) -> f64 {
     let profile = &machine.blas;
-    let threads = machine.effective_threads();
-
     if is_empty_call(call) {
-        let overhead = profile.call_overhead_cycles;
-        return CostBreakdown {
-            ticks: overhead,
-            compute_ticks: 0.0,
-            memory_ticks: 0.0,
-            overhead_ticks: overhead,
-            efficiency: 0.0,
-            bytes_moved: 0.0,
-        };
+        return profile.call_overhead_cycles;
     }
 
+    let threads = machine.effective_threads();
     let flops = call.flops();
     let eff = kernel_efficiency(machine, call);
     let params = profile.routine_params(call.routine());
@@ -179,67 +152,7 @@ pub fn estimate_cost(machine: &MachineConfig, call: &Call, locality: Locality) -
     if matches!(locality, Locality::OutOfCache) {
         ticks *= out_of_cache_factor(machine, bytes);
     }
-
-    CostBreakdown {
-        ticks,
-        compute_ticks: compute,
-        memory_ticks: memory,
-        overhead_ticks: overhead,
-        efficiency: eff,
-        bytes_moved: bytes as f64,
-    }
-}
-
-/// Estimates the execution time of `call` in ticks.
-pub fn estimate_ticks(machine: &MachineConfig, call: &Call, locality: Locality) -> f64 {
-    estimate_cost(machine, call, locality).ticks
-}
-
-/// Derives the virtual counter set for a deterministic cost estimate.
-pub fn estimate_counters(machine: &MachineConfig, call: &Call, locality: Locality) -> CounterSet {
-    counters_from_cost(
-        machine,
-        call,
-        locality,
-        &estimate_cost(machine, call, locality),
-    )
-}
-
-/// Derives the virtual counter set from an **already computed** cost
-/// breakdown, so callers that need both (the simulated executor, on every
-/// single measurement) run the cost model once instead of twice.
-pub fn counters_from_cost(
-    machine: &MachineConfig,
-    call: &Call,
-    locality: Locality,
-    breakdown: &CostBreakdown,
-) -> CounterSet {
-    let line = 64.0;
-    let bytes = breakdown.bytes_moved;
-    let l1 = machine
-        .cpu
-        .caches
-        .first()
-        .map(|c| c.size_bytes)
-        .unwrap_or(32 * 1024);
-    let llc = machine
-        .cpu
-        .last_level_cache()
-        .map(|c| c.size_bytes)
-        .unwrap_or(l1);
-    let fits_l1 = (bytes as usize) <= l1;
-    let fits_llc = (bytes as usize) <= llc;
-    let out = matches!(locality, Locality::OutOfCache);
-    let l1_misses = if fits_l1 && !out { 0.0 } else { bytes / line };
-    let llc_misses = if fits_llc && !out { 0.0 } else { bytes / line };
-    let dram_bytes = if out || !fits_llc { bytes } else { 0.0 };
-    CounterSet {
-        ticks: breakdown.ticks,
-        flops: call.flops(),
-        l1_misses,
-        llc_misses,
-        dram_bytes,
-    }
+    ticks
 }
 
 #[cfg(test)]
@@ -266,6 +179,8 @@ mod tests {
         assert!(e_small < e_mid && e_mid < e_big);
         assert!(e_big < 1.0);
         assert!(e_big > 0.6, "large gemm should approach peak, got {e_big}");
+        let e_256 = kernel_efficiency(&m, &square_gemm(256));
+        assert!(e_256 > 0.0 && e_256 < 1.0);
     }
 
     #[test]
@@ -322,6 +237,7 @@ mod tests {
             / estimate_ticks(&m, &small, Locality::InCache);
         let ratio_huge = estimate_ticks(&m, &huge, Locality::OutOfCache)
             / estimate_ticks(&m, &huge, Locality::InCache);
+        assert!(ratio_small > 1.0);
         assert!(ratio_small > ratio_huge);
     }
 
@@ -352,9 +268,12 @@ mod tests {
     fn empty_calls_cost_only_overhead() {
         let m = harpertown_openblas();
         let call = Call::gemm(Trans::NoTrans, Trans::NoTrans, 0, 128, 64, 1.0, 0.0);
-        let b = estimate_cost(&m, &call, Locality::InCache);
-        assert_eq!(b.compute_ticks, 0.0);
-        assert_eq!(b.ticks, m.blas.call_overhead_cycles);
+        for locality in Locality::ALL {
+            assert_eq!(
+                estimate_ticks(&m, &call, locality),
+                m.blas.call_overhead_cycles
+            );
+        }
     }
 
     #[test]
@@ -380,34 +299,5 @@ mod tests {
         let tri = Call::trtri_unb(Uplo::Lower, Diag::NonUnit, 96);
         let gem = square_gemm(96);
         assert!(kernel_efficiency(&m, &tri) < 0.3 * kernel_efficiency(&m, &gem));
-    }
-
-    #[test]
-    fn counters_reflect_locality() {
-        let m = harpertown_openblas();
-        let call = Call::trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::NoTrans,
-            Diag::NonUnit,
-            64,
-            64,
-            1.0,
-        );
-        let ic = estimate_counters(&m, &call, Locality::InCache);
-        let oc = estimate_counters(&m, &call, Locality::OutOfCache);
-        assert_eq!(ic.dram_bytes, 0.0);
-        assert!(oc.dram_bytes > 0.0);
-        assert!(oc.ticks > ic.ticks);
-        assert_eq!(ic.flops, call.flops());
-    }
-
-    #[test]
-    fn breakdown_terms_are_consistent() {
-        let m = harpertown_openblas();
-        let b = estimate_cost(&m, &square_gemm(256), Locality::InCache);
-        assert!(b.ticks >= b.compute_ticks.max(b.memory_ticks));
-        assert!(b.efficiency > 0.0 && b.efficiency < 1.0);
-        assert!(b.bytes_moved > 0.0);
     }
 }

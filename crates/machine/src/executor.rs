@@ -4,7 +4,7 @@ use dla_blas::Call;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cost::{counters_from_cost, estimate_cost};
+use crate::cost::estimate_ticks;
 use crate::{Locality, MachineConfig, Measurement};
 
 /// Why an execution attempt produced no usable measurement.
@@ -56,7 +56,7 @@ pub trait Executor: Send {
     ///
     /// The default implementation loops [`Executor::execute`]; implementations
     /// whose per-call cost is dominated by deterministic state (the simulated
-    /// machine re-deriving the identical cost breakdown per repetition) can
+    /// machine re-deriving the identical cost estimate per repetition) can
     /// override it, **provided** the observable measurements stay identical to
     /// the looped default — including any internal noise-stream consumption,
     /// so that a mixed sequence of `execute` and `execute_ticks` calls
@@ -166,13 +166,6 @@ impl SimExecutor {
         self.executions
     }
 
-    /// Resets the library-initialisation state, so the next call of every
-    /// routine pays the first-call penalty again (mirrors re-loading the BLAS
-    /// library in a fresh process).
-    pub fn reset_library_state(&mut self) {
-        self.initialised = 0;
-    }
-
     fn noise_factor(&mut self) -> f64 {
         let sigma = self.machine.blas.noise_sigma;
         let mut factor = 1.0;
@@ -201,9 +194,7 @@ impl Executor for SimExecutor {
 
     fn execute(&mut self, call: &Call, locality: Locality) -> Measurement {
         self.executions += 1;
-        let breakdown = estimate_cost(&self.machine, call, locality);
-        let mut counters = counters_from_cost(&self.machine, call, locality, &breakdown);
-        let mut ticks = breakdown.ticks;
+        let mut ticks = estimate_ticks(&self.machine, call, locality);
 
         // First call into the library for this routine: initialisation cost.
         let bit = 1u32 << (call.routine() as u32);
@@ -213,11 +204,9 @@ impl Executor for SimExecutor {
         }
 
         ticks *= self.noise_factor();
-        counters.ticks = ticks;
         Measurement {
             ticks,
             flops: call.flops(),
-            counters,
         }
     }
 
@@ -225,7 +214,7 @@ impl Executor for SimExecutor {
         SimExecutor::new(self.machine.clone(), derive_stream_seed(self.seed, stream))
     }
 
-    /// Batched repetitions: the deterministic cost breakdown is computed once
+    /// Batched repetitions: the deterministic cost estimate is computed once
     /// and only the stochastic layer (initialisation penalty, noise stream)
     /// runs per repetition, in exactly the order the looped default would —
     /// the returned ticks are bit-identical to `count` [`Executor::execute`]
@@ -234,11 +223,11 @@ impl Executor for SimExecutor {
         if count == 0 {
             return;
         }
-        let breakdown = estimate_cost(&self.machine, call, locality);
+        let estimate = estimate_ticks(&self.machine, call, locality);
         let bit = 1u32 << (call.routine() as u32);
         for _ in 0..count {
             self.executions += 1;
-            let mut ticks = breakdown.ticks;
+            let mut ticks = estimate;
             if self.initialised & bit == 0 {
                 self.initialised |= bit;
                 ticks *= self.machine.blas.init_overhead_factor.max(1.0);
@@ -253,7 +242,6 @@ impl Executor for SimExecutor {
 mod tests {
     use super::*;
     use crate::blasprofile::openblas_like;
-    use crate::cost::estimate_ticks;
     use crate::CpuSpec;
     use dla_blas::Trans;
 
@@ -278,16 +266,6 @@ mod tests {
             "first call {first} should dwarf typical {typical}"
         );
         assert_eq!(ex.executions(), 6);
-    }
-
-    #[test]
-    fn reset_library_state_restores_first_call_penalty() {
-        let mut ex = SimExecutor::new(machine(), 2);
-        let _ = ex.execute(&call(), Locality::InCache);
-        let warm = ex.execute(&call(), Locality::InCache).ticks;
-        ex.reset_library_state();
-        let cold = ex.execute(&call(), Locality::InCache).ticks;
-        assert!(cold > 3.0 * warm);
     }
 
     #[test]
@@ -372,11 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn measurement_reports_flops_and_counters() {
+    fn measurement_reports_flops_and_efficiency() {
         let mut ex = SimExecutor::new(machine(), 5);
         let m = ex.execute(&call(), Locality::InCache);
         assert_eq!(m.flops, call().flops());
-        assert_eq!(m.counters.ticks, m.ticks);
         assert!(m.efficiency(ex.machine()) > 0.0);
     }
 }

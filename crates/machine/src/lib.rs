@@ -6,7 +6,9 @@
 //! Sandy Bridge machines through RDTSC/PAPI and three proprietary BLAS
 //! implementations (OpenBLAS, MKL, ATLAS).  None of that hardware or software
 //! is available to a reproduction that must run hermetically, so this crate
-//! provides the documented substitution (see `DESIGN.md`):
+//! provides a substitution.  The paper's models are built from ticks alone,
+//! so a [`Measurement`] reports ticks and the call's flop count, and no
+//! hardware counter is simulated:
 //!
 //! * [`CpuSpec`] / [`CacheLevel`] — analytical machine descriptions with
 //!   presets for a Harpertown-class and a Sandy Bridge-class CPU.
@@ -23,9 +25,8 @@
 //!   kernels of `dla-blas` and measures wall-clock time, for users who want to
 //!   model the machine the reproduction itself runs on.
 //! * [`ChaosExecutor`] — deterministic fault injection wrapping any executor
-//!   (transient failures, latency spikes, NaN/∞ ticks, stuck-slow phases) for
-//!   testing the fault-tolerant measurement-to-serving path.
-//! * [`counters`] — virtual hardware counters (the PAPI substitute).
+//!   (transient failures, latency spikes, NaN/∞ ticks, timeouts, outage
+//!   windows) for testing the fault-tolerant measurement-to-serving path.
 //! * [`presets`] — ready-made machine configurations used by the experiments.
 //!
 //! The simulator is *not* a cycle-accurate model; it is calibrated so that the
@@ -48,7 +49,6 @@ mod executor;
 mod native;
 
 pub mod cost;
-pub mod counters;
 pub mod presets;
 
 pub use blasprofile::{BlasProfile, RoutineParams};

@@ -11,7 +11,6 @@ use std::time::Instant;
 use dla_blas::execute::PreparedCall;
 use dla_blas::Call;
 
-use crate::counters::CounterSet;
 use crate::{Executor, Locality, MachineConfig, Measurement};
 
 /// Executes calls natively and measures wall-clock time.
@@ -75,16 +74,9 @@ impl Executor for NativeExecutor {
         let start = Instant::now();
         prepared.run();
         let seconds = start.elapsed().as_secs_f64();
-        let ticks = self.machine.cpu.seconds_to_ticks(seconds);
-        let flops = call.flops();
         Measurement {
-            ticks,
-            flops,
-            counters: CounterSet {
-                ticks,
-                flops,
-                ..CounterSet::default()
-            },
+            ticks: self.machine.cpu.seconds_to_ticks(seconds),
+            flops: call.flops(),
         }
     }
 

@@ -301,18 +301,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                let v = self.data[j * self.ld + i];
-                acc += v * v;
-            }
-        }
-        acc.sqrt()
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         let mut acc: f64 = 0.0;
@@ -507,7 +495,6 @@ mod tests {
     fn copy_fill_norms() {
         let mut a = Matrix::zeros(3, 3);
         a.fill(2.0);
-        assert_eq!(a.frobenius_norm(), (9.0f64 * 4.0).sqrt());
         assert_eq!(a.max_abs(), 2.0);
         let mut b = Matrix::zeros(3, 3);
         b.copy_from(&a).unwrap();
@@ -529,7 +516,6 @@ mod tests {
     fn empty_matrices_are_ok() {
         let m = Matrix::zeros(0, 5);
         assert!(m.is_empty());
-        assert_eq!(m.frobenius_norm(), 0.0);
         let b = m.block(Rect::new(0, 0, 0, 5)).unwrap();
         assert_eq!(b.rows(), 0);
     }

@@ -33,18 +33,6 @@ impl MatrixGenerator {
         m
     }
 
-    /// A general matrix with a chosen leading dimension (padding rows untouched).
-    pub fn general_with_ld(&mut self, rows: usize, cols: usize, ld: usize) -> Matrix {
-        // lint: allow(unwrap): documented generator precondition (ld >= rows); violating it is a caller bug worth a loud panic
-        let mut m = Matrix::zeros_with_ld(rows, cols, ld).expect("ld >= rows");
-        for j in 0..cols {
-            for i in 0..rows {
-                m.set(i, j, self.rng.gen_range(-1.0..1.0));
-            }
-        }
-        m
-    }
-
     /// A well-conditioned lower-triangular matrix.
     ///
     /// The strict lower part is uniform in `[-0.5, 0.5)` scaled by `1/n`, and
@@ -72,22 +60,6 @@ impl MatrixGenerator {
     /// A well-conditioned upper-triangular matrix (transpose of a lower one).
     pub fn upper_triangular(&mut self, n: usize, unit_diag: bool) -> Matrix {
         self.lower_triangular(n, unit_diag).transposed()
-    }
-
-    /// A symmetric positive-definite matrix `A = B B^T + n I`.
-    pub fn spd(&mut self, n: usize) -> Matrix {
-        let b = self.general(n, n);
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += b.get(i, k) * b.get(j, k);
-                }
-                a.set(i, j, acc + if i == j { n as f64 } else { 0.0 });
-            }
-        }
-        a
     }
 
     /// A vector with entries uniform in `[-1, 1)`.
@@ -141,26 +113,6 @@ mod tests {
         let inv = invert_lower_triangular(&l, false).unwrap();
         let prod = matmul(1.0, &l, &inv).unwrap();
         assert!(prod.approx_eq(&Matrix::identity(64), 1e-9));
-    }
-
-    #[test]
-    fn spd_is_symmetric_with_positive_diagonal() {
-        let a = MatrixGenerator::new(5).spd(10);
-        for i in 0..10 {
-            assert!(a[(i, i)] > 0.0);
-            for j in 0..10 {
-                assert!((a[(i, j)] - a[(j, i)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn general_with_ld_has_padding() {
-        let m = MatrixGenerator::new(9).general_with_ld(4, 3, 10);
-        assert_eq!(m.ld(), 10);
-        assert_eq!(m.rows(), 4);
-        // padding rows remain zero
-        assert_eq!(m.as_slice()[5], 0.0);
     }
 
     #[test]

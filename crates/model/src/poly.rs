@@ -167,19 +167,6 @@ impl Polynomial {
             .map(|(p, &v)| relative_error(self.eval(p), v))
             .fold(0.0, f64::max)
     }
-
-    /// Mean relative error of the polynomial over the given samples.
-    pub fn mean_relative_error(&self, points: &[Vec<f64>], values: &[f64]) -> f64 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = points
-            .iter()
-            .zip(values.iter())
-            .map(|(p, &v)| relative_error(self.eval(p), v))
-            .sum();
-        sum / points.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -301,10 +288,7 @@ mod tests {
         let values: Vec<f64> = (0..10).map(|i| if i == 5 { 1.2 } else { 1.0 }).collect();
         let p = Polynomial::fit(&points, &values, 0).unwrap();
         let max_err = p.max_relative_error(&points, &values);
-        let mean_err = p.mean_relative_error(&points, &values);
-        assert!(max_err > mean_err);
-        assert!(max_err < 0.2);
-        assert_eq!(Polynomial::zero(1).mean_relative_error(&[], &[]), 0.0);
+        assert!(max_err > 0.1 && max_err < 0.2, "max_err = {max_err}");
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! query carries a **deadline budget** in deterministic virtual cost units;
 //! against that budget the fleet runs a layered defence:
 //!
-//! 1. **Bounded retry.**  Shard calls get up to
-//!    [`RetryPolicy::max_retries`] retries with seeded exponential backoff
-//!    plus deterministic jitter — the schedule is a pure function of
-//!    `(fleet seed, query id, attempt)`, so it is reproducible across runs
-//!    *and across worker counts*.
+//! 1. **Bounded retry.**  Shard calls get at most two retries with seeded
+//!    exponential backoff plus deterministic jitter — the schedule is a pure
+//!    function of `(fleet seed, query id, attempt)`, so it is reproducible
+//!    across runs *and across worker counts*.
 //! 2. **Circuit breaking.**  A per-shard [`CircuitBreaker`] driven by query
 //!    failures (timeouts, unavailability, over-budget or corrupt replies; a
 //!    definitive [`ShardError::Failed`] is the call's fault, not the
@@ -187,57 +186,36 @@ impl std::fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 // ---------------------------------------------------------------------------
-// Retry policy
+// Retry schedule
 // ---------------------------------------------------------------------------
 
-/// Bounded-retry policy with seeded exponential backoff and deterministic
-/// jitter.
-///
-/// The pause before retry `attempt` is
-/// `min(backoff_base · 2^attempt, backoff_cap) + jitter_draw` where
-/// `jitter_draw ∈ [0, jitter]` is a pure function of the query's backoff
-/// stream seed and the attempt index — no shared RNG state, so schedules
-/// are identical no matter how many workers run queries concurrently.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = single attempt).
-    pub max_retries: u32,
-    /// Base backoff pause, in virtual cost units.
-    pub backoff_base: u64,
-    /// Upper bound on the exponential part of the pause.
-    pub backoff_cap: u64,
-    /// Maximum additive jitter (inclusive); 0 disables jitter.
-    pub jitter: u64,
-}
+/// Retries after the first shard attempt.
+const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: 4,
-            backoff_cap: 32,
-            jitter: 3,
-        }
-    }
-}
+/// Base backoff pause, in virtual cost units.
+const BACKOFF_BASE: u64 = 4;
 
-impl RetryPolicy {
-    /// The pause before retrying after failed attempt `attempt` (0-based),
-    /// for the query whose backoff stream is seeded by `stream_seed`.
-    pub fn backoff(&self, stream_seed: u64, attempt: u32) -> u64 {
-        let exponential = self
-            .backoff_base
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-            .min(self.backoff_cap);
-        if self.jitter == 0 {
-            return exponential;
-        }
-        // The splitmix64 finaliser behind `derive_stream_seed` scrambles the
-        // attempt index into an independent draw; modulo bias over a span of
-        // a few units is irrelevant for a pause length.
-        let draw = derive_stream_seed(stream_seed, 0x6a09_e667_f3bc_c909 ^ u64::from(attempt));
-        exponential + draw % (self.jitter + 1)
-    }
+/// Upper bound on the exponential part of the pause.
+const BACKOFF_CAP: u64 = 32;
+
+/// Maximum additive jitter (inclusive).
+const BACKOFF_JITTER: u64 = 3;
+
+/// The pause before retrying after failed attempt `attempt` (0-based), for
+/// the query whose backoff stream is seeded by `stream_seed`:
+/// `min(BACKOFF_BASE · 2^attempt, BACKOFF_CAP) + jitter_draw`, where
+/// `jitter_draw ∈ [0, BACKOFF_JITTER]` is a pure function of the seed and the
+/// attempt index — no shared RNG state, so schedules are identical no matter
+/// how many workers run queries concurrently.
+fn backoff(stream_seed: u64, attempt: u32) -> u64 {
+    let exponential = BACKOFF_BASE
+        .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
+        .min(BACKOFF_CAP);
+    // The splitmix64 finaliser behind `derive_stream_seed` scrambles the
+    // attempt index into an independent draw; modulo bias over a span of
+    // a few units is irrelevant for a pause length.
+    let draw = derive_stream_seed(stream_seed, 0x6a09_e667_f3bc_c909 ^ u64::from(attempt));
+    exponential + draw % (BACKOFF_JITTER + 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -564,11 +542,6 @@ impl ShardError {
             | ShardError::Failed { cost, .. } => *cost,
         }
     }
-
-    /// Whether retrying the same call can help.
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, ShardError::Failed { .. })
-    }
 }
 
 /// The call path to one shard.  Implementations must be deterministic in the
@@ -688,7 +661,7 @@ impl<C: ShardClient> ChaosShard<C> {
     }
 
     /// Injected-fault totals so far, in the measurement layer's
-    /// [`FaultCounts`] shape (`stuck` is unused by the serving faults).
+    /// [`FaultCounts`] shape.
     pub fn fault_counts(&self) -> FaultCounts {
         FaultCounts {
             // ordering: Relaxed — statistics snapshot, staleness tolerated.
@@ -703,7 +676,6 @@ impl<C: ShardClient> ChaosShard<C> {
             outages: self.outages.load(Ordering::Relaxed),
             // ordering: Relaxed — statistics snapshot, staleness tolerated.
             outage_lost: self.outage_lost.load(Ordering::Relaxed),
-            stuck: 0,
         }
     }
 
@@ -827,15 +799,14 @@ const LOCAL_EVAL_COST: u64 = 1;
 
 /// Fleet-wide serving knobs.  All durations are deterministic virtual cost
 /// units (the same currency as [`FleetQuery::deadline`]); each attempt is
-/// capped at 64 units, and a local degraded answer costs 1.
+/// capped at 64 units, a shard call is retried at most twice, and a local
+/// degraded answer costs 1.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Root seed for per-query backoff streams.
     pub seed: u64,
     /// Nominal cost charged per [`ServiceClient`] answer.
     pub nominal_cost: u64,
-    /// Retry/backoff policy for shard attempts.
-    pub retry: RetryPolicy,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
     /// Calls used to calibrate cross-machine efficiency ratios at build
@@ -848,7 +819,6 @@ impl Default for FleetConfig {
         FleetConfig {
             seed: 0x5eed_f1ee_7000_0001,
             nominal_cost: 8,
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             calibration_calls: Vec::new(),
         }
@@ -1624,10 +1594,10 @@ impl FleetService {
                 }
             }
             faulted = true;
-            if attempt >= self.config.retry.max_retries {
+            if attempt >= MAX_RETRIES {
                 break;
             }
-            let pause = self.config.retry.backoff(backoff_seed, attempt);
+            let pause = backoff(backoff_seed, attempt);
             let headroom = query
                 .deadline
                 .saturating_sub(stats.elapsed)
@@ -1995,26 +1965,28 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_capped_and_jittered() {
-        let policy = RetryPolicy {
-            max_retries: 8,
-            backoff_base: 4,
-            backoff_cap: 32,
-            jitter: 3,
-        };
         for attempt in 0..8 {
-            let a = policy.backoff(42, attempt);
-            let b = policy.backoff(42, attempt);
+            let a = backoff(42, attempt);
+            let b = backoff(42, attempt);
             assert_eq!(a, b, "backoff must be a pure function");
             let exponential = (4u64 << attempt).min(32);
             assert!(a >= exponential && a <= exponential + 3, "a = {a}");
         }
-        // Jitter off: exact exponential-with-cap schedule.
-        let plain = RetryPolicy {
-            jitter: 0,
-            ..policy
-        };
-        let pauses: Vec<u64> = (0..6).map(|i| plain.backoff(7, i)).collect();
-        assert_eq!(pauses, [4, 8, 16, 32, 32, 32]);
+    }
+
+    #[test]
+    fn backoff_schedule_is_pinned_bit_for_bit() {
+        // Every retried query pays these pauses against its deadline, so a
+        // change to the base, cap, jitter or draw moves which queries still
+        // fit a retry: the fleet's deterministic outcomes depend on them.
+        for (seed, pauses) in [
+            (0, [6, 9, 16]),
+            (42, [6, 10, 17]),
+            (FleetConfig::default().seed, [6, 10, 16]),
+        ] {
+            let got: Vec<u64> = (0..=2).map(|attempt| backoff(seed, attempt)).collect();
+            assert_eq!(got, pauses, "seed {seed:#x}");
+        }
     }
 
     #[test]
@@ -2034,14 +2006,32 @@ mod tests {
     #[test]
     fn shard_error_cost_and_retryability() {
         assert_eq!(ShardError::Unavailable { cost: 3 }.cost(), 3);
-        assert!(ShardError::Unavailable { cost: 3 }.is_retryable());
-        assert!(ShardError::Timeout { cost: 9 }.is_retryable());
         let failed = ShardError::Failed {
             reason: "out of domain".into(),
             cost: 2,
         };
         assert_eq!(failed.cost(), 2);
-        assert!(!failed.is_retryable());
+        // The attempt loop retries an unreachable shard and a timed-out
+        // attempt until the retries run out, and never a definitive failure.
+        struct Always(ShardError);
+        impl ShardClient for Always {
+            fn predict(&self, _: &ShardCall<'_>) -> Result<ShardReply, ShardError> {
+                Err(self.0.clone())
+            }
+        }
+        for (error, retries) in [
+            (ShardError::Unavailable { cost: 3 }, 2),
+            (ShardError::Timeout { cost: 9 }, 2),
+            (failed, 0),
+        ] {
+            let machine = harpertown_openblas();
+            let fleet = FleetBuilder::new(FleetConfig::default())
+                .shard_with_client(empty_shard(machine.clone()), Arc::new(Always(error)))
+                .build()
+                .unwrap();
+            let response = fleet.query(&query_for(machine.id())).unwrap();
+            assert_eq!(response.retries, retries);
+        }
     }
 
     #[test]

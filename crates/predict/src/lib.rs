@@ -48,8 +48,8 @@ pub mod workloads;
 pub use fleet::{
     Admission, BreakerConfig, BreakerState, ChaosShard, CircuitBreaker, FleetBuilder, FleetConfig,
     FleetError, FleetHealth, FleetQuery, FleetResponse, FleetService, LastGoodSnapshot, Priority,
-    RetryPolicy, Served, ServiceClient, ShardBudget, ShardCall, ShardClient, ShardError,
-    ShardHealth, ShardReply, ShedReason,
+    Served, ServiceClient, ShardBudget, ShardCall, ShardClient, ShardError, ShardHealth,
+    ShardReply, ShedReason,
 };
 pub use health::ServiceHealth;
 pub use predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePrediction};

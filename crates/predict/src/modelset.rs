@@ -10,7 +10,6 @@
 //! build.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dla_blas::{Call, Diag, Side, Trans, Uplo};
 use dla_machine::{Executor, Locality, MachineConfig, SimExecutor};
@@ -250,42 +249,38 @@ pub fn build_tasks<E: Executor + Sync>(
     tasks: &[BuildTask],
 ) -> (ModelRepository, Vec<ModelingReport>) {
     let workers = config.effective_workers().min(tasks.len()).max(1);
-    let mut built: Vec<Option<(RoutineModel, ModelingReport)>> = Vec::new();
-    if workers <= 1 {
-        for task in tasks {
-            built.push(Some(build_one_task(executor, locality, config, task)));
-        }
-    } else {
-        let slots: Vec<Mutex<Option<(RoutineModel, ModelingReport)>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // ordering: Relaxed — the counter only hands out distinct
-                    // task indices; results are published through the slot
-                    // mutexes (and the scope join), not through this atomic.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
+    let next = AtomicUsize::new(0);
+    let mut built: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // ordering: Relaxed — the counter only hands out
+                        // distinct task indices; results come back through
+                        // the join handles, not through this atomic.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(i) else {
+                            return done;
+                        };
+                        done.push((i, build_one_task(executor, locality, config, task)));
                     }
-                    let result = build_one_task(executor, locality, config, &tasks[i]);
-                    // lint: allow(unwrap): a poisoned slot means a sibling build panicked; the scope re-panics anyway
-                    *slots[i].lock().expect("build slot poisoned") = Some(result);
-                });
-            }
-        });
-        built = slots
-            .into_iter()
-            // lint: allow(unwrap): a poisoned slot means a sibling build panicked; the scope re-panics anyway
-            .map(|slot| slot.into_inner().expect("build slot poisoned"))
+                })
+            })
             .collect();
-    }
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
     let mut repo = ModelRepository::new();
     let mut reports = Vec::with_capacity(tasks.len());
-    for entry in built {
-        // lint: allow(unwrap): the task loop writes every slot before the scope joins
-        let (model, report) = entry.expect("every task produces a model");
+    for (_, (model, report)) in built {
         repo.insert(model);
         reports.push(report);
     }

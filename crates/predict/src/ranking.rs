@@ -17,62 +17,10 @@ use crate::predictor::{efficiency_from_ticks, EfficiencyPrediction, TraceEvaluat
 pub fn by_score_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (false, false) => b.total_cmp(&a),
-        nan_order => nan_last(nan_order),
-    }
-}
-
-/// Total order for ranking scores smallest first, with `NaN` still sorted
-/// last (note: this is *not* `by_score_desc` with swapped arguments — that
-/// would sort `NaN` first).
-pub fn by_score_asc(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (false, false) => a.total_cmp(&b),
-        nan_order => nan_last(nan_order),
-    }
-}
-
-/// The shared `NaN`-last tail of both comparators; only called when at least
-/// one side is `NaN`.
-fn nan_last((a_nan, b_nan): (bool, bool)) -> Ordering {
-    match (a_nan, b_nan) {
         (true, false) => Ordering::Greater,
         (false, true) => Ordering::Less,
-        _ => Ordering::Equal,
+        (true, true) => Ordering::Equal,
     }
-}
-
-/// A scored candidate (algorithm variant, block size, ...).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ranked<T> {
-    /// The candidate.
-    pub item: T,
-    /// Its score (lower is better when ranking by ticks, higher is better
-    /// when ranking by efficiency).
-    pub score: f64,
-}
-
-fn rank_by<T: Clone>(items: &[(T, f64)], cmp: fn(f64, f64) -> Ordering) -> Vec<Ranked<T>> {
-    let mut ranked: Vec<Ranked<T>> = items
-        .iter()
-        .map(|(item, score)| Ranked {
-            item: item.clone(),
-            score: *score,
-        })
-        .collect();
-    ranked.sort_by(|a, b| cmp(a.score, b.score));
-    ranked
-}
-
-/// Ranks candidates by ascending score (use for predicted ticks); `NaN`
-/// scores sort last.
-pub fn rank_ascending<T: Clone>(items: &[(T, f64)]) -> Vec<Ranked<T>> {
-    rank_by(items, by_score_asc)
-}
-
-/// Ranks candidates by descending score (use for predicted efficiency);
-/// `NaN` scores sort last.
-pub fn rank_descending<T: Clone>(items: &[(T, f64)]) -> Vec<Ranked<T>> {
-    rank_by(items, by_score_desc)
 }
 
 /// Ranks labelled traces by predicted median efficiency, best first, in one
@@ -159,46 +107,9 @@ pub fn top_choice_agrees(scores_a: &[f64], scores_b: &[f64], lower_is_better: bo
     best(scores_a) == best(scores_b)
 }
 
-/// Fraction of candidate pairs ordered identically by the two scorings
-/// (1.0 = perfect ranking agreement).
-pub fn pairwise_agreement(scores_a: &[f64], scores_b: &[f64]) -> f64 {
-    (kendall_tau(scores_a, scores_b) + 1.0) / 2.0
-}
-
-/// Checks that the two scorings split the candidates into the same
-/// "fast" / "slow" groups when thresholding at the given relative gap:
-/// a candidate belongs to the fast group if its score is within
-/// `gap * best_score` of the best score.
-///
-/// Returns the indices of the fast group according to `scores` (higher is
-/// better).
-pub fn fast_group(scores: &[f64], gap: f64) -> Vec<usize> {
-    if scores.is_empty() {
-        return vec![];
-    }
-    let best = scores.iter().cloned().fold(f64::MIN, f64::max);
-    scores
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| s >= best * gap)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ranking_orders_items() {
-        let items = vec![("a", 3.0), ("b", 1.0), ("c", 2.0)];
-        let asc = rank_ascending(&items);
-        assert_eq!(asc[0].item, "b");
-        assert_eq!(asc[2].item, "a");
-        let desc = rank_descending(&items);
-        assert_eq!(desc[0].item, "a");
-        assert_eq!(desc[0].score, 3.0);
-    }
 
     #[test]
     fn nan_scores_sort_last_without_panicking() {
@@ -209,20 +120,11 @@ mod tests {
         assert_eq!(by_score_desc(f64::NAN, f64::NAN), Ordering::Equal);
         // -0.0 and +0.0 keep a stable total order.
         assert_eq!(by_score_desc(-0.0, 0.0), Ordering::Greater);
-        // The ascending order also keeps NaN last (it is not the reverse).
-        assert_eq!(by_score_asc(1.0, 2.0), Ordering::Less);
-        assert_eq!(by_score_asc(f64::NAN, 1.0), Ordering::Greater);
-        assert_eq!(by_score_asc(1.0, f64::NAN), Ordering::Less);
 
-        let items = vec![("nan", f64::NAN), ("low", 0.1), ("high", 0.9)];
-        let desc = rank_descending(&items);
-        assert_eq!(desc[0].item, "high");
-        assert_eq!(desc[1].item, "low");
-        assert_eq!(desc[2].item, "nan");
-        let asc = rank_ascending(&items);
-        assert_eq!(asc[0].item, "low");
-        assert_eq!(asc[1].item, "high");
-        assert_eq!(asc[2].item, "nan");
+        let mut scores = [f64::NAN, 0.1, 0.9];
+        scores.sort_by(|a, b| by_score_desc(*a, *b));
+        assert_eq!(scores[..2], [0.9, 0.1]);
+        assert!(scores[2].is_nan());
     }
 
     #[test]
@@ -232,8 +134,6 @@ mod tests {
         assert_eq!(kendall_tau(&a, &b), 1.0);
         let c = [4.0, 3.0, 2.0, 1.0];
         assert_eq!(kendall_tau(&a, &c), -1.0);
-        assert_eq!(pairwise_agreement(&a, &b), 1.0);
-        assert_eq!(pairwise_agreement(&a, &c), 0.0);
         assert_eq!(kendall_tau(&[1.0], &[2.0]), 1.0);
     }
 
@@ -254,15 +154,6 @@ mod tests {
         let measured_flipped = [4.0, 6.0, 18.0];
         assert!(!top_choice_agrees(&predicted, &measured_flipped, true));
         assert!(top_choice_agrees(&[], &[], true));
-    }
-
-    #[test]
-    fn fast_group_thresholding() {
-        // Efficiencies: two fast (~0.2), two slow (~0.02).
-        let scores = [0.21, 0.19, 0.02, 0.015];
-        let fast = fast_group(&scores, 0.5);
-        assert_eq!(fast, vec![0, 1]);
-        assert!(fast_group(&[], 0.5).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! against in every figure of Section IV.
 
 use dla_algos::{sylv_trace, trinv_trace, SylvVariant, TrinvVariant};
-use dla_blas::flops::{is_empty_call, trinv_useful_flops};
+use dla_blas::flops::{is_empty_call, sylv_flops, trinv_useful_flops};
 use dla_blas::Call;
 use dla_machine::{Executor, Locality};
 use dla_model::Result;
@@ -98,14 +98,6 @@ pub fn measure_trace<E: Executor>(
     }
 }
 
-/// The useful flop count used for the Sylvester efficiency metric
-/// (`m n (m + n)`, i.e. the operation's intrinsic cost).
-pub fn sylv_useful_flops_total(m: usize, n: usize) -> f64 {
-    let m = m as f64;
-    let n = n as f64;
-    m * n * (m + n)
-}
-
 /// Predicts the efficiency of one triangular-inversion variant.
 ///
 /// Generic over the evaluator: pass a [`Predictor`](crate::Predictor) for
@@ -144,7 +136,7 @@ pub fn rank_sylv_variants<E: TraceEvaluator>(
     n: usize,
     block_size: usize,
 ) -> Result<Vec<(SylvVariant, EfficiencyPrediction)>> {
-    let useful_flops = sylv_useful_flops_total(n, n);
+    let useful_flops = sylv_flops(n, n);
     let candidates: Vec<(SylvVariant, Vec<Call>, f64)> = SylvVariant::all()
         .into_iter()
         .map(|v| (v, sylv_trace(v, n, n, block_size, n), useful_flops))
@@ -173,7 +165,7 @@ pub fn predict_sylv<E: TraceEvaluator>(
     block_size: usize,
 ) -> Result<EfficiencyPrediction> {
     let trace = sylv_trace(variant, n, n, block_size, n);
-    evaluator.predict_efficiency(&trace, sylv_useful_flops_total(n, n))
+    evaluator.predict_efficiency(&trace, sylv_flops(n, n))
 }
 
 /// Measures (by simulated execution) the efficiency of one Sylvester variant.
@@ -185,7 +177,7 @@ pub fn measure_sylv<E: Executor>(
     mode: MeasurementMode,
 ) -> TraceMeasurement {
     let trace = sylv_trace(variant, n, n, block_size, n);
-    measure_trace(executor, &trace, sylv_useful_flops_total(n, n), mode)
+    measure_trace(executor, &trace, sylv_flops(n, n), mode)
 }
 
 #[cfg(test)]
@@ -309,11 +301,5 @@ mod tests {
         assert!(oc.ticks > ic.ticks);
         assert!(oc.efficiency < ic.efficiency);
         assert_eq!(ic.calls, oc.calls);
-    }
-
-    #[test]
-    fn useful_flops_helpers() {
-        assert_eq!(sylv_useful_flops_total(10, 20), 6000.0);
-        assert!(trinv_useful_flops(100) > 0.0);
     }
 }
