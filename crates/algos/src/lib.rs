@@ -8,8 +8,8 @@
 //!   triangular inversion.
 //! * [`sylv`] — the triangular Sylvester equation `L X + X U = C` of
 //!   Section IV-B, with a systematically parameterised family of sixteen
-//!   blocked variants (see `DESIGN.md` for how the family maps onto the
-//!   CL1CK-generated variants of the paper).
+//!   blocked variants (its module documentation describes how the family
+//!   maps onto the CL1CK-generated variants of the paper).
 //!
 //! Each algorithm is written once against a small *context* trait
 //! ([`trinv::TrinvCtx`], [`sylv::SylvCtx`]) and instantiated twice:

@@ -8,8 +8,8 @@
 //! recursive solves happen, which splits them into a small group of fast,
 //! GEMM-rich variants and a large group of slow variants that push most of
 //! their work through low-efficiency panel solves.  This module reproduces
-//! that structure with a systematically parameterised family (see
-//! `DESIGN.md`): each variant is defined by four binary choices —
+//! that structure with a systematically parameterised family: each variant
+//! is defined by four binary choices —
 //!
 //! * the order in which the row panel and the column panel of each diagonal
 //!   step are processed,
@@ -489,7 +489,7 @@ pub fn sylv_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dla_blas::flops::{sylv_useful_flops, trace_flops};
+    use dla_blas::flops::{sylv_flops, trace_flops};
     use dla_blas::Routine;
     use dla_mat::gen::MatrixGenerator;
     use dla_mat::ops::{add, matmul, sub};
@@ -599,12 +599,12 @@ mod tests {
     #[test]
     fn total_flops_stay_close_to_the_minimal_count() {
         let (m, n, b) = (480, 480, 96);
-        let useful = sylv_useful_flops(m, n) * 2.0; // useful counts flops/2
+        let minimal = sylv_flops(m, n);
         for variant in SylvVariant::all() {
             let total = trace_flops(&sylv_trace(variant, m, n, b, m));
             assert!(
-                total > 0.8 * useful && total < 2.5 * useful,
-                "{}: {total} vs useful {useful}",
+                total > 0.8 * minimal && total < 2.5 * minimal,
+                "{}: {total} vs minimal {minimal}",
                 variant.name()
             );
         }

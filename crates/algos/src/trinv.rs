@@ -50,11 +50,6 @@ impl TrinvVariant {
         }
     }
 
-    /// Parses a 1-based variant number.
-    pub fn from_id(id: usize) -> Option<TrinvVariant> {
-        TrinvVariant::ALL.into_iter().find(|v| v.id() == id)
-    }
-
     /// Human-readable name ("variant 3").
     pub fn name(&self) -> String {
         format!("variant {}", self.id())
@@ -307,11 +302,9 @@ mod tests {
 
     #[test]
     fn variant_ids_roundtrip() {
-        for v in TrinvVariant::ALL {
-            assert_eq!(TrinvVariant::from_id(v.id()), Some(v));
+        for (i, v) in TrinvVariant::ALL.into_iter().enumerate() {
+            assert_eq!(v.id(), i + 1);
         }
-        assert_eq!(TrinvVariant::from_id(0), None);
-        assert_eq!(TrinvVariant::from_id(5), None);
         assert_eq!(TrinvVariant::V3.name(), "variant 3");
     }
 

@@ -73,15 +73,6 @@ macro_rules! impl_flag {
                     $ty::$b => 1,
                 }
             }
-
-            /// Inverse of [`Self::as_index`]; panics for values other than 0/1.
-            pub fn from_index(i: usize) -> $ty {
-                match i {
-                    0 => $ty::$a,
-                    1 => $ty::$b,
-                    _ => panic!("flag index {i} out of range"),
-                }
-            }
         }
 
         impl fmt::Display for $ty {
@@ -103,17 +94,21 @@ mod tests {
 
     #[test]
     fn char_roundtrip() {
-        for s in Side::VALUES {
+        for (i, s) in Side::VALUES.into_iter().enumerate() {
             assert_eq!(Side::from_char(s.as_char()), Some(s));
+            assert_eq!(s.as_index(), i);
         }
-        for u in Uplo::VALUES {
+        for (i, u) in Uplo::VALUES.into_iter().enumerate() {
             assert_eq!(Uplo::from_char(u.as_char()), Some(u));
+            assert_eq!(u.as_index(), i);
         }
-        for t in Trans::VALUES {
+        for (i, t) in Trans::VALUES.into_iter().enumerate() {
             assert_eq!(Trans::from_char(t.as_char()), Some(t));
+            assert_eq!(t.as_index(), i);
         }
-        for d in Diag::VALUES {
+        for (i, d) in Diag::VALUES.into_iter().enumerate() {
             assert_eq!(Diag::from_char(d.as_char()), Some(d));
+            assert_eq!(d.as_index(), i);
         }
     }
 
@@ -124,22 +119,6 @@ mod tests {
         assert_eq!(Trans::from_char('t'), Some(Trans::Trans));
         assert_eq!(Diag::from_char('u'), Some(Diag::Unit));
         assert_eq!(Side::from_char('x'), None);
-    }
-
-    #[test]
-    fn index_roundtrip() {
-        for i in 0..2 {
-            assert_eq!(Side::from_index(i).as_index(), i);
-            assert_eq!(Uplo::from_index(i).as_index(), i);
-            assert_eq!(Trans::from_index(i).as_index(), i);
-            assert_eq!(Diag::from_index(i).as_index(), i);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_index_panics() {
-        let _ = Side::from_index(2);
     }
 
     #[test]

@@ -54,15 +54,6 @@ pub fn trinv_useful_flops(n: usize) -> f64 {
     2.0 * (n * n * n / 6.0 + n * n / 2.0 + n / 3.0)
 }
 
-/// The useful flop count of the triangular Sylvester workload, matching the
-/// paper's `efficiency = (n^3 + n^2) / (2 ticks)` formula up to the `fips`
-/// normalisation applied by the machine model.
-pub fn sylv_useful_flops(m: usize, n: usize) -> f64 {
-    let m = m as f64;
-    let n = n as f64;
-    0.5 * (m * n * (m + n) + m * n)
-}
-
 /// Flop count of an arbitrary [`Call`].
 pub fn call_flops(call: &Call) -> f64 {
     match call {
@@ -123,8 +114,6 @@ mod tests {
         // close to the useful count; variant 4 in the paper does ~3x more.
         let useful = trinv_useful_flops(1000);
         assert!(useful > 3.3e8 && useful < 3.4e8, "useful = {useful}");
-        let sylv = sylv_useful_flops(1000, 1000);
-        assert!(sylv > 1.0e9 && sylv < 1.01e9, "sylv = {sylv}");
     }
 
     #[test]

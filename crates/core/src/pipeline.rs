@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dla_algos::{SylvVariant, TrinvVariant};
 use dla_machine::{Executor, Locality, MachineConfig, SimExecutor};
-use dla_model::{ModelRepository, RefinementReport, RepositoryFormat, Result};
+use dla_model::{ModelRepository, RefinementReport, Result};
 use dla_modeler::online::dedupe_templates;
 use dla_modeler::{ModelingReport, OnlineRefiner, OnlineRefinerConfig, RefineOutcome};
 use dla_predict::blocksize::{optimize_block_size_trinv, BlockSizeSweep};
@@ -213,28 +213,20 @@ impl Pipeline {
 
     /// Loads a previously saved repository instead of rebuilding models.
     ///
-    /// The codec is sniffed from the file's leading bytes: a binary shard
-    /// deserializes straight into its compiled form and hot-swaps in with
-    /// **zero recompilation** ([`ModelService::swap_compiled`]); the text
-    /// format parses and compiles once, as before.
+    /// The codec is sniffed from the file's leading bytes
+    /// ([`ModelRepository::load_file`]); the loaded models then pass the
+    /// serving layer's publication gate and are compiled once by
+    /// [`ModelService::swap`].
     pub fn load_repository(&mut self, path: &Path) -> Result<()> {
-        let compiled = ModelRepository::load_file_compiled(path)?;
-        self.service.swap_compiled(Arc::new(compiled))?;
+        self.service.swap(ModelRepository::load_file(path)?)?;
         Ok(())
     }
 
     /// Saves the current repository to a file, choosing the codec from the
     /// extension (`.dlapb`/`.bin` → binary, anything else → text; see
-    /// [`dla_model::RepositoryFormat::for_path`]).  The binary codec encodes
-    /// the service's already-compiled snapshot directly.
+    /// [`dla_model::RepositoryFormat::for_path`]).
     pub fn save_repository(&self, path: &Path) -> Result<()> {
-        match RepositoryFormat::for_path(path) {
-            RepositoryFormat::Binary => {
-                let bytes = dla_model::binfmt::encode(&self.service.compiled_snapshot())?;
-                std::fs::write(path, bytes).map_err(|e| dla_model::ModelError::Io(e.to_string()))
-            }
-            RepositoryFormat::Text => self.service.snapshot().save_file(path),
-        }
+        self.service.snapshot().save_file(path)
     }
 
     /// A predictor over a snapshot of the current repository.

@@ -1,11 +1,12 @@
 //! Binary-format equivalence: arbitrary repositories — `NaN`/`±inf`
-//! coefficients and errors included — roundtrip through the zero-copy binary
-//! format with byte-identical re-serialisation and predictions identical to
+//! coefficients and errors included — roundtrip through the binary format
+//! with byte-identical re-serialisation and predictions identical to
 //! both the text roundtrip and the directly compiled original; corrupted,
 //! truncated, wrong-version and wrong-endian inputs are rejected with a
 //! structured error, never a panic, and corrupted text loads or fails but
-//! never panics either; a binary-loaded repository keeps participating in
-//! the merge/refine loop; and the batched trace-prediction path (shared by
+//! never panics either; a binary-loaded repository passes the publication
+//! gate exactly when the original does and keeps participating in the
+//! merge/refine loop; and the batched trace-prediction path (shared by
 //! the compiled predictor and the service) is bit-identical to the
 //! pointwise walk and counts telemetry like it.
 
@@ -14,7 +15,7 @@ use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::SimExecutor;
 use dla_core::mat::stats::{Quantity, Summary};
 use dla_core::model::{
-    FlagKey, ModelError, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel,
+    binfmt, FlagKey, ModelError, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel,
     RoutineModel, VectorPolynomial,
 };
 use dla_core::modeler::online::dedupe_templates;
@@ -210,7 +211,8 @@ proptest! {
         assert_equivalent(&repo, &from_binary);
 
         // Byte-identical save → load → save (bitwise coefficient fidelity:
-        // -0.0 and exotic NaN payloads survive the canonical/explicit split).
+        // every coefficient is stored as its bits, so -0.0 and exotic NaN
+        // payloads survive).
         let bytes_again = from_binary.to_binary().unwrap();
         prop_assert_eq!(&bytes, &bytes_again);
 
@@ -549,21 +551,22 @@ fn batched_service_matches_scalar_service_and_statistics() {
 }
 
 /// A repository loaded from the binary format is a full citizen of the
-/// serving loop: it hot-swaps into a service with zero recompilation, serves
-/// identical predictions, accepts an online-refinement delta through
-/// `merge_models`, and the refined result still roundtrips byte-identically.
+/// serving loop: decoded and compiled, it hot-swaps into a service through
+/// `swap_compiled`, serves identical predictions, accepts an
+/// online-refinement delta through `merge_models`, and the refined result
+/// still roundtrips byte-identically.
 #[test]
 fn binary_loaded_repository_merges_refines_and_serves() {
     let machine = harpertown_openblas();
     let cfg = ModelSetConfig::quick(192);
     let (repo, _) = build_repository(&machine, Locality::InCache, 5, &cfg, &[Workload::Trinv]);
 
-    // Save binary, reload straight into the compiled form.
+    // Save binary, reload and compile.
     let dir = std::env::temp_dir().join("dlaperf-binfmt-interop-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("models.dlapb");
     repo.save_file(&path).unwrap();
-    let compiled = ModelRepository::load_file_compiled(&path).unwrap();
+    let compiled = binfmt::decode(&std::fs::read(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
 
     // Hot-swap the loaded compiled form into a service; predictions match a
@@ -616,4 +619,75 @@ fn binary_loaded_repository_merges_refines_and_serves() {
     let reloaded = ModelRepository::from_binary(&bytes).unwrap();
     assert_eq!(bytes, reloaded.to_binary().unwrap());
     assert_equivalent(&refined, &reloaded);
+}
+
+/// Publishes `repo` into fresh services three ways — directly, decoded and
+/// compiled from its binary form, and decoded from it without compiling —
+/// checks that the publication gate gives all three the same answer, and
+/// returns that answer.
+fn gated_alike(repo: &ModelRepository) -> Result<(), ModelError> {
+    let machine = harpertown_openblas();
+    let service = || ModelService::new(ModelRepository::new(), machine.clone(), Locality::InCache);
+    let bytes = repo.to_binary().unwrap();
+    let direct = service().swap(repo.clone()).map(|_| ());
+    let compiled = binfmt::decode(&bytes).unwrap();
+    let through_compiled = service().swap_compiled(Arc::new(compiled)).map(|_| ());
+    let decoded = ModelRepository::from_binary(&bytes).unwrap();
+    let through_swap = service().swap(decoded).map(|_| ());
+    assert_eq!(through_compiled, direct);
+    assert_eq!(through_swap, direct);
+    direct
+}
+
+/// A repository loaded from the binary format passes the publication gate
+/// exactly when the original does, whether it arrives compiled
+/// (`swap_compiled`) or not (`swap`).  In particular a submodel whose only
+/// region leaves part of its space uncovered is rejected all three ways:
+/// the decoded submodel spans its model's space, not its regions' bounding
+/// box.
+#[test]
+fn binary_loads_are_gated_exactly_like_the_original() {
+    let machine_id = harpertown_openblas().id();
+    let space = Region::new(vec![8, 8], vec![1024, 1024]);
+    let trsm_repo = |region: Region| {
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![1, 1]], vec![100.0, 7.0]).unwrap();
+        let region = RegionModel {
+            region,
+            poly: VectorPolynomial::new(vec![poly; Quantity::ALL.len()]).unwrap(),
+            error: 0.01,
+            samples_used: 9,
+            revision: 0,
+        };
+        let mut model =
+            RoutineModel::new(Routine::Trsm, &machine_id, Locality::InCache, space.clone());
+        let sub = PiecewiseModel::new(space.clone(), vec![region], 9);
+        model.insert_submodel(FlagKey::from_slice(&[0, 0, 0]).unwrap(), sub);
+        let mut repo = ModelRepository::new();
+        repo.insert(model);
+        repo
+    };
+    assert_eq!(gated_alike(&trsm_repo(space.clone())), Ok(()));
+    let uncovered = trsm_repo(Region::new(vec![8, 8], vec![512, 1024]));
+    assert!(matches!(
+        gated_alike(&uncovered),
+        Err(ModelError::Validation(msg)) if msg.contains("degenerate region cover")
+    ));
+
+    // Random repositories, some with the first region of every submodel
+    // removed, whichever way the gate decides.
+    for seed in 0..16u64 {
+        let mut repo = random_repository(seed, &machine_id);
+        if seed % 2 == 1 {
+            let mut holed = ModelRepository::new();
+            for (_, model) in repo.iter() {
+                let mut model = model.clone();
+                for sub in model.submodels.values_mut() {
+                    sub.regions.remove(0);
+                }
+                holed.insert(model);
+            }
+            repo = holed;
+        }
+        let _ = gated_alike(&repo);
+    }
 }

@@ -28,21 +28,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix of zeros with an explicit leading dimension.
-    ///
-    /// Returns an error if `ld < rows`.
-    pub fn zeros_with_ld(rows: usize, cols: usize, ld: usize) -> Result<Self> {
-        if ld < rows || (rows > 0 && ld == 0) {
-            return Err(MatError::InvalidLeadingDimension { ld, rows });
-        }
-        Ok(Matrix {
-            rows,
-            cols,
-            ld: ld.max(1),
-            data: vec![0.0; ld.max(1) * cols],
-        })
-    }
-
     /// Creates a matrix by evaluating `f(i, j)` for every element.
     // lint: allow(panic-free): i < rows and j < cols by loop bounds
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
@@ -406,14 +391,6 @@ mod tests {
         m.set(2, 3, -1.0);
         assert_eq!(m[(2, 3)], -1.0);
         assert_eq!(m[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn explicit_leading_dimension() {
-        let m = Matrix::zeros_with_ld(3, 4, 10).unwrap();
-        assert_eq!(m.ld(), 10);
-        assert_eq!(m.as_slice().len(), 40);
-        assert!(Matrix::zeros_with_ld(5, 2, 3).is_err());
     }
 
     #[test]

@@ -15,13 +15,6 @@ pub enum MatError {
         /// Human readable description of the offending block.
         detail: String,
     },
-    /// The leading dimension is smaller than the number of rows.
-    InvalidLeadingDimension {
-        /// Provided leading dimension.
-        ld: usize,
-        /// Number of rows the leading dimension must cover.
-        rows: usize,
-    },
     /// A numerical routine failed (e.g. rank-deficient least-squares system).
     Numerical {
         /// Human readable description of the failure.
@@ -36,9 +29,6 @@ impl fmt::Display for MatError {
                 write!(f, "dimension mismatch: {detail}")
             }
             MatError::OutOfBounds { detail } => write!(f, "block out of bounds: {detail}"),
-            MatError::InvalidLeadingDimension { ld, rows } => {
-                write!(f, "invalid leading dimension {ld} for {rows} rows")
-            }
             MatError::Numerical { detail } => write!(f, "numerical failure: {detail}"),
         }
     }
@@ -79,8 +69,6 @@ mod tests {
         assert!(e.to_string().contains("3x4"));
         let e = MatError::oob("block 10x10 at (5,5) in 8x8");
         assert!(e.to_string().contains("8x8"));
-        let e = MatError::InvalidLeadingDimension { ld: 3, rows: 5 };
-        assert!(e.to_string().contains('3') && e.to_string().contains('5'));
         let e = MatError::numerical("singular");
         assert!(e.to_string().contains("singular"));
     }

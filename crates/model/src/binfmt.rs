@@ -1,40 +1,57 @@
-//! The zero-copy binary repository format (`dlaperf-bin` v1).
+//! The binary repository format (`dlaperf-bin` v2).
 //!
 //! The text format (see [`ModelRepository::to_text`]) is the debug format:
-//! readable, diffable, and slow — every load re-tokenises and re-compiles
-//! the whole model stack.  This module defines a versioned, alignment-aware
-//! binary layout whose on-disk representation *is* the compiled layout:
-//! monomial plans, SoA coefficient blocks, per-dimension cut arrays, cell
-//! tables and fallback candidate sets are serialised in the exact shapes
-//! [`CompiledVectorPolynomial`] / [`CompiledPiecewise`] /
-//! [`CompiledRepository`] hold in memory, so a shard deserialises with one
-//! validated bulk decode per section instead of re-parsing and re-compiling.
-//! (`#![forbid(unsafe_code)]` stands: "zero-copy" means zero re-compilation
-//! and zero per-element parsing, not raw pointer casts.)
+//! readable, diffable, and slow to load, because every number is tokenised
+//! and parsed from its decimal spelling.  This module stores exactly what the
+//! text format carries — models, submodels, regions and their five quantity
+//! polynomials — in bulk little-endian numeric sections, so a load is one
+//! validated bulk decode per section plus one structural walk.  [`decode`]
+//! then compiles the decoded repository with [`CompiledRepository::compile`],
+//! just as a text load is compiled when it is published: the compiled
+//! evaluator's layout is derived at load time and never stored.
 //!
 //! # On-disk layout (all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic "DLAPBIN\0"
-//!      8     4  format version (currently 1)
+//!      8     4  format version (currently 2)
 //!     12     4  endian tag 0x01020304 (bytes 04 03 02 01 on disk)
-//!     16     4  section count (currently 6)
+//!     16     4  section count (currently 5)
 //!     20     4  reserved (0)
 //!     24     8  total file length in bytes
 //!     32     8  FNV-1a 64 checksum, folded over 8-byte LE lanes (see below)
-//!     40   144  section table: 6 x { kind u32, reserved u32, off u64, len u64 }
-//!    184     -  payload sections, each padded to 8-byte alignment
+//!     40   120  section table: 5 x { kind u32, reserved u32, off u64, len u64 }
+//!    160     -  payload sections, each padded to 8-byte alignment
 //! ```
 //!
-//! The six sections appear in fixed order: `META` (the structural walk,
-//! inline u32/u64 values), `U64S` (integer bounds and cut coordinates),
-//! `F64S` (errors and coefficient matrices), `U32S` (cell tables, fallback
-//! sets, explicit exponents), `U8S` (compiled monomial plans), `STRS`
-//! (length-prefixed machine identifiers; unlike the whitespace-tokenised
-//! text format, ids containing whitespace are representable here).  `U64S`
-//! and `F64S` always start on an 8-byte boundary so a future memory-mapped
-//! reader can view them in place.
+//! The five sections appear in fixed order: `META` (the structural walk,
+//! inline u32/u64 values), `U64S` (space and region bounds), `F64S` (region
+//! errors and polynomial coefficients), `U32S` (polynomial exponents) and
+//! `STRS` (machine identifiers; unlike the whitespace-tokenised text format,
+//! ids containing whitespace are representable here).
+//!
+//! The walk, in `META` order (bracketed values live in the numeric section
+//! named):
+//!
+//! ```text
+//! repository  model count u32, then each model in ascending key order
+//! model       routine index u32, locality u32, machine-id offset u32 and
+//!             length u32 (into STRS), dimension u32, [space lo, hi: U64S],
+//!             submodel count u32, then each submodel in ascending flag order
+//! submodel    flag count u32, flags u64 each, total samples u64,
+//!             region count u32, then each region
+//! region      [lo, hi: U64S], [error: F64S], samples used u64, shared u32,
+//!             then for each quantity q (min, mean, median, max, std-dev):
+//!             if q == 0 or shared == 0: term count u32 and
+//!             [exponents: U32S, term count x dimension];
+//!             always [coefficients: F64S, one per term]
+//! ```
+//!
+//! `shared` is 1 when the five quantity polynomials have the same exponent
+//! table, as every fit produces: the table is stored once and the decoded
+//! polynomials share it behind one `Arc`.  A decoded submodel spans its
+//! model's space, as in the text format.
 //!
 //! The checksum is FNV-1a 64 folded over the file as 8-byte little-endian
 //! lanes — the checksum field itself is treated as zeros and a short final
@@ -53,18 +70,16 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
-use crate::eval::{CompiledRegion, CompiledSubmodel};
 use crate::{
-    CompiledPiecewise, CompiledRepository, CompiledRoutineModel, CompiledVectorPolynomial, FlagKey,
-    ModelError, ModelKey, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel, Result,
-    RoutineModel, VectorPolynomial,
+    CompiledRepository, FlagKey, ModelError, ModelKey, ModelRepository, PiecewiseModel, Polynomial,
+    Region, RegionModel, Result, RoutineModel, VectorPolynomial,
 };
 
 const MAGIC: [u8; 8] = *b"DLAPBIN\0";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const ENDIAN_TAG: u32 = 0x0102_0304;
 const HEADER_LEN: usize = 40;
-const SECTION_COUNT: usize = 6;
+const SECTION_COUNT: usize = 5;
 const TABLE_ENTRY_LEN: usize = 24;
 const PAYLOAD_START: usize = HEADER_LEN + SECTION_COUNT * TABLE_ENTRY_LEN;
 const CHECKSUM_OFFSET: usize = 32;
@@ -74,16 +89,8 @@ const KIND_META: u32 = 1;
 const KIND_U64S: u32 = 2;
 const KIND_F64S: u32 = 3;
 const KIND_U32S: u32 = 4;
-const KIND_U8S: u32 = 5;
-const KIND_STRS: u32 = 6;
-const KINDS: [u32; SECTION_COUNT] = [
-    KIND_META, KIND_U64S, KIND_F64S, KIND_U32S, KIND_U8S, KIND_STRS,
-];
-
-const MODE_REFERENCE: u32 = 0;
-const MODE_FAST: u32 = 1;
-const QMODE_CANONICAL: u32 = 0;
-const QMODE_EXPLICIT: u32 = 1;
+const KIND_STRS: u32 = 5;
+const KINDS: [u32; SECTION_COUNT] = [KIND_META, KIND_U64S, KIND_F64S, KIND_U32S, KIND_STRS];
 
 fn perr(msg: impl std::fmt::Display) -> ModelError {
     ModelError::Parse(format!("binary repository: {msg}"))
@@ -138,7 +145,6 @@ struct Sections {
     u64s: Vec<u64>,
     f64s: Vec<f64>,
     u32s: Vec<u32>,
-    u8s: Vec<u8>,
     strs: Vec<u8>,
 }
 
@@ -166,32 +172,25 @@ impl Sections {
     }
 }
 
-/// Serialises a compiled repository (source *and* compiled layout) to the
-/// binary format.  The result decodes with [`decode`] into an equal
-/// repository with zero re-compilation; encoding the decoded value again
-/// yields byte-identical output.
+/// Serialises the source models of a compiled repository to the binary
+/// format.  The result decodes with [`decode`] into an equal repository;
+/// encoding the decoded value again yields byte-identical output.
 pub fn encode(compiled: &CompiledRepository) -> Result<Vec<u8>> {
-    let source = compiled.source();
-    let entries = compiled.entries();
-    if source.len() != entries.len() {
-        return Err(serr("compiled repository out of sync with its source"));
-    }
+    encode_models(compiled.source())
+}
+
+/// Serialises a repository to the binary format (the writer behind
+/// [`encode`] and [`ModelRepository::to_binary`]).
+pub(crate) fn encode_models(repository: &ModelRepository) -> Result<Vec<u8>> {
     let mut s = Sections::default();
-    s.meta_usize(source.len(), "model count")?;
-    for ((key, model), (entry_key, entry)) in source.iter().zip(entries) {
-        if key != entry_key {
-            return Err(serr("compiled repository out of sync with its source"));
-        }
-        encode_model(&mut s, model, entry)?;
+    s.meta_usize(repository.len(), "model count")?;
+    for (_, model) in repository.iter() {
+        encode_model(&mut s, model)?;
     }
     Ok(assemble(&s))
 }
 
-fn encode_model(
-    s: &mut Sections,
-    model: &RoutineModel,
-    entry: &CompiledRoutineModel,
-) -> Result<()> {
+fn encode_model(s: &mut Sections, model: &RoutineModel) -> Result<()> {
     let dim = model.space.dim();
     s.meta_u32(model.routine.index() as u32);
     let locality_idx = match model.locality {
@@ -212,105 +211,15 @@ fn encode_model(
             s.meta_u64(f as u64);
         }
         s.meta_u64(sub.total_samples as u64);
-        // The compiled counterpart decides the storage mode: fast submodels
-        // persist their compiled artefacts, everything else stores the
-        // reference polynomials only.
-        let fast = entry.submodels().iter().find_map(|(k, cs)| match cs {
-            CompiledSubmodel::Fast(c) if *k == flags => Some(c),
-            _ => None,
-        });
-        match fast {
-            Some(c) => encode_fast_submodel(s, sub, c, dim)?,
-            None => encode_reference_submodel(s, sub, dim)?,
+        s.meta_usize(sub.regions.len(), "region count")?;
+        for rm in &sub.regions {
+            encode_region(s, rm, dim)?;
         }
     }
     Ok(())
 }
 
-fn encode_fast_submodel(
-    s: &mut Sections,
-    sub: &PiecewiseModel,
-    c: &CompiledPiecewise,
-    dim: usize,
-) -> Result<()> {
-    if c.regions().len() != sub.regions.len() || c.dim() != dim {
-        return Err(serr("compiled submodel out of sync with its source"));
-    }
-    s.meta_u32(MODE_FAST);
-    s.meta_usize(sub.regions.len(), "region count")?;
-    for cuts in c.cuts() {
-        s.meta_usize(cuts.len(), "cut count")?;
-        s.u64s.extend(cuts.iter().map(|&v| v as u64));
-    }
-    s.meta_u32(c.is_indexed() as u32);
-    if c.is_indexed() {
-        s.meta_usize(c.cells().len(), "cell count")?;
-        s.u32s.extend_from_slice(c.cells());
-        s.meta_usize(c.fallbacks().len(), "fallback count")?;
-        for f in c.fallbacks() {
-            s.meta_usize(f.len(), "fallback set size")?;
-            s.u32s.extend_from_slice(f);
-        }
-    }
-    for (rm, cr) in sub.regions.iter().zip(c.regions()) {
-        encode_region_header(s, rm, dim)?;
-        let poly = &cr.poly;
-        s.meta_usize(poly.term_count(), "term count")?;
-        s.u8s.extend_from_slice(poly.exponent_bytes());
-        s.f64s.extend_from_slice(poly.coefficient_matrix());
-        for (q, qpoly) in rm.poly.polynomials().iter().enumerate() {
-            if canonical(qpoly, poly, q) {
-                // The source polynomial is exactly the shared plan plus the
-                // SoA column: nothing to store beyond the mode tag.
-                s.meta_u32(QMODE_CANONICAL);
-            } else {
-                s.meta_u32(QMODE_EXPLICIT);
-                encode_explicit_poly(s, qpoly, dim)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Is the source polynomial for quantity `q` bit-recoverable from the
-/// compiled plan and SoA column alone?  Requires an identical term list
-/// (same tuples, same order) and bitwise-equal coefficients — `-0.0` and
-/// exotic NaN payloads fail the bit check (the SoA is accumulated through
-/// `+=`, which canonicalises them) and conservatively fall back to explicit
-/// storage, which keeps save→load→save byte-identical.
-fn canonical(qpoly: &Polynomial, plan: &CompiledVectorPolynomial, q: usize) -> bool {
-    let dim = plan.dim();
-    if qpoly.term_count() != plan.term_count() || qpoly.dim() != dim {
-        return false;
-    }
-    let bytes = plan.exponent_bytes();
-    let soa = plan.coefficient_matrix();
-    qpoly
-        .exponents()
-        .iter()
-        .zip(qpoly.coefficients())
-        .enumerate()
-        .all(|(t, (exps, &c))| {
-            exps.iter()
-                .zip(&bytes[t * dim..(t + 1) * dim])
-                .all(|(&e, &b)| e == b as u32)
-                && c.to_bits() == soa[t * 5 + q].to_bits()
-        })
-}
-
-fn encode_reference_submodel(s: &mut Sections, sub: &PiecewiseModel, dim: usize) -> Result<()> {
-    s.meta_u32(MODE_REFERENCE);
-    s.meta_usize(sub.regions.len(), "region count")?;
-    for rm in &sub.regions {
-        encode_region_header(s, rm, dim)?;
-        for qpoly in rm.poly.polynomials() {
-            encode_explicit_poly(s, qpoly, dim)?;
-        }
-    }
-    Ok(())
-}
-
-fn encode_region_header(s: &mut Sections, rm: &RegionModel, dim: usize) -> Result<()> {
+fn encode_region(s: &mut Sections, rm: &RegionModel, dim: usize) -> Result<()> {
     if rm.region.dim() != dim {
         return Err(serr(format!(
             "region arity {} does not match model dimension {dim}",
@@ -321,21 +230,24 @@ fn encode_region_header(s: &mut Sections, rm: &RegionModel, dim: usize) -> Resul
     s.u64s.extend(rm.region.hi().iter().map(|&v| v as u64));
     s.f64s.push(rm.error);
     s.meta_u64(rm.samples_used as u64);
-    Ok(())
-}
-
-fn encode_explicit_poly(s: &mut Sections, poly: &Polynomial, dim: usize) -> Result<()> {
-    if poly.dim() != dim {
-        return Err(serr(format!(
-            "polynomial arity {} does not match model dimension {dim}",
-            poly.dim()
-        )));
+    let polys = rm.poly.polynomials();
+    let shared = polys.iter().all(|p| p.exponents() == polys[0].exponents());
+    s.meta_u32(shared as u32);
+    for (q, poly) in polys.iter().enumerate() {
+        if poly.dim() != dim {
+            return Err(serr(format!(
+                "polynomial arity {} does not match model dimension {dim}",
+                poly.dim()
+            )));
+        }
+        if q == 0 || !shared {
+            s.meta_usize(poly.term_count(), "term count")?;
+            for e in poly.exponents() {
+                s.u32s.extend_from_slice(e);
+            }
+        }
+        s.f64s.extend_from_slice(poly.coefficients());
     }
-    s.meta_usize(poly.term_count(), "term count")?;
-    for e in poly.exponents() {
-        s.u32s.extend_from_slice(e);
-    }
-    s.f64s.extend_from_slice(poly.coefficients());
     Ok(())
 }
 
@@ -345,7 +257,6 @@ fn assemble(s: &Sections) -> Vec<u8> {
         s.u64s.iter().flat_map(|v| v.to_le_bytes()).collect(),
         s.f64s.iter().flat_map(|v| v.to_le_bytes()).collect(),
         s.u32s.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        s.u8s.clone(),
         s.strs.clone(),
     ];
     let mut out = Vec::new();
@@ -410,6 +321,10 @@ impl<'a, T> Cursor<'a, T> {
         Ok(slice)
     }
 
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     fn finish(&self) -> Result<()> {
         if self.pos != self.data.len() {
             return Err(perr(format!(
@@ -422,18 +337,25 @@ impl<'a, T> Cursor<'a, T> {
     }
 }
 
-struct MetaReader<'a> {
-    cursor: Cursor<'a, u8>,
+/// The decoder's view of a validated file: one cursor per section, and how
+/// far into `STRS` the machine ids reach.
+struct Reader<'a> {
+    meta: Cursor<'a, u8>,
+    u64s: Cursor<'a, u64>,
+    f64s: Cursor<'a, f64>,
+    u32s: Cursor<'a, u32>,
+    strs: &'a [u8],
+    strs_used: usize,
 }
 
-impl MetaReader<'_> {
+impl Reader<'_> {
     fn u32(&mut self) -> Result<u32> {
-        let b = self.cursor.take(4)?;
+        let b = self.meta.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        let b = self.cursor.take(8)?;
+        let b = self.meta.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
@@ -448,23 +370,55 @@ impl MetaReader<'_> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| perr(format!("{what} {v} does not fit in usize")))
     }
+
+    fn region(&mut self, dim: usize) -> Result<Region> {
+        let lo = usizes(self.u64s.take(dim)?)?;
+        let hi = usizes(self.u64s.take(dim)?)?;
+        Region::try_new(lo, hi).ok_or_else(|| perr("region bounds inverted"))
+    }
+
+    /// One exponent table: a term count, then `terms x dim` exponents.
+    fn exponents(&mut self, dim: usize) -> Result<Arc<Vec<Vec<u32>>>> {
+        let terms = self.count("term count")?;
+        let flat = self.u32s.take(
+            terms
+                .checked_mul(dim)
+                .ok_or_else(|| perr("exponent matrix size overflows"))?,
+        )?;
+        // Every term has a coefficient: checked before the table is
+        // allocated, because a zero-dimensional table consumes no exponents.
+        if terms > self.f64s.remaining() {
+            return Err(perr("F64S section exhausted"));
+        }
+        Ok(Arc::new(if dim == 0 {
+            vec![Vec::new(); terms]
+        } else {
+            flat.chunks_exact(dim).map(<[u32]>::to_vec).collect()
+        }))
+    }
+
+    fn finish(&self) -> Result<()> {
+        self.meta.finish()?;
+        self.u64s.finish()?;
+        self.f64s.finish()?;
+        self.u32s.finish()?;
+        if self.strs_used != self.strs.len() {
+            return Err(perr("unreferenced trailing string data"));
+        }
+        Ok(())
+    }
 }
 
-struct Decoded<'a> {
-    meta: MetaReader<'a>,
-    u8s: Cursor<'a, u8>,
-    strs: &'a [u8],
-    strs_used: usize,
-}
-
-fn usizes(vals: &[u64], what: &str) -> Result<Vec<usize>> {
+fn usizes(vals: &[u64]) -> Result<Vec<usize>> {
     vals.iter()
-        .map(|&v| usize::try_from(v).map_err(|_| perr(format!("{what} {v} does not fit in usize"))))
+        .map(|&v| {
+            usize::try_from(v).map_err(|_| perr(format!("region bound {v} does not fit in usize")))
+        })
         .collect()
 }
 
 /// Validates the header and section table of a candidate binary repository
-/// and returns the six raw payload slices in section order.
+/// and returns the five raw payload slices in section order.
 fn validate_frame(bytes: &[u8]) -> Result<[&[u8]; SECTION_COUNT]> {
     if !is_binary(bytes) {
         return Err(perr("not a binary repository (bad magic)"));
@@ -550,329 +504,159 @@ fn validate_frame(bytes: &[u8]) -> Result<[&[u8]; SECTION_COUNT]> {
     Ok(sections)
 }
 
-/// Deserialises a binary repository: one validated bulk decode per numeric
-/// section, then one structural walk that rebuilds the source models and
-/// reassembles the compiled layout with **zero re-compilation** — the stored
-/// artefacts *are* the compiled representation.
+/// Deserialises a binary repository and compiles it for serving: the
+/// models are decoded (one validated bulk decode per numeric section, then
+/// one structural walk) and then compiled with
+/// [`CompiledRepository::compile`], the only constructor of a compiled
+/// repository.
 pub fn decode(bytes: &[u8]) -> Result<CompiledRepository> {
-    let (source, entries) = decode_parts(bytes)?;
-    Ok(CompiledRepository::from_parts(source, entries))
+    decode_models(bytes).map(CompiledRepository::compile)
 }
 
-/// The decode walk behind [`decode`]: the source repository and the
-/// compiled entries, in one pass over the validated sections.
-pub(crate) fn decode_parts(
-    bytes: &[u8],
-) -> Result<(ModelRepository, Vec<(ModelKey, CompiledRoutineModel)>)> {
+/// Deserialises the models of a binary repository (the reader behind
+/// [`decode`] and [`ModelRepository::from_binary`]).
+pub(crate) fn decode_models(bytes: &[u8]) -> Result<ModelRepository> {
     let sections = validate_frame(bytes)?;
     // Bulk-decode the numeric sections (the only per-element work on the
     // load path, a straight LE reinterpretation of each 8- or 4-byte chunk).
-    let u64s_data: Vec<u64> = sections[1]
+    let u64s: Vec<u64> = sections[1]
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
         .collect();
-    let f64s_data: Vec<f64> = sections[2]
+    let f64s: Vec<f64> = sections[2]
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
         .collect();
-    let u32s_data: Vec<u32> = sections[3]
+    let u32s: Vec<u32> = sections[3]
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
-    let mut d = Decoded {
-        meta: MetaReader {
-            cursor: Cursor::new(sections[0], "META"),
-        },
-        u8s: Cursor::new(sections[4], "U8S"),
-        strs: sections[5],
+    let mut r = Reader {
+        meta: Cursor::new(sections[0], "META"),
+        u64s: Cursor::new(&u64s, "U64S"),
+        f64s: Cursor::new(&f64s, "F64S"),
+        u32s: Cursor::new(&u32s, "U32S"),
+        strs: sections[4],
         strs_used: 0,
     };
-    let mut u64s = Cursor::new(&u64s_data, "U64S");
-    let mut f64s = Cursor::new(&f64s_data, "F64S");
-    let mut u32s = Cursor::new(&u32s_data, "U32S");
 
-    let model_count = d.meta.count("model count")?;
+    let model_count = r.count("model count")?;
     let mut repo = ModelRepository::new();
-    let mut entries: Vec<(ModelKey, CompiledRoutineModel)> = Vec::new();
     let mut prev_key: Option<ModelKey> = None;
     for _ in 0..model_count {
-        let (model, key, compiled) = decode_model(&mut d, &mut u64s, &mut f64s, &mut u32s)?;
+        let model = decode_model(&mut r)?;
+        let key = ModelKey::new(model.routine, &model.machine_id, model.locality);
         // Models must be stored in strictly ascending key order (the order
-        // the writer and `compile_arc` both produce), which also rules out
-        // duplicates silently overwriting each other.
-        if let Some(prev) = &prev_key {
-            if *prev >= key {
-                return Err(perr(format!(
-                    "model keys out of order ({}/{}/{} follows an equal or later key)",
-                    key.routine, key.machine_id, key.locality
-                )));
-            }
+        // the writer produces), which also rules out duplicates silently
+        // overwriting each other.
+        if prev_key.as_ref().is_some_and(|prev| *prev >= key) {
+            return Err(perr(format!(
+                "model keys out of order ({}/{}/{} follows an equal or later key)",
+                key.routine, key.machine_id, key.locality
+            )));
         }
-        prev_key = Some(key.clone());
+        prev_key = Some(key);
         repo.insert(model);
-        entries.push((key, compiled));
     }
-    d.meta.cursor.finish()?;
-    u64s.finish()?;
-    f64s.finish()?;
-    u32s.finish()?;
-    d.u8s.finish()?;
-    if d.strs_used != d.strs.len() {
-        return Err(perr("unreferenced trailing string data"));
-    }
-    Ok((repo, entries))
+    r.finish()?;
+    Ok(repo)
 }
 
-fn decode_model(
-    d: &mut Decoded<'_>,
-    u64s: &mut Cursor<'_, u64>,
-    f64s: &mut Cursor<'_, f64>,
-    u32s: &mut Cursor<'_, u32>,
-) -> Result<(RoutineModel, ModelKey, CompiledRoutineModel)> {
-    let routine_idx = d.meta.count("routine index")?;
+fn decode_model(r: &mut Reader<'_>) -> Result<RoutineModel> {
+    let routine_idx = r.count("routine index")?;
     let routine = *Routine::ALL
         .get(routine_idx)
         .ok_or_else(|| perr(format!("unknown routine index {routine_idx}")))?;
-    let locality = match d.meta.u32()? {
+    let locality = match r.u32()? {
         0 => Locality::InCache,
         1 => Locality::OutOfCache,
         other => return Err(perr(format!("unknown locality index {other}"))),
     };
-    let str_off = d.meta.count("machine id offset")?;
-    let str_len = d.meta.count("machine id length")?;
+    let str_off = r.count("machine id offset")?;
+    let str_len = r.count("machine id length")?;
     let end = str_off
         .checked_add(str_len)
-        .filter(|&e| e <= d.strs.len())
+        .filter(|&e| e <= r.strs.len())
         .ok_or_else(|| perr("machine id extends past the string section"))?;
-    let machine_id = std::str::from_utf8(&d.strs[str_off..end])
+    let machine_id = std::str::from_utf8(&r.strs[str_off..end])
         .map_err(|_| perr("machine id is not valid UTF-8"))?
         .to_string();
-    d.strs_used = d.strs_used.max(end);
-    let dim = d.meta.count("model dimension")?;
-    let space = decode_region(u64s, dim)?;
-    let submodel_count = d.meta.count("submodel count")?;
-    let key = ModelKey::new(routine, &machine_id, locality);
+    r.strs_used = r.strs_used.max(end);
+    let dim = r.count("model dimension")?;
+    let space = r.region(dim)?;
+    let submodel_count = r.count("submodel count")?;
     let mut model = RoutineModel::new(routine, machine_id, locality, space.clone());
-    let mut compiled_subs: Vec<(FlagKey, CompiledSubmodel)> = Vec::new();
     let mut prev_flags: Option<FlagKey> = None;
     for _ in 0..submodel_count {
-        let flag_count = d.meta.count("flag count")?;
-        let mut flags = Vec::with_capacity(flag_count.min(64));
-        for _ in 0..flag_count {
-            flags.push(d.meta.u64_usize("flag value")?);
-        }
+        let flag_count = r.count("flag count")?;
+        let flags: Vec<usize> = (0..flag_count)
+            .map(|_| r.u64_usize("flag value"))
+            .collect::<Result<_>>()?;
         let flags = FlagKey::from_slice(&flags)
             .ok_or_else(|| perr("submodel flag key cannot come from any call"))?;
-        // Sorted flag keys keep the compiled submodel order identical to
-        // what compiling the source would produce.
+        // Strictly ascending flag keys (the writer's order) rule out a
+        // duplicate key silently replacing an earlier submodel.
         if prev_flags.is_some_and(|prev| prev >= flags) {
             return Err(perr("submodel flag keys out of order"));
         }
         prev_flags = Some(flags);
-        let total_samples = d.meta.u64_usize("sample count")?;
-        let mode = d.meta.u32()?;
-        let region_count = d.meta.count("region count")?;
-        match mode {
-            MODE_FAST => {
-                let (sub, fast) =
-                    decode_fast_submodel(d, u64s, f64s, u32s, dim, region_count, total_samples)?;
-                model.insert_submodel(flags, sub);
-                compiled_subs.push((flags, CompiledSubmodel::Fast(fast)));
-            }
-            MODE_REFERENCE => {
-                let sub = decode_reference_submodel(
-                    d,
-                    u64s,
-                    f64s,
-                    u32s,
-                    dim,
-                    region_count,
-                    total_samples,
-                    &space,
-                )?;
-                // Reference mode records that compilation declined this
-                // submodel.
-                compiled_subs.push((flags, CompiledSubmodel::Reference(sub.clone())));
-                model.insert_submodel(flags, sub);
-            }
-            other => return Err(perr(format!("unknown submodel mode {other}"))),
-        }
+        let total_samples = r.u64_usize("sample count")?;
+        let region_count = r.count("region count")?;
+        let regions = (0..region_count)
+            .map(|_| decode_region(r, dim))
+            .collect::<Result<_>>()?;
+        model.insert_submodel(
+            flags,
+            PiecewiseModel::new(space.clone(), regions, total_samples),
+        );
     }
-    let compiled = CompiledRoutineModel::from_raw_parts(routine, &space, compiled_subs);
-    Ok((model, key, compiled))
+    Ok(model)
 }
 
-fn decode_region(u64s: &mut Cursor<'_, u64>, dim: usize) -> Result<Region> {
-    let lo = usizes(u64s.take(dim)?, "region bound")?;
-    let hi = usizes(u64s.take(dim)?, "region bound")?;
-    Region::try_new(lo, hi).ok_or_else(|| perr("region bounds inverted"))
-}
-
-fn decode_fast_submodel(
-    d: &mut Decoded<'_>,
-    u64s: &mut Cursor<'_, u64>,
-    f64s: &mut Cursor<'_, f64>,
-    u32s: &mut Cursor<'_, u32>,
-    dim: usize,
-    region_count: usize,
-    total_samples: usize,
-) -> Result<(PiecewiseModel, CompiledPiecewise)> {
-    let mut cuts = Vec::with_capacity(dim.min(crate::MAX_DIM));
-    for _ in 0..dim {
-        let n = d.meta.count("cut count")?;
-        cuts.push(usizes(u64s.take(n)?, "cut coordinate")?);
-    }
-    let indexed = match d.meta.u32()? {
+fn decode_region(r: &mut Reader<'_>, dim: usize) -> Result<RegionModel> {
+    let region = r.region(dim)?;
+    let error = r.f64s.take(1)?[0];
+    let samples_used = r.u64_usize("region sample count")?;
+    let shared = match r.u32()? {
         0 => false,
         1 => true,
-        other => return Err(perr(format!("bad indexed flag {other}"))),
+        other => return Err(perr(format!("bad shared-exponents word {other}"))),
     };
-    let mut cells = Vec::new();
-    let mut fallbacks = Vec::new();
-    if indexed {
-        let n = d.meta.count("cell count")?;
-        cells = u32s.take(n)?.to_vec();
-        let fb = d.meta.count("fallback count")?;
-        for _ in 0..fb {
-            let n = d.meta.count("fallback set size")?;
-            fallbacks.push(u32s.take(n)?.to_vec());
+    let mut polys = Vec::with_capacity(Quantity::ALL.len());
+    let mut exponents = r.exponents(dim)?;
+    for q in 0..Quantity::ALL.len() {
+        if q > 0 && !shared {
+            exponents = r.exponents(dim)?;
         }
+        let coefficients = r.f64s.take(exponents.len())?.to_vec();
+        polys.push(
+            Polynomial::from_shared(dim, Arc::clone(&exponents), coefficients)
+                .map_err(|e| perr(format!("invalid polynomial: {e}")))?,
+        );
     }
-    let mut regions = Vec::with_capacity(region_count.min(1 << 16));
-    let mut compiled_regions = Vec::with_capacity(region_count.min(1 << 16));
-    let mut space_lo = vec![usize::MAX; dim];
-    let mut space_hi = vec![0usize; dim];
-    for _ in 0..region_count {
-        let region = decode_region(u64s, dim)?;
-        let error = f64s.take(1)?[0];
-        let samples_used = d.meta.u64_usize("region sample count")?;
-        let term_count = d.meta.count("term count")?;
-        let exp_len = term_count
-            .checked_mul(dim)
-            .ok_or_else(|| perr("exponent matrix size overflows"))?;
-        let exponents = d.u8s.take(exp_len)?.to_vec();
-        let coeff_len = term_count
-            .checked_mul(5)
-            .ok_or_else(|| perr("coefficient matrix size overflows"))?;
-        let coefficients = f64s.take(coeff_len)?.to_vec();
-        let plan = CompiledVectorPolynomial::from_raw_parts(dim, exponents, coefficients)?;
-        let mut polys = Vec::with_capacity(Quantity::ALL.len());
-        let mut plan_exponents: Option<Arc<Vec<Vec<u32>>>> = None;
-        for q in 0..Quantity::ALL.len() {
-            match d.meta.u32()? {
-                QMODE_CANONICAL => {
-                    // The quantity polynomial is the shared plan plus the
-                    // q-th SoA column, bit-for-bit: nothing to read.  The
-                    // canonical quantities share one exponent table, as
-                    // they do when the fit engine builds them.
-                    let exps = plan_exponents.get_or_insert_with(|| {
-                        Arc::new(
-                            plan.exponent_bytes()
-                                .chunks_exact(dim.max(1))
-                                .map(|t| t.iter().map(|&b| b as u32).collect())
-                                .collect(),
-                        )
-                    });
-                    let coeffs: Vec<f64> = (0..plan.term_count())
-                        .map(|t| plan.coefficient_matrix()[t * 5 + q])
-                        .collect();
-                    polys.push(
-                        Polynomial::from_shared(dim, Arc::clone(exps), coeffs)
-                            .map_err(|e| perr(format!("invalid canonical polynomial: {e}")))?,
-                    );
-                }
-                QMODE_EXPLICIT => polys.push(decode_explicit_poly(d, f64s, u32s, dim)?),
-                other => return Err(perr(format!("unknown quantity mode {other}"))),
-            }
-        }
-        for dd in 0..dim {
-            space_lo[dd] = space_lo[dd].min(region.lo()[dd]);
-            space_hi[dd] = space_hi[dd].max(region.hi()[dd]);
-        }
-        compiled_regions.push(CompiledRegion::compile(&region, plan, error));
-        regions.push(RegionModel {
-            region,
-            poly: VectorPolynomial::new(polys)
-                .map_err(|e| perr(format!("invalid vector polynomial: {e}")))?,
-            error,
-            samples_used,
-            // Provenance is runtime-only (same rule as the text format):
-            // reloaded regions restart at revision 0.
-            revision: 0,
-        });
-    }
-    let fast =
-        CompiledPiecewise::from_raw_parts(dim, compiled_regions, cuts, cells, fallbacks, indexed)?;
-    let source = PiecewiseModel::new(Region::new(space_lo, space_hi), regions, total_samples);
-    Ok((source, fast))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decode_reference_submodel(
-    d: &mut Decoded<'_>,
-    u64s: &mut Cursor<'_, u64>,
-    f64s: &mut Cursor<'_, f64>,
-    u32s: &mut Cursor<'_, u32>,
-    dim: usize,
-    region_count: usize,
-    total_samples: usize,
-    space: &Region,
-) -> Result<PiecewiseModel> {
-    let mut regions = Vec::with_capacity(region_count.min(1 << 16));
-    for _ in 0..region_count {
-        let region = decode_region(u64s, dim)?;
-        let error = f64s.take(1)?[0];
-        let samples_used = d.meta.u64_usize("region sample count")?;
-        let mut polys = Vec::with_capacity(Quantity::ALL.len());
-        for _ in Quantity::ALL {
-            polys.push(decode_explicit_poly(d, f64s, u32s, dim)?);
-        }
-        regions.push(RegionModel {
-            region,
-            poly: VectorPolynomial::new(polys)
-                .map_err(|e| perr(format!("invalid vector polynomial: {e}")))?,
-            error,
-            samples_used,
-            revision: 0,
-        });
-    }
-    Ok(PiecewiseModel::new(space.clone(), regions, total_samples))
-}
-
-fn decode_explicit_poly(
-    d: &mut Decoded<'_>,
-    f64s: &mut Cursor<'_, f64>,
-    u32s: &mut Cursor<'_, u32>,
-    dim: usize,
-) -> Result<Polynomial> {
-    let terms = d.meta.count("term count")?;
-    let flat = u32s.take(
-        terms
-            .checked_mul(dim)
-            .ok_or_else(|| perr("exponent matrix size overflows"))?,
-    )?;
-    let exponents: Vec<Vec<u32>> = if dim == 0 {
-        vec![Vec::new(); terms]
-    } else {
-        flat.chunks_exact(dim).map(|c| c.to_vec()).collect()
-    };
-    let coefficients = f64s.take(terms)?.to_vec();
-    Polynomial::new(dim, exponents, coefficients)
-        .map_err(|e| perr(format!("invalid polynomial: {e}")))
+    Ok(RegionModel {
+        region,
+        poly: VectorPolynomial::new(polys)
+            .map_err(|e| perr(format!("invalid vector polynomial: {e}")))?,
+        error,
+        samples_used,
+        // Provenance is runtime-only (same rule as the text format):
+        // reloaded regions restart at revision 0.
+        revision: 0,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlagKey;
+    use crate::{CompiledPiecewise, RepositoryValidator};
 
-    /// A one-model binary file: one trsm submodel (key `[0, 0, 0]`) of one
-    /// region over `[8, 512]²` whose five quantities are `poly`, and the
-    /// number of its submodels the compiler accepted.
-    fn one_region_file(poly: Polynomial) -> (Vec<u8>, usize) {
-        let space = Region::new(vec![8, 8], vec![512, 512]);
+    /// A one-model repository: one trsm submodel (key `[0, 0, 0]`) over the
+    /// space `space`, whose single region `region` carries `poly` for all
+    /// five quantities.
+    fn one_region_repository(space: Region, region: Region, poly: Polynomial) -> ModelRepository {
         let region = RegionModel {
-            region: space.clone(),
+            region,
             poly: VectorPolynomial::new(vec![poly; Quantity::ALL.len()]).unwrap(),
             error: 0.01,
             samples_used: 4,
@@ -885,19 +669,14 @@ mod tests {
         );
         let mut repo = ModelRepository::new();
         repo.insert(model);
-        let compiled = repo.compiled();
-        let entry = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
-        (encode(&compiled).unwrap(), entry.fast_submodel_count())
+        repo
     }
 
-    /// A one-model binary file whose only submodel the compiler declines —
-    /// an exponent past the power ladder — so it is stored in reference
-    /// mode.
-    fn reference_mode_file() -> Vec<u8> {
-        let poly = Polynomial::new(2, vec![vec![0, 0], vec![8, 0]], vec![1.0, 1e-20]).unwrap();
-        let (bytes, fast) = one_region_file(poly);
-        assert_eq!(fast, 0, "must be stored in reference mode");
-        bytes
+    /// A one-model binary file whose only region covers its space `[8, 512]²`.
+    fn one_region_file() -> Vec<u8> {
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![1, 0]], vec![1.0, 2.0]).unwrap();
+        encode_models(&one_region_repository(space.clone(), space, poly)).unwrap()
     }
 
     /// Recomputes and stores the checksum of a patched file.
@@ -908,46 +687,64 @@ mod tests {
         bytes
     }
 
+    /// The byte range of section `i`'s payload.
+    fn section(bytes: &[u8], i: usize) -> std::ops::Range<usize> {
+        let entry = HEADER_LEN + i * TABLE_ENTRY_LEN;
+        let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+        off..off + len
+    }
+
+    /// The source of the file's only submodel, under the key `[0, 0, 0]`.
+    fn only_submodel(compiled: &CompiledRepository) -> &PiecewiseModel {
+        let model = compiled.source().get(Routine::Trsm, "m", Locality::InCache);
+        model
+            .unwrap()
+            .submodel(FlagKey::from_slice(&[0, 0, 0]).unwrap())
+            .unwrap()
+    }
+
     /// Rewrites the first flag of the file's only submodel key and reseals
     /// the checksum.  In `META` the key follows the model count, routine,
     /// locality, machine-id span, dimension, submodel count and flag count
     /// (eight u32s); each flag is a u64.
     fn with_first_flag(mut bytes: Vec<u8>, flag: u64) -> Vec<u8> {
-        let meta = u64::from_le_bytes(bytes[48..56].try_into().unwrap()) as usize;
-        let at = meta + 8 * 4;
+        let at = section(&bytes, 0).start + 8 * 4;
         bytes[at..at + 8].copy_from_slice(&flag.to_le_bytes());
         resealed(bytes)
     }
 
     #[test]
-    fn an_indexed_model_spanning_past_the_cap_is_a_decode_error() {
-        // One compiled region, hence one cell: indexed, with the cuts
-        // [8, 513] in each dimension.
-        let poly = Polynomial::new(2, vec![vec![0, 0], vec![1, 0]], vec![1.0, 2.0]).unwrap();
-        let (mut bytes, fast) = one_region_file(poly);
-        assert_eq!(fast, 1, "must be stored in fast mode");
-        assert!(decode(&bytes).is_ok());
-        // The last cut of the second dimension is the last 513 in `U64S`
-        // (section 1): region bounds end at 512.  Moving it to 2^40 keeps
-        // the cuts ascending and the cell grid unchanged, but the locate
-        // table would need ~2^40 entries.
-        let entry = HEADER_LEN + TABLE_ENTRY_LEN;
-        let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
-        let at = (off..off + len)
+    fn a_region_bound_past_the_cap_decodes_onto_the_scan_path() {
+        let bytes = one_region_file();
+        // `U64S` (section 1) holds the space bounds, then the region's; the
+        // last 512 is the region's upper bound in the second dimension.
+        // Moving it to 2^40 leaves a well-formed file whose cut coordinates
+        // would span ~2^40 locate-table entries.
+        let mut patched = bytes.clone();
+        let at = section(&bytes, 1)
             .step_by(8)
-            .rfind(|&i| bytes[i..i + 8] == 513u64.to_le_bytes())
-            .expect("the last cut is stored");
-        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        match decode(&resealed(bytes)) {
-            Err(ModelError::Parse(msg)) => assert!(msg.contains("span"), "{msg}"),
-            other => panic!("expected a parse error, got {other:?}"),
-        }
+            .rfind(|&i| bytes[i..i + 8] == 512u64.to_le_bytes())
+            .expect("the region bound is stored");
+        patched[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        // Decoding compiles: `compile` sees the span, keeps the submodel on
+        // the fast path and locates by scan, without allocating the tables.
+        let compiled = decode(&resealed(patched)).unwrap();
+        let model = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
+        assert_eq!(model.fast_submodel_count(), 1);
+        let sub = only_submodel(&compiled);
+        assert_eq!(sub.regions[0].region.hi(), &[512, 1 << 40]);
+        assert!(!CompiledPiecewise::compile(sub).unwrap().is_indexed());
+        // The unpatched file indexes the same submodel.
+        let unpatched = decode(&bytes).unwrap();
+        assert!(CompiledPiecewise::compile(only_submodel(&unpatched))
+            .unwrap()
+            .is_indexed());
     }
 
     #[test]
     fn unrepresentable_flag_keys_are_a_decode_error() {
-        let bytes = reference_mode_file();
+        let bytes = one_region_file();
         // The patch lands on the key: flag 1 decodes as key [1, 0, 0].
         let decoded = decode(&with_first_flag(bytes.clone(), 1)).unwrap();
         let model = decoded
@@ -960,6 +757,45 @@ mod tests {
         // stored key that nothing can query.
         match decode(&with_first_flag(bytes, 256)) {
             Err(ModelError::Parse(msg)) => assert!(msg.contains("flag key"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_region_that_leaves_its_space_uncovered_fails_validation_after_a_round_trip() {
+        // The region covers [8, 512] x [8, 1024] of the space [8, 1024]².
+        let space = Region::new(vec![8, 8], vec![1024, 1024]);
+        let region = Region::new(vec![8, 8], vec![512, 1024]);
+        let poly = Polynomial::new(2, vec![vec![0, 0], vec![0, 1]], vec![3.0, -0.0]).unwrap();
+        let repo = one_region_repository(space, region, poly);
+        let validator = RepositoryValidator::new();
+        let Err(ModelError::Validation(before)) = validator.validate(&repo) else {
+            panic!("the uncovered space must fail validation");
+        };
+        assert!(before.contains("degenerate region cover"), "{before}");
+        // The decoded submodel spans its model's space, not its regions'
+        // bounding box, so the round trip keeps the gap visible.
+        let decoded = decode_models(&encode_models(&repo).unwrap()).unwrap();
+        assert_eq!(decoded, repo);
+        assert_eq!(
+            validator.validate(&decoded),
+            Err(ModelError::Validation(before))
+        );
+    }
+
+    #[test]
+    fn a_shared_word_other_than_0_or_1_is_a_decode_error() {
+        let bytes = one_region_file();
+        // `META` ends with the region's shared word and, since the five
+        // quantities share their exponents, its one term count (2).
+        let meta = section(&bytes, 0);
+        let at = meta.end - 8;
+        assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes());
+        assert_eq!(bytes[at + 4..at + 8], 2u32.to_le_bytes());
+        let mut patched = bytes;
+        patched[at] = 2;
+        match decode(&resealed(patched)) {
+            Err(ModelError::Parse(msg)) => assert!(msg.contains("shared"), "{msg}"),
             other => panic!("expected a parse error, got {other:?}"),
         }
     }

@@ -23,8 +23,8 @@
 //!   cells precompute the candidate set for the nearest-region fallback.  A
 //!   per-dimension table maps every coordinate between the first and the
 //!   last cut straight to its cell's offset in the cell table, so locating a
-//!   point is one table load per dimension.  The tables are derived from the
-//!   cut arrays when a model is compiled or decoded; they are never
+//!   point is one table load per dimension.  The cut arrays, cell table and
+//!   locate tables are derived when a model is compiled; none of them is
 //!   serialised.
 //! * **Zero-allocation path**: normalised coordinates live in fixed scratch
 //!   ([`MAX_DIM`]), submodel lookup uses the fixed-size
@@ -180,68 +180,6 @@ impl CompiledVectorPolynomial {
         self.coefficients.len() / 5
     }
 
-    /// The arity of the compiled plan.
-    pub(crate) fn dim(&self) -> usize {
-        self.arity as usize
-    }
-
-    /// The term-major exponent matrix (`term_count * dim` bytes) — the exact
-    /// bytes the binary repository format serialises.
-    pub(crate) fn exponent_bytes(&self) -> &[u8] {
-        &self.exponents
-    }
-
-    /// The term-major SoA coefficient matrix (`term_count * 5` doubles) — the
-    /// exact doubles the binary repository format serialises.
-    pub(crate) fn coefficient_matrix(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// Reassembles a compiled polynomial from its serialised parts,
-    /// revalidating every invariant the evaluator relies on (the binary
-    /// loader must never panic on corrupt-but-well-framed input).
-    pub(crate) fn from_raw_parts(
-        dim: usize,
-        exponents: Vec<u8>,
-        coefficients: Vec<f64>,
-    ) -> Result<CompiledVectorPolynomial> {
-        let Some(arity) = Arity::new(dim) else {
-            return Err(ModelError::Parse(format!(
-                "binary repository: compiled polynomial dimension {dim} outside 1..={MAX_DIM}"
-            )));
-        };
-        if !exponents.len().is_multiple_of(dim) {
-            return Err(ModelError::Parse(format!(
-                "binary repository: exponent matrix length {} is not a multiple of dim {dim}",
-                exponents.len()
-            )));
-        }
-        let term_count = exponents.len() / dim;
-        if coefficients.len() != term_count * 5 {
-            return Err(ModelError::Parse(format!(
-                "binary repository: coefficient matrix length {} does not match {term_count} terms",
-                coefficients.len()
-            )));
-        }
-        let mut max_exp = [0u8; MAX_DIM];
-        for term in exponents.chunks_exact(dim) {
-            for (d, &e) in term.iter().enumerate() {
-                if e as usize > MAX_EXP {
-                    return Err(ModelError::Parse(format!(
-                        "binary repository: exponent {e} exceeds the power-ladder bound {MAX_EXP}"
-                    )));
-                }
-                max_exp[d] = max_exp[d].max(e);
-            }
-        }
-        Ok(CompiledVectorPolynomial {
-            arity,
-            exponents,
-            coefficients,
-            max_exp,
-        })
-    }
-
     /// Evaluates all five quantities at a normalised point (its first `dim`
     /// coordinates), with the same non-negativity clamp and NaN preservation
     /// as [`VectorPolynomial::eval`].
@@ -307,22 +245,18 @@ fn leading<const D: usize>(x: &[f64; MAX_DIM]) -> [f64; D] {
 
 /// One region with precomputed bounds and its compiled polynomial.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CompiledRegion {
+struct CompiledRegion {
     lo: [usize; MAX_DIM],
     hi: [usize; MAX_DIM],
     lo_f: [f64; MAX_DIM],
     hi_f: [f64; MAX_DIM],
     extent_f: [f64; MAX_DIM],
     error: f64,
-    pub(crate) poly: CompiledVectorPolynomial,
+    poly: CompiledVectorPolynomial,
 }
 
 impl CompiledRegion {
-    pub(crate) fn compile(
-        region: &Region,
-        poly: CompiledVectorPolynomial,
-        error: f64,
-    ) -> CompiledRegion {
+    fn compile(region: &Region, poly: CompiledVectorPolynomial, error: f64) -> CompiledRegion {
         let dim = region.dim();
         let mut r = CompiledRegion {
             lo: [0; MAX_DIM],
@@ -641,108 +575,6 @@ impl CompiledPiecewise {
         self.dim
     }
 
-    pub(crate) fn regions(&self) -> &[CompiledRegion] {
-        &self.regions
-    }
-
-    pub(crate) fn cuts(&self) -> &[Vec<usize>] {
-        &self.cuts
-    }
-
-    pub(crate) fn cells(&self) -> &[u32] {
-        &self.cells
-    }
-
-    pub(crate) fn fallbacks(&self) -> &[Vec<u32>] {
-        &self.fallbacks
-    }
-
-    /// Rebuilds a compiled piecewise model from serialized sections,
-    /// re-validating every invariant [`compile`](CompiledPiecewise::compile)
-    /// establishes so corrupt inputs surface as errors, never panics, and
-    /// re-deriving the locate tables.
-    pub(crate) fn from_raw_parts(
-        dim: usize,
-        regions: Vec<CompiledRegion>,
-        cuts: Vec<Vec<usize>>,
-        cells: Vec<u32>,
-        fallbacks: Vec<Vec<u32>>,
-        indexed: bool,
-    ) -> Result<CompiledPiecewise> {
-        let bad = |msg: String| Err(ModelError::Parse(format!("binary repository: {msg}")));
-        if dim == 0 || dim > MAX_DIM {
-            return bad(format!("piecewise dimension {dim} out of range"));
-        }
-        if regions.is_empty() {
-            return bad("piecewise model with no regions".to_string());
-        }
-        // Cut arrays exist in both modes (compile() builds them before the
-        // index-size decision); the cell table only in indexed mode.
-        if cuts.len() != dim {
-            return bad(format!("expected {dim} cut arrays, found {}", cuts.len()));
-        }
-        let mut total = 1usize;
-        for c in &cuts {
-            if c.len() < 2 || c.windows(2).any(|w| w[0] >= w[1]) {
-                return bad("cut array not strictly ascending".to_string());
-            }
-            total = match total.checked_mul(c.len() - 1) {
-                Some(t) => t,
-                None => {
-                    if indexed {
-                        return bad("cell table size overflows".to_string());
-                    }
-                    // Oversized grids are exactly why the model degraded to
-                    // the scan path; the product is unused there.
-                    usize::MAX
-                }
-            };
-        }
-        let mut strides = [0usize; MAX_DIM];
-        let mut offsets = Vec::new();
-        let mut axes = [Axis::default(); MAX_DIM];
-        if indexed {
-            if total != cells.len() {
-                return bad(format!(
-                    "cell table length {} does not match cut grid ({total} cells)",
-                    cells.len()
-                ));
-            }
-            // Checked before the tables are allocated: a corrupt cut must
-            // not turn into a huge allocation.
-            if !matches!(coordinate_span(&cuts), Some(s) if s <= CELL_CAP) {
-                return bad(format!(
-                    "indexed model's cut coordinates span more than {CELL_CAP}"
-                ));
-            }
-            let limit = regions.len() + fallbacks.len();
-            if cells.iter().any(|&v| (v as usize) >= limit) {
-                return bad("cell entry out of range".to_string());
-            }
-            if fallbacks
-                .iter()
-                .any(|f| f.iter().any(|&r| (r as usize) >= regions.len()))
-            {
-                return bad("fallback candidate out of range".to_string());
-            }
-            strides = cell_strides(&cuts);
-            (offsets, axes) = locate_tables(&cuts, &strides);
-        } else if !cells.is_empty() || !fallbacks.is_empty() {
-            return bad("unindexed model carries a cell table".to_string());
-        }
-        Ok(CompiledPiecewise {
-            dim,
-            regions,
-            cuts,
-            cells,
-            strides,
-            fallbacks,
-            offsets,
-            axes,
-            indexed,
-        })
-    }
-
     /// Evaluates the compiled model at a raw integer point — the fast,
     /// allocation-free equivalent of [`PiecewiseModel::eval`].
     pub fn eval(&self, point: &[usize]) -> Result<Summary> {
@@ -911,7 +743,7 @@ fn fallback_candidates(
 /// One submodel in compiled form, or the reference model when the fast path
 /// cannot represent it.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CompiledSubmodel {
+enum CompiledSubmodel {
     /// Compiled onto the indexed, fused fast path.
     Fast(CompiledPiecewise),
     /// Shapes the fast path cannot represent fall back to the reference
@@ -1049,31 +881,6 @@ impl CompiledRoutineModel {
         // submodel's arity check rejects.
         submodel.eval_traced(clamped.get(..sizes.len()).unwrap_or_default())
     }
-
-    pub(crate) fn submodels(&self) -> &[(FlagKey, CompiledSubmodel)] {
-        &self.submodels
-    }
-
-    /// Rebuilds a compiled routine model from serialized sections, applying
-    /// the same space-clamp initialisation as
-    /// [`compile`](CompiledRoutineModel::compile).
-    pub(crate) fn from_raw_parts(
-        routine: Routine,
-        space: &Region,
-        submodels: Vec<(FlagKey, CompiledSubmodel)>,
-    ) -> CompiledRoutineModel {
-        let mut space_lo = [0usize; MAX_DIM];
-        let mut space_hi = [usize::MAX; MAX_DIM];
-        let dims = space.dim().min(MAX_DIM);
-        space_lo[..dims].copy_from_slice(&space.lo()[..dims]);
-        space_hi[..dims].copy_from_slice(&space.hi()[..dims]);
-        CompiledRoutineModel {
-            routine,
-            space_lo,
-            space_hi,
-            submodels,
-        }
-    }
 }
 
 /// A fully compiled [`ModelRepository`]: the source repository plus one
@@ -1081,9 +888,11 @@ impl CompiledRoutineModel {
 ///
 /// Compilation happens once — the serving layer (`dla-predict`'s
 /// `ModelService`) compiles at construction and on every swap/merge, so
-/// every reader snapshot is already compiled.  Binary-loaded repositories
-/// ([`crate::binfmt::decode`]) rebuild both halves in one decode pass, with
-/// no re-compilation.
+/// every reader snapshot is already compiled.  [`compile`] is the only
+/// constructor: the binary loader ([`crate::binfmt::decode`]) decodes the
+/// source models and compiles them with it, as the text loader's callers do.
+///
+/// [`compile`]: CompiledRepository::compile
 #[derive(Debug, Clone)]
 pub struct CompiledRepository {
     source: Arc<ModelRepository>,
@@ -1103,22 +912,6 @@ impl CompiledRepository {
             .map(|(key, model)| (key.clone(), CompiledRoutineModel::compile(model)))
             .collect();
         CompiledRepository { source, entries }
-    }
-
-    /// Assembles a compiled repository from a decoded source and its
-    /// decoded compiled entries (the binary loader's entry point).
-    pub(crate) fn from_parts(
-        source: ModelRepository,
-        entries: Vec<(ModelKey, CompiledRoutineModel)>,
-    ) -> CompiledRepository {
-        CompiledRepository {
-            source: Arc::new(source),
-            entries,
-        }
-    }
-
-    pub(crate) fn entries(&self) -> &[(ModelKey, CompiledRoutineModel)] {
-        &self.entries
     }
 
     /// The uncompiled source repository (the reference implementation).

@@ -24,7 +24,8 @@
 //!   [`Summary`](dla_mat::stats::Summary) estimate.
 //!
 //! Models are stored in a [`ModelRepository`], which persists to a plain-text,
-//! versioned format so that a model built once can be reused by later runs —
+//! versioned format (or to the [`binfmt`] binary format, which stores the
+//! same models) so that a model built once can be reused by later runs —
 //! the paper's "repository of models".  Concurrent serving and hot swaps
 //! live one layer up, in `dla-predict`'s `ModelService`.
 //!

@@ -3,7 +3,9 @@
 //! The paper stores generated models "permanently in a repository" so that
 //! they can be reused for any algorithm built from the modelled routines.
 //! This module provides that repository with a small, versioned, line-oriented
-//! text format (no external serialisation dependency), plus file persistence.
+//! text format (no external serialisation dependency), plus file persistence
+//! in either that format or the binary format of [`crate::binfmt`], which
+//! stores the same models.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -232,17 +234,16 @@ impl ModelRepository {
         Ok(repo)
     }
 
-    /// Serialises the repository to the binary format (compiling it first —
-    /// use [`crate::binfmt::encode`] directly when a compiled form is
-    /// already at hand).
+    /// Serialises the repository to the binary format (see
+    /// [`crate::binfmt`]).
     pub fn to_binary(&self) -> Result<Vec<u8>> {
-        crate::binfmt::encode(&self.compiled())
+        crate::binfmt::encode_models(self)
     }
 
-    /// Parses a repository from its binary form, discarding the compiled
-    /// layout (use [`crate::binfmt::decode`] to keep it).
+    /// Parses a repository from its binary form (use
+    /// [`crate::binfmt::decode`] to compile it as well).
     pub fn from_binary(bytes: &[u8]) -> Result<ModelRepository> {
-        crate::binfmt::decode_parts(bytes).map(|(source, _)| source)
+        crate::binfmt::decode_models(bytes)
     }
 
     /// Writes the repository to a file in the codec
@@ -288,32 +289,6 @@ impl ModelRepository {
             }
         }
     }
-
-    /// Loads a repository from a file straight into serve-ready compiled
-    /// form.  Binary files skip compilation entirely (the stored layout *is*
-    /// the compiled layout); text files parse and compile once.
-    ///
-    /// Errors carry the offending path, like [`ModelRepository::load_file`].
-    pub fn load_file_compiled(path: &Path) -> Result<crate::CompiledRepository> {
-        let bytes =
-            std::fs::read(path).map_err(|e| file_error(path, ModelError::Io(e.to_string())))?;
-        match RepositoryFormat::sniff(&bytes) {
-            RepositoryFormat::Binary => {
-                crate::binfmt::decode(&bytes).map_err(|e| file_error(path, e))
-            }
-            RepositoryFormat::Text => {
-                let text = String::from_utf8(bytes).map_err(|_| {
-                    file_error(
-                        path,
-                        ModelError::Parse("repository text is not valid UTF-8".to_string()),
-                    )
-                })?;
-                Ok(ModelRepository::from_text(&text)
-                    .map_err(|e| file_error(path, e))?
-                    .compiled())
-            }
-        }
-    }
 }
 
 /// Prefixes a repository-file error with the offending path, preserving the
@@ -333,10 +308,10 @@ fn file_error(path: &Path, error: ModelError) -> ModelError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepositoryFormat {
     /// The whitespace-tokenised text format — readable, diffable, the debug
-    /// format of choice; every load re-parses and re-compiles.
+    /// format of choice; every load tokenises and parses every number.
     Text,
-    /// The zero-copy binary format (see [`crate::binfmt`]) — the serving
-    /// format; loads are one validated bulk decode per section.
+    /// The binary format (see [`crate::binfmt`]) — the same models in bulk
+    /// numeric sections; loads are one validated bulk decode per section.
     Binary,
 }
 
@@ -686,15 +661,11 @@ mod tests {
         let missing = dir.join("no-such-repo.txt");
         let err = ModelRepository::load_file(&missing).unwrap_err();
         assert!(matches!(err, ModelError::Io(ref m) if m.contains("no-such-repo.txt")));
-        let err = ModelRepository::load_file_compiled(&missing).unwrap_err();
-        assert!(matches!(err, ModelError::Io(ref m) if m.contains("no-such-repo.txt")));
 
         // Corrupt file: the parse error names the path too.
         let corrupt = dir.join("corrupt-repo.txt");
         std::fs::write(&corrupt, "this is not a repository").unwrap();
         let err = ModelRepository::load_file(&corrupt).unwrap_err();
-        assert!(matches!(err, ModelError::Parse(ref m) if m.contains("corrupt-repo.txt")));
-        let err = ModelRepository::load_file_compiled(&corrupt).unwrap_err();
         assert!(matches!(err, ModelError::Parse(ref m) if m.contains("corrupt-repo.txt")));
 
         // Unwritable target: the save error names the path.
@@ -737,10 +708,6 @@ mod tests {
 
         // Both codecs reload to the same text serialisation.
         assert_eq!(from_bin.to_text().unwrap(), from_text.to_text().unwrap());
-
-        // Binary shards also load straight into the compiled form.
-        let compiled = ModelRepository::load_file_compiled(&bin_path).unwrap();
-        assert_eq!(compiled.source().len(), repo.len());
 
         // An explicitly chosen codec wins over the extension; the sniffing
         // loader still gets it right.

@@ -379,14 +379,13 @@ impl ModelService {
         }
     }
 
-    /// Atomically replaces the repository with an **already compiled** one —
-    /// the zero-recompilation hot-swap entry the binary loader feeds (a
-    /// `.dlapb` shard deserializes straight into its compiled form; see
-    /// [`dla_model::binfmt`]).  Returns the previous source repository.
+    /// Atomically replaces the repository with an **already compiled** one,
+    /// such as [`dla_model::binfmt::decode`] returns, without compiling it
+    /// again.  Returns the previous source repository.
     ///
     /// The compiled repository's source is validated like any other
-    /// publication (binary shards come from disk — exactly where corruption
-    /// enters).
+    /// publication (repositories loaded from disk are exactly where
+    /// corruption enters).
     pub fn swap_compiled(
         &self,
         compiled: Arc<CompiledRepository>,

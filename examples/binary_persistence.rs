@@ -11,9 +11,9 @@
 //!
 //! 1. build the quickstart repository and save it twice — `.dlapb` (binary)
 //!    and `.txt` (the text debug format);
-//! 2. time "load → serve-ready" for both codecs (the binary decoder
-//!    deserializes straight into the compiled layout, no re-parse and no
-//!    re-compile);
+//! 2. time "load → serve-ready" for both codecs (the binary decoder reads
+//!    bulk numeric sections instead of parsing text; both then compile the
+//!    loaded models once);
 //! 3. hot-swap the binary-loaded repository into the serving pipeline and
 //!    sweep trinv block sizes from it, checking the sweep matches the built
 //!    repository's exactly;
@@ -25,7 +25,7 @@ use dlaperf::machine::presets::harpertown_openblas;
 use dlaperf::model::RepositoryFormat;
 use dlaperf::predict::blocksize::default_block_size_candidates;
 use dlaperf::predict::modelset::ModelSetConfig;
-use dlaperf::{ModelRepository, Pipeline, TrinvVariant, Workload};
+use dlaperf::{CompiledRepository, ModelRepository, Pipeline, TrinvVariant, Workload};
 
 fn main() {
     let machine = harpertown_openblas();
@@ -47,10 +47,12 @@ fn main() {
     // 2. Load → serve-ready, both codecs (the front door sniffs the magic
     //    bytes, so the caller never states the format on load).
     let start = Instant::now();
-    let from_text = ModelRepository::load_file_compiled(&text_path).expect("load text");
+    let from_text =
+        CompiledRepository::compile(ModelRepository::load_file(&text_path).expect("load text"));
     let text_ms = 1e3 * start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let from_binary = ModelRepository::load_file_compiled(&bin_path).expect("load binary");
+    let from_binary =
+        CompiledRepository::compile(ModelRepository::load_file(&bin_path).expect("load binary"));
     let binary_ms = 1e3 * start.elapsed().as_secs_f64();
     assert_eq!(from_text.len(), from_binary.len());
     println!("load to serve-ready: text {text_ms:.3} ms, binary {binary_ms:.3} ms");
