@@ -94,21 +94,39 @@ mod tests {
 
     #[test]
     fn char_roundtrip() {
-        for (i, s) in Side::VALUES.into_iter().enumerate() {
+        for s in Side::VALUES {
             assert_eq!(Side::from_char(s.as_char()), Some(s));
-            assert_eq!(s.as_index(), i);
         }
-        for (i, u) in Uplo::VALUES.into_iter().enumerate() {
+        for u in Uplo::VALUES {
             assert_eq!(Uplo::from_char(u.as_char()), Some(u));
-            assert_eq!(u.as_index(), i);
         }
-        for (i, t) in Trans::VALUES.into_iter().enumerate() {
+        for t in Trans::VALUES {
             assert_eq!(Trans::from_char(t.as_char()), Some(t));
-            assert_eq!(t.as_index(), i);
         }
-        for (i, d) in Diag::VALUES.into_iter().enumerate() {
+        for d in Diag::VALUES {
             assert_eq!(Diag::from_char(d.as_char()), Some(d));
-            assert_eq!(d.as_index(), i);
+        }
+    }
+
+    #[test]
+    fn index_roundtrip() {
+        for i in 0..2 {
+            assert_eq!(Side::VALUES[i].as_index(), i);
+            assert_eq!(Uplo::VALUES[i].as_index(), i);
+            assert_eq!(Trans::VALUES[i].as_index(), i);
+            assert_eq!(Diag::VALUES[i].as_index(), i);
+        }
+        for s in Side::VALUES {
+            assert_eq!(Side::VALUES[s.as_index()], s);
+        }
+        for u in Uplo::VALUES {
+            assert_eq!(Uplo::VALUES[u.as_index()], u);
+        }
+        for t in Trans::VALUES {
+            assert_eq!(Trans::VALUES[t.as_index()], t);
+        }
+        for d in Diag::VALUES {
+            assert_eq!(Diag::VALUES[d.as_index()], d);
         }
     }
 
