@@ -1,68 +1,11 @@
-//! Level-2 BLAS: matrix-vector operations.
+//! Level-2 BLAS: the triangular matrix-vector kernels.
 //!
-//! These are used by the unblocked kernels (`dtrtri_unb`, `dsylv_unb`) and as
-//! independent references in tests.
+//! `dtrsm` and `dtrmm` are built on them: they apply [`dtrsv`] or [`dtrmv`]
+//! to one column or row of the right-hand side at a time.
 
-use dla_mat::{MatMut, MatRef};
+use dla_mat::MatRef;
 
 use crate::{Diag, Trans, Uplo};
-
-/// `y <- alpha * op(A) * x + beta * y`.
-///
-/// `op(A)` is `A` or `A^T` depending on `trans`.  Dimensions: `A` is `m x n`,
-/// `x` has `n` (or `m` if transposed) entries and `y` has `m` (or `n`) entries.
-pub fn dgemv(trans: Trans, alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    let m = a.rows();
-    let n = a.cols();
-    match trans {
-        Trans::NoTrans => {
-            assert_eq!(x.len(), n, "dgemv: x length");
-            assert_eq!(y.len(), m, "dgemv: y length");
-            for yi in y.iter_mut() {
-                *yi *= beta;
-            }
-            for j in 0..n {
-                let axj = alpha * x[j];
-                if axj == 0.0 {
-                    continue;
-                }
-                for (i, yi) in y.iter_mut().enumerate() {
-                    *yi += a.get(i, j) * axj;
-                }
-            }
-        }
-        Trans::Trans => {
-            assert_eq!(x.len(), m, "dgemv: x length");
-            assert_eq!(y.len(), n, "dgemv: y length");
-            for (j, yj) in y.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (i, xi) in x.iter().enumerate() {
-                    acc += a.get(i, j) * xi;
-                }
-                *yj = alpha * acc + beta * *yj;
-            }
-        }
-    }
-}
-
-/// Rank-1 update `A <- alpha * x * y^T + A`.
-pub fn dger(alpha: f64, x: &[f64], y: &[f64], mut a: MatMut<'_>) {
-    assert_eq!(x.len(), a.rows(), "dger: x length");
-    assert_eq!(y.len(), a.cols(), "dger: y length");
-    if alpha == 0.0 {
-        return;
-    }
-    for (j, yj) in y.iter().enumerate() {
-        let ayj = alpha * yj;
-        if ayj == 0.0 {
-            continue;
-        }
-        for (i, xi) in x.iter().enumerate() {
-            let v = a.get(i, j) + xi * ayj;
-            a.set(i, j, v);
-        }
-    }
-}
 
 /// Triangular solve `x <- op(A)^-1 x` with `A` triangular.
 pub fn dtrsv(uplo: Uplo, trans: Trans, diag: Diag, a: MatRef<'_>, x: &mut [f64]) {
@@ -157,53 +100,6 @@ mod tests {
     use super::*;
     use dla_mat::gen::MatrixGenerator;
     use dla_mat::ops;
-    use dla_mat::Matrix;
-
-    #[test]
-    fn gemv_matches_reference() {
-        let mut g = MatrixGenerator::new(1);
-        let a = g.general(4, 3);
-        let x = g.vector(3);
-        let mut y = g.vector(4);
-        let y0 = y.clone();
-        dgemv(Trans::NoTrans, 2.0, a.as_ref(), &x, 0.5, &mut y);
-        for i in 0..4 {
-            let mut acc = 0.5 * y0[i];
-            for j in 0..3 {
-                acc += 2.0 * a[(i, j)] * x[j];
-            }
-            assert!((y[i] - acc).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gemv_transposed() {
-        let mut g = MatrixGenerator::new(2);
-        let a = g.general(4, 3);
-        let x = g.vector(4);
-        let mut y = vec![0.0; 3];
-        dgemv(Trans::Trans, 1.0, a.as_ref(), &x, 0.0, &mut y);
-        for j in 0..3 {
-            let mut acc = 0.0;
-            for i in 0..4 {
-                acc += a[(i, j)] * x[i];
-            }
-            assert!((y[j] - acc).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ger_rank_one_update() {
-        let mut a = Matrix::zeros(3, 2);
-        let x = vec![1.0, 2.0, 3.0];
-        let y = vec![4.0, 5.0];
-        dger(2.0, &x, &y, a.as_mut());
-        assert_eq!(a[(0, 0)], 8.0);
-        assert_eq!(a[(2, 1)], 30.0);
-        let before = a.clone();
-        dger(0.0, &x, &y, a.as_mut());
-        assert!(a.approx_eq(&before, 0.0));
-    }
 
     #[test]
     fn trsv_all_flag_combinations() {

@@ -7,8 +7,8 @@
 //!
 //! * Level-3: [`dgemm`], [`dtrsm`], [`dtrmm`], [`dsyrk`] with the full BLAS
 //!   flag semantics (`side`, `uplo`, `trans`, `diag`).
-//! * Level-2: [`dgemv`], [`dger`], [`dtrsv`], [`dtrmv`].
-//! * Level-1: [`daxpy`], [`dscal`], [`ddot`], [`dcopy`], [`dnrm2`].
+//! * Level-2: [`dtrsv`] and [`dtrmv`], on which `dtrsm` and `dtrmm` are
+//!   built.
 //! * Unblocked kernels: [`dtrtri_unb`] (triangular inversion) and
 //!   [`dsylv_unb`] (triangular Sylvester solve), the recursion bottoms of the
 //!   blocked algorithm variants in `dla-algos`.
@@ -38,7 +38,6 @@
 mod call;
 mod flags;
 mod gemm;
-mod level1;
 mod level2;
 mod syrk;
 mod trmm;
@@ -53,8 +52,7 @@ pub mod threaded;
 pub use call::{Call, Routine};
 pub use flags::{Diag, Side, Trans, Uplo};
 pub use gemm::dgemm;
-pub use level1::{daxpy, dcopy, ddot, dnrm2, dscal};
-pub use level2::{dgemv, dger, dtrmv, dtrsv};
+pub use level2::{dtrmv, dtrsv};
 pub use syrk::dsyrk;
 pub use trmm::dtrmm;
 pub use trsm::dtrsm;

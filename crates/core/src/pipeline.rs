@@ -167,18 +167,19 @@ impl Pipeline {
         if report.is_empty() {
             return RefineOutcome::default();
         }
-        if self.refiner.is_none() {
-            let registry: &[Workload] = if self.workloads.is_empty() {
-                &[Workload::Trinv, Workload::Sylv]
-            } else {
-                &self.workloads
-            };
-            let templates: Vec<_> = registry
-                .iter()
-                .flat_map(|&w| workload_templates(w, &self.model_config))
-                .flat_map(|(calls, _)| calls)
-                .collect();
-            self.refiner = Some(
+        let mut refiner = match self.refiner.take() {
+            Some(refiner) => refiner,
+            None => {
+                let registry: &[Workload] = if self.workloads.is_empty() {
+                    &[Workload::Trinv, Workload::Sylv]
+                } else {
+                    &self.workloads
+                };
+                let templates: Vec<_> = registry
+                    .iter()
+                    .flat_map(|&w| workload_templates(w, &self.model_config))
+                    .flat_map(|(calls, _)| calls)
+                    .collect();
                 OnlineRefiner::new(
                     // A deterministic noise stream independent of the build
                     // streams (which use the task index as stream id); it
@@ -188,14 +189,13 @@ impl Pipeline {
                     self.model_config.repetitions,
                     config,
                 )
-                .with_templates(&dedupe_templates(&templates)),
-            );
-        }
-        // lint: allow(unwrap): the refiner was installed by the ensure branch directly above
-        let refiner = self.refiner.as_mut().expect("refiner was just ensured");
+                .with_templates(&dedupe_templates(&templates))
+            }
+        };
         refiner.set_config(config);
         let snapshot = self.service.snapshot();
         let (delta, outcome) = refiner.refine(&snapshot, &report);
+        self.refiner = Some(refiner);
         if !delta.is_empty() {
             // A delta the publication gate rejects is dropped: the service
             // keeps serving the last good generation, and the rejection is

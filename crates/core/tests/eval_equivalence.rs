@@ -158,7 +158,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Compiled evaluation matches the reference on random piecewise models
-    /// and query points (covered, overlapping, fallback, out-of-space).
+    /// and query points (covered, overlapping, fallback, out-of-space): the
+    /// same answering region, which the serving telemetry counts, and the
+    /// same summary.
     #[test]
     fn compiled_piecewise_matches_reference(seed in 0u64..1_000_000) {
         let mut gen = Gen(seed);
@@ -168,8 +170,15 @@ proptest! {
         prop_assert_eq!(compiled.region_count(), model.region_count());
         let points = query_points(&mut gen, &model);
         for point in &points {
-            let reference = model.eval(point).unwrap();
-            let fast = compiled.eval(point).unwrap();
+            let (reference, reference_region) = model.eval_traced(point).unwrap();
+            let (fast, fast_region) = compiled.eval_traced(point).unwrap();
+            prop_assert!(
+                fast_region as usize == reference_region,
+                "region at {:?}: reference {} vs compiled {}",
+                point,
+                reference_region,
+                fast_region
+            );
             prop_assert!(
                 summaries_close(&reference, &fast),
                 "mismatch at {:?}: reference {:?} vs compiled {:?}",

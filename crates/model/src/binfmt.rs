@@ -70,6 +70,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
+use crate::routine_model::check_model_dim;
 use crate::{
     CompiledRepository, FlagKey, ModelError, ModelKey, ModelRepository, PiecewiseModel, Polynomial,
     Region, RegionModel, Result, RoutineModel, VectorPolynomial,
@@ -583,6 +584,7 @@ fn decode_model(r: &mut Reader<'_>) -> Result<RoutineModel> {
         .to_string();
     r.strs_used = r.strs_used.max(end);
     let dim = r.count("model dimension")?;
+    check_model_dim(routine, dim).map_err(perr)?;
     let space = r.region(dim)?;
     let submodel_count = r.count("submodel count")?;
     let mut model = RoutineModel::new(routine, machine_id, locality, space.clone());
@@ -650,6 +652,7 @@ fn decode_region(r: &mut Reader<'_>, dim: usize) -> Result<RegionModel> {
 mod tests {
     use super::*;
     use crate::{CompiledPiecewise, RepositoryValidator};
+    use dla_blas::{Call, Diag, Side, Trans, Uplo};
 
     /// A one-model repository: one trsm submodel (key `[0, 0, 0]`) over the
     /// space `space`, whose single region `region` carries `poly` for all
@@ -715,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn a_region_bound_past_the_cap_decodes_onto_the_scan_path() {
+    fn a_region_bound_past_the_cap_decodes_onto_the_reference_path() {
         let bytes = one_region_file();
         // `U64S` (section 1) holds the space bounds, then the region's; the
         // last 512 is the region's upper bound in the second dimension.
@@ -727,19 +730,31 @@ mod tests {
             .rfind(|&i| bytes[i..i + 8] == 512u64.to_le_bytes())
             .expect("the region bound is stored");
         patched[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        // Decoding compiles: `compile` sees the span, keeps the submodel on
-        // the fast path and locates by scan, without allocating the tables.
+        // Decoding compiles: `compile` sees the span and leaves the submodel
+        // to the reference evaluator, without allocating the tables.
         let compiled = decode(&resealed(patched)).unwrap();
-        let model = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
-        assert_eq!(model.fast_submodel_count(), 1);
         let sub = only_submodel(&compiled);
         assert_eq!(sub.regions[0].region.hi(), &[512, 1 << 40]);
-        assert!(!CompiledPiecewise::compile(sub).unwrap().is_indexed());
-        // The unpatched file indexes the same submodel.
+        assert!(CompiledPiecewise::compile(sub).is_none());
+        // The compiled repository still answers, as the reference does.
+        let model = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
+        let source = compiled.source().get(Routine::Trsm, "m", Locality::InCache);
+        let call = Call::trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            64,
+            300,
+            1.0,
+        );
+        assert_eq!(
+            model.estimate(&call).unwrap(),
+            source.unwrap().estimate(&call).unwrap()
+        );
+        // The unpatched file compiles the same submodel.
         let unpatched = decode(&bytes).unwrap();
-        assert!(CompiledPiecewise::compile(only_submodel(&unpatched))
-            .unwrap()
-            .is_indexed());
+        assert!(CompiledPiecewise::compile(only_submodel(&unpatched)).is_some());
     }
 
     #[test]
@@ -796,6 +811,20 @@ mod tests {
         patched[at] = 2;
         match decode(&resealed(patched)) {
             Err(ModelError::Parse(msg)) => assert!(msg.contains("shared"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_model_whose_dimension_is_not_its_size_count_is_a_decode_error() {
+        // A one-dimensional trsm model encodes (the writer stores what it
+        // is given), but a trsm call has two sizes, so no call could reach
+        // it: the decoder rejects it, as the text parser does.
+        let space = Region::new(vec![8], vec![16]);
+        let poly = Polynomial::new(1, vec![vec![0], vec![1]], vec![1.0, 2.0]).unwrap();
+        let bytes = encode_models(&one_region_repository(space.clone(), space, poly)).unwrap();
+        match decode(&bytes) {
+            Err(ModelError::Parse(msg)) => assert!(msg.contains("dimension 1"), "{msg}"),
             other => panic!("expected a parse error, got {other:?}"),
         }
     }

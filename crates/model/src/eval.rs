@@ -19,11 +19,12 @@
 //! * **Region index** ([`CompiledPiecewise`]): refinement regions stem from
 //!   axis-aligned splits, so their boundaries induce per-dimension sorted cut
 //!   arrays that divide the space into a grid of cells.  Every cell
-//!   precomputes its best (minimum-error) containing region, and uncovered
-//!   cells precompute the candidate set for the nearest-region fallback.  A
-//!   per-dimension table maps every coordinate between the first and the
-//!   last cut straight to its cell's offset in the cell table, so locating a
-//!   point is one table load per dimension.  The cut arrays, cell table and
+//!   precomputes its best (minimum-error) containing region, or is marked
+//!   uncovered.  A per-dimension table maps every coordinate between the
+//!   first and the last cut straight to its cell's offset in the cell table,
+//!   so locating a point is one table load per dimension.  A point in an
+//!   uncovered cell or outside the cut range is answered by the nearest
+//!   region, found by scanning every region.  The cut arrays, cell table and
 //!   locate tables are derived when a model is compiled; none of them is
 //!   serialised.
 //! * **Zero-allocation path**: normalised coordinates live in fixed scratch
@@ -33,12 +34,11 @@
 //!   path performs no hashing and no string comparison.
 //!
 //! Shapes the fast path cannot represent (dimension above [`MAX_DIM`],
-//! exponents beyond the power ladder) transparently fall back to the
-//! reference implementation, and models whose index would be oversized
-//! locate by an in-order region scan, so compiled evaluation is always
-//! *available*, merely not always accelerated.  Equivalence between the two
-//! implementations is enforced by property tests
-//! (`crates/core/tests/eval_equivalence.rs`).
+//! exponents beyond the power ladder, a cell table or locate table beyond
+//! 2^18 entries) are served by the reference implementation, so compiled
+//! evaluation is always *available*, merely not always accelerated.
+//! Equivalence between the two implementations is enforced by property
+//! tests (`crates/core/tests/eval_equivalence.rs`).
 //!
 //! Every query is a point query: there is no separate batch kernel.  Batch
 //! callers (`dla-predict`'s batched trace path) evaluate each distinct call
@@ -78,9 +78,13 @@ pub(crate) const MAX_EXP: usize = 7;
 const _: () = assert!((MAX_EXP + 1).is_power_of_two());
 
 /// Upper bound on the size of a cell table, and on the summed coordinate
-/// span of the per-dimension locate tables; larger indexes degrade to an
-/// in-order (but still allocation-free) region scan.
+/// span of the per-dimension locate tables; a model whose index would be
+/// larger is not compiled, and the reference evaluator serves it.
 const CELL_CAP: usize = 1 << 18;
+
+/// The cell-table entry of a cell no region covers.  It is no region's
+/// index, so looking it up in the region list finds nothing.
+const UNCOVERED: u32 = u32::MAX;
 
 /// The dimension of a compiled model, `1..=MAX_DIM`: evaluation dispatches
 /// on it once into a kernel specialised for it.
@@ -277,24 +281,14 @@ impl CompiledRegion {
         r
     }
 
-    /// Whether the region contains the first `dim` coordinates of `point`.
+    /// Same arithmetic as the reference `region_distance`.  The point holds
+    /// exactly the region's dimension of coordinates (checked at the public
+    /// entry).
     #[inline]
-    fn contains(&self, dim: usize, point: &[usize]) -> bool {
-        let bounds = self.lo.iter().zip(&self.hi);
-        point
-            .iter()
-            .zip(bounds)
-            .zip(0..dim)
-            .all(|((&p, (&lo, &hi)), _)| p >= lo && p <= hi)
-    }
-
-    /// Same arithmetic as the reference `region_distance`, over the first
-    /// `dim` coordinates of `point`.
-    #[inline]
-    fn distance(&self, dim: usize, point: &[usize]) -> f64 {
+    fn distance(&self, point: &[usize]) -> f64 {
         let mut acc = 0.0;
         let bounds = self.lo_f.iter().zip(&self.hi_f);
-        for ((&p, (&lo, &hi)), _) in point.iter().zip(bounds).zip(0..dim) {
+        for (&p, (&lo, &hi)) in point.iter().zip(bounds) {
             let p = p as f64;
             let dd = if p < lo {
                 lo - p
@@ -341,19 +335,6 @@ impl CompiledRegion {
     }
 }
 
-/// Where a point resolved during location: a concrete region, a cell's
-/// precomputed fallback candidate set, or the full nearest-region scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PointLoc<'a> {
-    /// Covered by this region, at this index in source region order.
-    Region(u32, &'a CompiledRegion),
-    /// Uncovered but inside the index: nearest among this fallback set.
-    NearestAmong(&'a [u32]),
-    /// Outside the indexed range (or unindexed and uncovered): nearest over
-    /// all regions.
-    NearestAll,
-}
-
 /// One dimension's slice of a [`CompiledPiecewise`]'s locate tables: for
 /// every coordinate `p` in `first..first + span` (from the first cut up to,
 /// excluding, the last), entry `start + (p - first)` is `i * stride`, where
@@ -373,23 +354,15 @@ pub struct CompiledPiecewise {
     /// Per-dimension sorted cut coordinates; cell `i` along dimension `d`
     /// spans `[cuts[d][i], cuts[d][i + 1] - 1]`.
     cuts: Vec<Vec<usize>>,
-    /// Row-major cell table.  A value `v < regions.len()` is the cell's
-    /// precomputed best region; `v >= regions.len()` indexes
-    /// `fallbacks[v - regions.len()]`, the candidate set of the
-    /// nearest-region fallback for an uncovered cell.
+    /// Row-major cell table: each cell's precomputed best region, or
+    /// [`UNCOVERED`].
     cells: Vec<u32>,
     strides: [usize; MAX_DIM],
-    /// Candidate region sets for uncovered cells.
-    fallbacks: Vec<Vec<u32>>,
     /// The per-dimension locate tables, back to back: `axes[d]` delimits
     /// dimension `d`'s.  Derived from `cuts` and `strides` (never
-    /// serialised); empty when not indexed.
+    /// serialised).
     offsets: Vec<u32>,
     axes: [Axis; MAX_DIM],
-    /// `false` when the cell table or the locate tables would exceed
-    /// [`CELL_CAP`]: point location then degrades to an in-order region
-    /// scan (still allocation-free).
-    indexed: bool,
 }
 
 /// The summed coordinate span of the cut arrays, `Σ_d (last − first)`: the
@@ -433,7 +406,8 @@ fn locate_tables(cuts: &[Vec<usize>], strides: &[usize; MAX_DIM]) -> (Vec<u32>, 
 impl CompiledPiecewise {
     /// Compiles a piecewise model; `None` when the shape does not fit the
     /// fast path (no regions, dimension 0 or above [`MAX_DIM`], arity
-    /// mismatches, exponents beyond the power ladder).
+    /// mismatches, exponents beyond the power ladder, or a cell table or
+    /// locate table beyond 2^18 entries).
     pub fn compile(model: &PiecewiseModel) -> Option<CompiledPiecewise> {
         let dim = model.space.dim();
         if dim == 0 || dim > MAX_DIM || model.regions.is_empty() {
@@ -460,54 +434,37 @@ impl CompiledPiecewise {
             c.sort_unstable();
             c.dedup();
         }
-        let cells_per_dim: Vec<usize> = cuts.iter().map(|c| c.len() - 1).collect();
-        // Checked product and sum: a degenerate model with enough region
-        // boundaries, or with huge coordinates, could overflow, which must
-        // degrade to the scan path, not wrap.
-        let total_cells = cells_per_dim
+        // Checked product and sum, before any table is allocated: a
+        // degenerate model with enough region boundaries, or with huge
+        // coordinates, could overflow, which must leave the model to the
+        // reference evaluator, not wrap.
+        let total_cells = cuts
             .iter()
-            .try_fold(1usize, |acc, &c| acc.checked_mul(c));
-        let indexed = matches!(total_cells, Some(t) if (1..=CELL_CAP).contains(&t))
-            && matches!(coordinate_span(&cuts), Some(s) if s <= CELL_CAP);
-
-        let mut compiled = CompiledPiecewise {
-            dim,
-            regions,
-            cuts,
-            cells: Vec::new(),
-            strides: [0; MAX_DIM],
-            fallbacks: Vec::new(),
-            offsets: Vec::new(),
-            axes: [Axis::default(); MAX_DIM],
-            indexed,
-        };
-        if !indexed {
-            return Some(compiled);
-        }
-        // lint: allow(unwrap): the indexed flag is only set together with a valid cell count
-        let total_cells = total_cells.expect("indexed implies a valid cell count");
-        compiled.strides = cell_strides(&compiled.cuts);
-        (compiled.offsets, compiled.axes) = locate_tables(&compiled.cuts, &compiled.strides);
+            .try_fold(1usize, |acc, c| acc.checked_mul(c.len() - 1))
+            .filter(|&t| t <= CELL_CAP)?;
+        coordinate_span(&cuts).filter(|&s| s <= CELL_CAP)?;
+        let strides = cell_strides(&cuts);
+        let (offsets, axes) = locate_tables(&cuts, &strides);
         // Winners: every region boundary is a cut, so a region covers a
         // whole box of cells.  Claiming each region's box in region order,
-        // replacing the holder only on a strictly better error, picks the
-        // same first-minimal-error winner `best_containing` would for every
-        // cell, without testing every region against every cell.
-        const UNCOVERED: u32 = u32::MAX;
+        // replacing the holder only on a strictly better error, picks for
+        // every cell the first minimal-error region containing it (the
+        // reference evaluator's choice), without testing every region
+        // against every cell.
         let mut cells = vec![UNCOVERED; total_cells];
-        for (i, r) in compiled.regions.iter().enumerate() {
+        for (i, r) in regions.iter().enumerate() {
             let mut first = [0usize; MAX_DIM];
             let mut end = [0usize; MAX_DIM];
             for d in 0..dim {
-                first[d] = compiled.cuts[d].partition_point(|&c| c < r.lo[d]);
-                end[d] = compiled.cuts[d].partition_point(|&c| c <= r.hi[d]);
+                first[d] = cuts[d].partition_point(|&c| c < r.lo[d]);
+                end[d] = cuts[d].partition_point(|&c| c <= r.hi[d]);
             }
             let mut idx = first;
             'cells: loop {
-                let flat: usize = (0..dim).map(|d| idx[d] * compiled.strides[d]).sum();
+                let flat: usize = (0..dim).map(|d| idx[d] * strides[d]).sum();
                 let held = cells[flat];
                 if held == UNCOVERED
-                    || error_order(r.error, compiled.regions[held as usize].error) == Ordering::Less
+                    || error_order(r.error, regions[held as usize].error) == Ordering::Less
                 {
                     cells[flat] = i as u32;
                 }
@@ -525,49 +482,20 @@ impl CompiledPiecewise {
                 }
             }
         }
-        // Fallback candidate sets for the uncovered cells, in row-major cell
-        // order (odometer over per-dimension cell indices).
-        let mut idx = [0usize; MAX_DIM];
-        for cell in cells.iter_mut() {
-            if *cell == UNCOVERED {
-                let mut rep = [0usize; MAX_DIM];
-                let mut cell_hi = [0usize; MAX_DIM];
-                for d in 0..dim {
-                    rep[d] = compiled.cuts[d][idx[d]];
-                    cell_hi[d] = compiled.cuts[d][idx[d] + 1] - 1;
-                }
-                let candidates = fallback_candidates(&compiled.regions, dim, &rep, &cell_hi);
-                compiled.fallbacks.push(candidates);
-                *cell = (compiled.regions.len() + compiled.fallbacks.len() - 1) as u32;
-            }
-            // Advance the odometer (last dimension fastest, matching the
-            // row-major strides).
-            for d in (0..dim).rev() {
-                idx[d] += 1;
-                if idx[d] < cells_per_dim[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        compiled.cells = cells;
-        Some(compiled)
+        Some(CompiledPiecewise {
+            dim,
+            regions,
+            cuts,
+            cells,
+            strides,
+            offsets,
+            axes,
+        })
     }
 
     /// Number of regions.
     pub fn region_count(&self) -> usize {
         self.regions.len()
-    }
-
-    /// Returns `true` when point location uses the precomputed cell table
-    /// (as opposed to the scan fallback for oversized grids).
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
-    }
-
-    /// Number of cells in the index (0 when not indexed).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
     }
 
     /// Point dimensionality this model evaluates.
@@ -594,17 +522,16 @@ impl CompiledPiecewise {
                 self.dim
             )));
         }
-        Ok(match self.locate(point) {
-            PointLoc::Region(index, region) => (region.eval(point), index),
-            PointLoc::NearestAmong(candidates) => self.nearest(point, Some(candidates)),
-            PointLoc::NearestAll => self.nearest(point, None),
-        })
+        match self.locate(point) {
+            Some((index, region)) => Ok((region.eval(point), index)),
+            None => self.nearest(point),
+        }
     }
 
     /// The cell-table index of the cell holding `point`: one locate-table
     /// load per dimension.  `None` when a coordinate lies below its
     /// dimension's first cut or at or above its last, hence outside every
-    /// region.  Only meaningful on an indexed model.
+    /// region.
     #[inline]
     fn cell_of(&self, point: &[usize]) -> Option<usize> {
         // lint: hot-path begin
@@ -622,122 +549,38 @@ impl CompiledPiecewise {
         Some(cell)
     }
 
-    /// Locates the region that answers `point`: the cell table's precomputed
-    /// winner on the indexed path, the in-order scan otherwise, or a
-    /// nearest-region fallback directive for uncovered points.
+    /// The region that answers `point` and its index: its cell's
+    /// precomputed winner.  `None` when no region contains the point, either
+    /// because its cell is [`UNCOVERED`] or because it lies outside the cut
+    /// range.
     #[inline]
-    fn locate(&self, point: &[usize]) -> PointLoc<'_> {
+    fn locate(&self, point: &[usize]) -> Option<(u32, &CompiledRegion)> {
         // lint: hot-path begin
-        let found = if self.indexed {
-            match self.cell_of(point).and_then(|cell| self.cells.get(cell)) {
-                Some(&v) => v as usize,
-                // Outside the indexed range in some dimension: exact
-                // nearest-region fallback.
-                None => return PointLoc::NearestAll,
-            }
-        } else {
-            match best_containing(&self.regions, self.dim, point) {
-                Some(best) => best,
-                None => return PointLoc::NearestAll,
-            }
-        };
-        if let Some(region) = self.regions.get(found) {
-            return PointLoc::Region(found as u32, region);
-        }
-        match self.fallbacks.get(found - self.regions.len()) {
-            Some(candidates) => PointLoc::NearestAmong(candidates),
-            None => PointLoc::NearestAll,
-        }
+        let index = *self.cell_of(point).and_then(|cell| self.cells.get(cell))?;
+        let region = self.regions.get(index as usize)?;
         // lint: hot-path end
+        Some((index, region))
     }
 
-    /// Nearest-region fallback over a candidate subset (or all regions),
-    /// with the same first-minimum semantics as the reference evaluator.
-    // lint: allow(panic-free): candidate indices come from the fallback table or
-    // 0..regions.len(), and compile() rejects models with no regions
-    fn nearest(&self, point: &[usize], candidates: Option<&[u32]>) -> (Summary, u32) {
+    /// The nearest region to `point` over all regions, with the reference
+    /// evaluator's first-minimum semantics, and its answer.
+    fn nearest(&self, point: &[usize]) -> Result<(Summary, u32)> {
+        let mut regions = (0u32..).zip(&self.regions);
+        let Some(mut best) = regions.next() else {
+            return Err(ModelError::OutOfDomain("model has no regions".to_string()));
+        };
         // lint: hot-path begin
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        let mut consider = |i: usize| {
-            let d = self.regions[i].distance(self.dim, point);
+        let mut best_distance = best.1.distance(point);
+        for (index, region) in regions {
+            let d = region.distance(point);
             if d.total_cmp(&best_distance) == Ordering::Less {
-                best = i;
+                best = (index, region);
                 best_distance = d;
             }
-        };
-        match candidates {
-            Some(list) => list.iter().for_each(|&i| consider(i as usize)),
-            None => (0..self.regions.len()).for_each(&mut consider),
         }
         // lint: hot-path end
-        (self.regions[best].eval(point), best as u32)
+        Ok((best.1.eval(point), best.0))
     }
-}
-
-/// The best (minimum-error, NaN-last, first-wins) region containing `point`,
-/// iterating in stored order exactly like the reference evaluator.
-fn best_containing(regions: &[CompiledRegion], dim: usize, point: &[usize]) -> Option<usize> {
-    // lint: hot-path begin
-    let mut best: Option<(usize, f64)> = None;
-    for (i, r) in regions.iter().enumerate() {
-        if !r.contains(dim, point) {
-            continue;
-        }
-        if best.is_none_or(|(_, error)| error_order(r.error, error) == Ordering::Less) {
-            best = Some((i, r.error));
-        }
-    }
-    // lint: hot-path end
-    best.map(|(i, _)| i)
-}
-
-/// The regions that can be nearest to *some* point of the cell
-/// `[cell_lo, cell_hi]`: region `r` qualifies iff its minimum possible
-/// squared distance over the cell does not exceed the smallest maximum
-/// squared distance of any region (interval arithmetic per dimension; both
-/// bounds are attained at cell corners, so the bounds are tight).
-fn fallback_candidates(
-    regions: &[CompiledRegion],
-    dim: usize,
-    cell_lo: &[usize; MAX_DIM],
-    cell_hi: &[usize; MAX_DIM],
-) -> Vec<u32> {
-    let dd = |p: f64, lo: f64, hi: f64| {
-        if p < lo {
-            lo - p
-        } else if p > hi {
-            p - hi
-        } else {
-            0.0
-        }
-    };
-    let mut min2 = Vec::with_capacity(regions.len());
-    let mut max2 = Vec::with_capacity(regions.len());
-    for r in regions {
-        let mut dmin2 = 0.0;
-        let mut dmax2 = 0.0;
-        for d in 0..dim {
-            let (clo, chi) = (cell_lo[d] as f64, cell_hi[d] as f64);
-            let lo_d = if chi < r.lo_f[d] {
-                r.lo_f[d] - chi
-            } else if clo > r.hi_f[d] {
-                clo - r.hi_f[d]
-            } else {
-                0.0
-            };
-            let hi_d = dd(clo, r.lo_f[d], r.hi_f[d]).max(dd(chi, r.lo_f[d], r.hi_f[d]));
-            dmin2 += lo_d * lo_d;
-            dmax2 += hi_d * hi_d;
-        }
-        min2.push(dmin2);
-        max2.push(dmax2);
-    }
-    let threshold = max2.iter().cloned().fold(f64::INFINITY, f64::min);
-    (0..regions.len())
-        .filter(|&i| min2[i] <= threshold)
-        .map(|i| i as u32)
-        .collect()
 }
 
 /// One submodel in compiled form, or the reference model when the fast path
@@ -746,8 +589,8 @@ fn fallback_candidates(
 enum CompiledSubmodel {
     /// Compiled onto the indexed, fused fast path.
     Fast(CompiledPiecewise),
-    /// Shapes the fast path cannot represent fall back to the reference
-    /// evaluator.
+    /// Shapes the fast path cannot represent (see
+    /// [`CompiledPiecewise::compile`]) fall back to the reference evaluator.
     Reference(PiecewiseModel),
 }
 
@@ -768,10 +611,6 @@ impl CompiledSubmodel {
                 m.eval_traced(point).map(|(summary, i)| (summary, i as u32))
             }
         }
-    }
-
-    fn is_fast(&self) -> bool {
-        matches!(self, CompiledSubmodel::Fast(_))
     }
 }
 
@@ -815,11 +654,6 @@ impl CompiledRoutineModel {
     /// Number of compiled submodels.
     pub fn submodel_count(&self) -> usize {
         self.submodels.len()
-    }
-
-    /// Number of submodels on the fast (indexed, fused) path.
-    pub fn fast_submodel_count(&self) -> usize {
-        self.submodels.iter().filter(|(_, s)| s.is_fast()).count()
     }
 
     /// Estimates the performance of `call` — the allocation-free equivalent
@@ -949,29 +783,28 @@ impl CompiledRepository {
 
     /// Pre-resolves one machine/locality combination into a per-routine
     /// routing table, so per-call lookups are a plain array index.
-    // lint: allow(panic-free): routine.index() is bounded by Routine::ALL, the
-    // slots array's length
     pub fn resolve(&self, machine_id: &str, locality: Locality) -> RoutineTable {
         let mut table = RoutineTable::default();
         for routine in Routine::ALL {
-            table.slots[routine.index()] = self
-                .entries
-                .iter()
-                .position(|(key, _)| {
-                    key.routine == routine.name()
-                        && key.locality == locality.name()
-                        && key.machine_id == machine_id
-                })
-                .map(|i| i as u32);
+            if let Some(slot) = table.slots.get_mut(routine.index()) {
+                *slot = self
+                    .entries
+                    .iter()
+                    .position(|(key, _)| {
+                        key.routine == routine.name()
+                            && key.locality == locality.name()
+                            && key.machine_id == machine_id
+                    })
+                    .map(|i| i as u32);
+            }
         }
         table
     }
 
-    /// The compiled model at a [`RoutineTable`] slot.
-    // lint: allow(panic-free): slots come from resolve()'s position() over the
-    // same entries vec
-    pub fn model_at(&self, slot: usize) -> &CompiledRoutineModel {
-        &self.entries[slot].1
+    /// The compiled model at a [`RoutineTable`] slot; `None` for a slot
+    /// outside this repository.
+    pub fn model_at(&self, slot: usize) -> Option<&CompiledRoutineModel> {
+        self.entries.get(slot).map(|(_, model)| model)
     }
 }
 
@@ -984,10 +817,9 @@ pub struct RoutineTable {
 
 impl RoutineTable {
     /// The repository slot of `routine`'s model, if present.
-    // lint: allow(panic-free): routine.index() is bounded by Routine::ALL, the
-    // slots array's length
     pub fn slot(&self, routine: Routine) -> Option<usize> {
-        self.slots[routine.index()].map(|i| i as usize)
+        let slot = self.slots.get(routine.index()).copied().flatten();
+        slot.map(|i| i as usize)
     }
 }
 
@@ -1030,9 +862,12 @@ mod tests {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
     }
 
+    /// The same answering region as the reference, and the same summary
+    /// within floating-point noise.
     fn assert_matches(naive: &PiecewiseModel, compiled: &CompiledPiecewise, point: &[usize]) {
-        let n = naive.eval(point).unwrap();
-        let c = compiled.eval(point).unwrap();
+        let (n, n_region) = naive.eval_traced(point).unwrap();
+        let (c, c_region) = compiled.eval_traced(point).unwrap();
+        assert_eq!(c_region as usize, n_region, "region at {point:?}");
         for q in Quantity::ALL {
             assert!(
                 close(n.get(q), c.get(q)),
@@ -1080,18 +915,16 @@ mod tests {
         }
         let model = PiecewiseModel::new(space.clone(), regions, 64);
         let compiled = CompiledPiecewise::compile(&model).unwrap();
-        assert!(compiled.is_indexed());
-        assert!(compiled.cell_count() >= 4);
+        assert!(compiled.cells.len() >= 4);
         assert_eq!(compiled.region_count(), model.region_count());
         for p in space.sample_grid(9, 1) {
             assert_matches(&model, &compiled, &p);
         }
     }
 
-    /// The cell table equals a per-cell scan: the first minimal-error region
-    /// containing the cell (NaN errors last, ties to the lower index), or —
-    /// for uncovered cells — the cell's fallback candidate set, numbered in
-    /// row-major cell order.
+    /// The cell table equals a per-cell scan of the source model: the first
+    /// minimal-error region containing the cell (NaN errors last, ties to the
+    /// lower index), or [`UNCOVERED`] where no region does.
     #[test]
     fn cell_table_matches_a_per_cell_scan() {
         let space = Region::new(vec![8, 8], vec![512, 512]);
@@ -1113,35 +946,25 @@ mod tests {
             .collect();
         let model = PiecewiseModel::new(space, regions, 54);
         let compiled = CompiledPiecewise::compile(&model).unwrap();
-        assert!(compiled.is_indexed());
-        let n = compiled.regions.len();
         let per_dim: Vec<usize> = compiled.cuts.iter().map(|c| c.len() - 1).collect();
-        let mut fallbacks_seen = 0;
+        let mut uncovered = 0;
         for i in 0..per_dim[0] {
             for j in 0..per_dim[1] {
-                let rep = [compiled.cuts[0][i], compiled.cuts[1][j], 0, 0];
-                let hi = [
-                    compiled.cuts[0][i + 1] - 1,
-                    compiled.cuts[1][j + 1] - 1,
-                    0,
-                    0,
-                ];
-                let cell = compiled.cells[i * compiled.strides[0] + j] as usize;
-                match best_containing(&compiled.regions, 2, &rep[..2]) {
-                    Some(winner) => assert_eq!(cell, winner, "cell at {rep:?}"),
-                    None => {
-                        assert_eq!(cell, n + fallbacks_seen, "fallback order at {rep:?}");
-                        assert_eq!(
-                            compiled.fallbacks[cell - n],
-                            fallback_candidates(&compiled.regions, 2, &rep, &hi)
-                        );
-                        fallbacks_seen += 1;
-                    }
-                }
+                let rep = [compiled.cuts[0][i], compiled.cuts[1][j]];
+                let winner = model
+                    .regions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, rm)| rm.region.contains(&rep))
+                    .min_by(|(_, a), (_, b)| error_order(a.error, b.error))
+                    .map_or(UNCOVERED, |(k, _)| k as u32);
+                let cell = compiled.cells[i * compiled.strides[0] + j];
+                assert_eq!(cell, winner, "cell at {rep:?}");
+                uncovered += usize::from(cell == UNCOVERED);
             }
         }
-        assert!(fallbacks_seen > 0, "the layout leaves uncovered cells");
-        assert_eq!(fallbacks_seen, compiled.fallbacks.len());
+        assert!(uncovered > 0, "the layout leaves uncovered cells");
+        assert_eq!(compiled.cells.len(), per_dim[0] * per_dim[1]);
     }
 
     /// The binary search the locate tables replace: the cell-table index of
@@ -1162,17 +985,17 @@ mod tests {
     /// Sweeps every dimension from two below its first cut to two above its
     /// last, with the other coordinates at their first cut, a middle cut and
     /// their last covered coordinate, and checks the table locate against
-    /// the binary search: the same cell inside the cut range, `NearestAll`
-    /// outside it, and otherwise the cell's winner or fallback set.
-    fn assert_tables_match_binary_search(compiled: &CompiledPiecewise) {
-        assert!(compiled.is_indexed());
-        let n = compiled.regions.len();
+    /// the binary search: the same cell inside the cut range, no region
+    /// outside it, and otherwise the cell's winner, or no region in an
+    /// uncovered cell.  Returns how many probes fell in uncovered cells.
+    fn assert_tables_match_binary_search(compiled: &CompiledPiecewise) -> usize {
         let probes: Vec<[usize; 3]> = compiled
             .cuts
             .iter()
             .map(|c| [c[0], c[c.len() / 2], c[c.len() - 1] - 1])
             .collect();
         let mut checked = 0;
+        let mut uncovered = 0;
         for d in 0..compiled.dim {
             let cuts = &compiled.cuts[d];
             let others = probes.len() - 1;
@@ -1192,18 +1015,17 @@ mod tests {
                     let expected = searched_cell(compiled, &point);
                     assert_eq!(compiled.cell_of(&point), expected, "cell at {point:?}");
                     match (compiled.locate(&point), expected) {
-                        (PointLoc::NearestAll, None) => {}
-                        (PointLoc::Region(i, region), Some(cell)) => {
+                        (None, None) => {}
+                        (Some((i, region)), Some(cell)) => {
                             assert_eq!(i, compiled.cells[cell], "winner at {point:?}");
                             assert_eq!(region, &compiled.regions[i as usize]);
                         }
-                        (PointLoc::NearestAmong(candidates), Some(cell)) => {
-                            let v = compiled.cells[cell] as usize;
-                            assert!(v >= n, "fallback at a covered cell {point:?}");
-                            assert_eq!(candidates, compiled.fallbacks[v - n].as_slice());
+                        (None, Some(cell)) => {
+                            assert_eq!(compiled.cells[cell], UNCOVERED, "cell at {point:?}");
+                            uncovered += 1;
                         }
-                        (loc, expected) => {
-                            panic!("{point:?}: located {loc:?}, searched {expected:?}")
+                        (Some((i, _)), None) => {
+                            panic!("{point:?}: located region {i} outside the cut range")
                         }
                     }
                     checked += 1;
@@ -1211,6 +1033,7 @@ mod tests {
             }
         }
         assert!(checked > 0);
+        uncovered
     }
 
     #[test]
@@ -1235,10 +1058,10 @@ mod tests {
         let compiled =
             CompiledPiecewise::compile(&PiecewiseModel::new(space, regions, 45)).unwrap();
         assert!(
-            !compiled.fallbacks.is_empty(),
+            compiled.cells.contains(&UNCOVERED),
             "the layout leaves uncovered cells"
         );
-        assert_tables_match_binary_search(&compiled);
+        assert!(assert_tables_match_binary_search(&compiled) > 0);
 
         // A gemm-shaped 3-D model: the default gemm space, split twice in
         // places so the cuts are uneven.
@@ -1264,27 +1087,59 @@ mod tests {
         let compiled = CompiledPiecewise::compile(&model).unwrap();
         assert!(compiled.cuts.iter().all(|c| c.len() > 3));
         assert_eq!(compiled.offsets.len(), 1017 + 1017 + 249);
-        assert_tables_match_binary_search(&compiled);
+        assert!(
+            !compiled.cells.contains(&UNCOVERED),
+            "the split covers the space"
+        );
+        assert_eq!(assert_tables_match_binary_search(&compiled), 0);
     }
 
     #[test]
-    fn spans_beyond_the_cap_locate_by_scan() {
+    fn spans_beyond_the_cap_fall_back_to_the_reference_evaluator() {
         // One cell, but a coordinate span past CELL_CAP: the locate tables
-        // would be oversized, so the model is not indexed.
+        // would be oversized, so the model is not compiled and the reference
+        // evaluator serves it, with the same answers and region indices.
         let wide = Region::new(vec![8], vec![CELL_CAP + 8]);
         let model = PiecewiseModel::new(wide.clone(), vec![fitted_region(&wide, 6)], 6);
-        let compiled = CompiledPiecewise::compile(&model).unwrap();
-        assert!(!compiled.is_indexed());
-        assert!(compiled.offsets.is_empty());
+        assert!(CompiledPiecewise::compile(&model).is_none());
+        let sub = CompiledSubmodel::compile(&model);
+        assert!(matches!(sub, CompiledSubmodel::Reference(_)));
         for p in [0, 8, 1000, CELL_CAP, CELL_CAP + 8, CELL_CAP + 100] {
-            assert_matches(&model, &compiled, &[p]);
+            let (summary, region) = sub.eval_traced(&[p]).unwrap();
+            let (expected, expected_region) = model.eval_traced(&[p]).unwrap();
+            assert_eq!(summary, expected, "at {p}");
+            assert_eq!(region as usize, expected_region, "at {p}");
         }
         // The same model one coordinate narrower fits the cap exactly.
         let fits = Region::new(vec![8], vec![CELL_CAP + 7]);
         let model = PiecewiseModel::new(fits.clone(), vec![fitted_region(&fits, 6)], 6);
         let compiled = CompiledPiecewise::compile(&model).unwrap();
-        assert!(compiled.is_indexed());
         assert_eq!(compiled.offsets.len(), CELL_CAP);
+        assert!(matches!(
+            CompiledSubmodel::compile(&model),
+            CompiledSubmodel::Fast(_)
+        ));
+        // The cell count has the same cap: `n` one-point regions on the
+        // diagonal cut each dimension into `n` cells, so the grid holds `n²`
+        // cells over a coordinate span of only `2n`.
+        let diagonal = |n: usize| {
+            let regions = (0..n)
+                .map(|k| {
+                    let constant = Polynomial::new(2, vec![vec![0, 0]], vec![k as f64]).unwrap();
+                    RegionModel {
+                        region: Region::new(vec![k, k], vec![k, k]),
+                        poly: VectorPolynomial::new(vec![constant; 5]).unwrap(),
+                        error: 0.0,
+                        samples_used: 1,
+                        revision: 0,
+                    }
+                })
+                .collect();
+            PiecewiseModel::new(Region::new(vec![0, 0], vec![n - 1, n - 1]), regions, n)
+        };
+        assert!(CompiledPiecewise::compile(&diagonal(513)).is_none());
+        let compiled = CompiledPiecewise::compile(&diagonal(512)).unwrap();
+        assert_eq!(compiled.cells.len(), CELL_CAP);
     }
 
     #[test]
@@ -1348,7 +1203,7 @@ mod tests {
         assert!(CompiledPiecewise::compile(&empty).is_none());
         // The submodel wrapper still evaluates through the reference path.
         let sub = CompiledSubmodel::compile(&model);
-        assert!(!sub.is_fast());
+        assert!(matches!(sub, CompiledSubmodel::Reference(_)));
         let (summary, region) = sub.eval_traced(&[64]).unwrap();
         assert!(close(summary.median, model.eval(&[64]).unwrap().median));
         assert_eq!(region as usize, model.eval_traced(&[64]).unwrap().1);
@@ -1382,10 +1237,11 @@ mod tests {
         );
         let table = compiled.resolve("machine-a", Locality::InCache);
         let slot = table.slot(Routine::Trsm).unwrap();
-        let fast = compiled.model_at(slot);
+        let fast = compiled.model_at(slot).unwrap();
         assert_eq!(fast.routine(), Routine::Trsm);
         assert_eq!(fast.submodel_count(), 1);
-        assert_eq!(fast.fast_submodel_count(), 1);
+        assert!(matches!(fast.submodels[0].1, CompiledSubmodel::Fast(_)));
+        assert!(compiled.model_at(compiled.len()).is_none());
         let estimate = fast.estimate(&call).unwrap();
         let reference = model.estimate(&call).unwrap();
         assert!(close(estimate.median, reference.median));

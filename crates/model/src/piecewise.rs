@@ -73,16 +73,13 @@ impl VectorPolynomial {
     /// values are preserved (`f64::max` would silently turn them into `0.0`,
     /// i.e. a degenerate fit would masquerade as a zero-cost prediction);
     /// downstream ranking sorts `NaN` predictions last.
-    // lint: allow(panic-free): Quantity::index() is bounded by the five-quantity layout
     pub fn eval(&self, point: &[f64]) -> Summary {
+        // The polynomials are stored in `Quantity::ALL` order, which is
+        // quantity index order.
         let mut values = [0.0; 5];
-        for (q, poly) in Quantity::ALL.iter().zip(self.polys.iter()) {
-            let value = poly.eval(point);
-            values[q.index()] = if value.is_nan() {
-                value
-            } else {
-                value.max(0.0)
-            };
+        for (value, poly) in values.iter_mut().zip(&self.polys) {
+            let v = poly.eval(point);
+            *value = if v.is_nan() { v } else { v.max(0.0) };
         }
         Summary::from_quantities(&values)
     }

@@ -15,6 +15,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
+use crate::routine_model::check_model_dim;
 use crate::{
     FlagKey, ModelError, PiecewiseModel, Polynomial, Region, RegionModel, Result, RoutineModel,
     VectorPolynomial,
@@ -391,6 +392,7 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
     let dim: usize = toks[7]
         .parse()
         .map_err(|_| parse_err(n, format!("bad dimension '{}'", toks[7])))?;
+    check_model_dim(routine, dim).map_err(|msg| parse_err(n, msg))?;
 
     let (n, space_line) = next_line(lines, "space line")?;
     let toks: Vec<&str> = space_line.split_whitespace().collect();
@@ -757,6 +759,12 @@ mod tests {
             "{FORMAT_HEADER}\nmodel dtrsm machine m locality in-cache dim 2\nspace 8 8 16 4\nend_model\n"
         );
         assert!(ModelRepository::from_text(&inverted_space).is_err());
+        // A trsm call has two sizes, so a one-dimensional trsm model could
+        // not answer any call.
+        let wrong_dim = format!(
+            "{FORMAT_HEADER}\nmodel dtrsm machine m locality in-cache dim 1\nspace 8 16\nend_model\n"
+        );
+        assert!(ModelRepository::from_text(&wrong_dim).is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! and the compiled engine and the serving telemetry look submodels up by
 //! it.  A key no call can produce (more than [`Call::MAX_FLAGS`] flags, or a
 //! flag above 255) is rejected where it would enter — by the text and binary
-//! decoders — instead of being stored and never queried.
+//! decoders — instead of being stored and never queried.  The decoders
+//! likewise reject a model whose dimension is not its routine's size count
+//! ([`check_model_dim`]).
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -191,6 +193,20 @@ pub struct RoutineModel {
     pub submodels: BTreeMap<FlagKey, PiecewiseModel>,
 }
 
+/// Checks that a model of `routine` has one dimension per size argument of
+/// the routine, so that every call of the routine is a point of its space.
+/// Both repository decoders reject a model that does not, with this message.
+pub(crate) fn check_model_dim(routine: Routine, dim: usize) -> std::result::Result<(), String> {
+    let sizes = routine.size_count();
+    if dim == sizes {
+        Ok(())
+    } else {
+        Err(format!(
+            "{routine} model has dimension {dim}, but {routine} calls have {sizes} sizes"
+        ))
+    }
+}
+
 impl RoutineModel {
     /// Creates an empty routine model.
     pub fn new(
@@ -290,14 +306,14 @@ impl RoutineModel {
                 call.flag_chars()
             ))
         })?;
-        let sizes = call.sizes();
-        let clamped: Vec<usize> = sizes
-            .iter()
-            .enumerate()
-            // lint: allow(panic-free): size arity matches the model space's dimension for the routine
-            .map(|(d, &s)| s.clamp(self.space.lo()[d], self.space.hi()[d]))
-            .collect();
-        submodel.eval(&clamped)
+        // Sizes past the space's dimension stay unclamped, so a model whose
+        // dimension is not the call's size count fails the arity check.
+        let mut point = call.sizes();
+        let bounds = self.space.lo().iter().zip(self.space.hi());
+        for (size, (&lo, &hi)) in point.iter_mut().zip(bounds) {
+            *size = (*size).clamp(lo, hi);
+        }
+        submodel.eval(&point)
     }
 }
 
@@ -555,5 +571,34 @@ mod tests {
         );
         let est = model.estimate(&big).unwrap();
         assert_eq!(est.median, 42.0);
+    }
+
+    #[test]
+    fn a_model_of_the_wrong_dimension_answers_with_an_error() {
+        // A trsm call has two sizes.  The decoders reject a one-dimensional
+        // trsm model, but one built in memory still reaches `estimate`,
+        // which must return an error, as the compiled engine does, instead
+        // of panicking.
+        let space = Region::new(vec![8], vec![16]);
+        let mut model = RoutineModel::new(Routine::Trsm, "m", Locality::InCache, space.clone());
+        model.insert_submodel(key(&[0, 0, 0]), constant_submodel(&space, 1.0));
+        let call = Call::trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            12,
+            12,
+            1.0,
+        );
+        assert!(matches!(
+            model.estimate(&call),
+            Err(ModelError::OutOfDomain(_))
+        ));
+        let compiled = crate::CompiledRoutineModel::compile(&model);
+        assert!(matches!(
+            compiled.estimate(&call),
+            Err(ModelError::OutOfDomain(_))
+        ));
     }
 }

@@ -217,7 +217,7 @@ impl Predictor {
     fn model(&self, routine: Routine) -> Result<&CompiledRoutineModel> {
         self.table
             .slot(routine)
-            .map(|slot| self.compiled.model_at(slot))
+            .and_then(|slot| self.compiled.model_at(slot))
             .ok_or_else(|| missing_model_error(routine, &self.machine.id(), self.locality))
     }
 
