@@ -8,7 +8,7 @@
 use std::error::Error;
 
 use dla_bench::harness::Bench;
-use dla_core::blas::{dgemm, dtrsm, dtrtri_unb, threaded::dgemm_threaded, Diag, Side, Trans, Uplo};
+use dla_core::blas::{dgemm, dtrsm, dtrtri_unb, Diag, Side, Trans, Uplo};
 use dla_core::mat::gen::MatrixGenerator;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -20,25 +20,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut out = g.general(n, n);
         bench.time(&format!("dgemm_square/{n}"), "blas", || {
             dgemm(
-                Trans::NoTrans,
-                Trans::NoTrans,
-                1.0,
-                a.as_ref(),
-                b.as_ref(),
-                0.0,
-                out.as_mut(),
-            )
-        })?;
-    }
-    for threads in [1usize, 2, 4] {
-        let mut g = MatrixGenerator::new(2);
-        let n = 256;
-        let a = g.general(n, n);
-        let b = g.general(n, n);
-        let mut out = g.general(n, n);
-        bench.time(&format!("dgemm_threaded_256/{threads}"), "blas", || {
-            dgemm_threaded(
-                threads,
                 Trans::NoTrans,
                 Trans::NoTrans,
                 1.0,

@@ -12,8 +12,6 @@
 //! * Unblocked kernels: [`dtrtri_unb`] (triangular inversion) and
 //!   [`dsylv_unb`] (triangular Sylvester solve), the recursion bottoms of the
 //!   blocked algorithm variants in `dla-algos`.
-//! * A threaded `dgemm` ([`threaded::dgemm_threaded`]) built on
-//!   `std::thread::scope`, used by the shared-memory experiments.
 //! * [`Call`] — the routine-call descriptor (routine, flags, sizes, scalars
 //!   and leading dimensions) that the Sampler measures, the Modeler models and
 //!   the Predictor evaluates.  This is the exact analogue of the paper's
@@ -47,7 +45,6 @@ mod unblocked;
 pub mod execute;
 pub mod flops;
 pub mod inplace;
-pub mod threaded;
 
 pub use call::{Call, Routine};
 pub use flags::{Diag, Side, Trans, Uplo};

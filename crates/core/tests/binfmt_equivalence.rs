@@ -224,9 +224,11 @@ proptest! {
         // engine over the original, probing through concrete trsm calls.
         let compiled_a = repo.compiled();
         let compiled_b = from_binary.compiled();
+        let slot_a = compiled_a.resolve(machine_id, Locality::InCache).slot(Routine::Trsm);
+        let slot_b = compiled_b.resolve(machine_id, Locality::InCache).slot(Routine::Trsm);
         if let (Some(a), Some(b)) = (
-            compiled_a.get(Routine::Trsm, machine_id, Locality::InCache),
-            compiled_b.get(Routine::Trsm, machine_id, Locality::InCache),
+            slot_a.and_then(|slot| compiled_a.model_at(slot)),
+            slot_b.and_then(|slot| compiled_b.model_at(slot)),
         ) {
             for n in [16usize, 100, 257, 1000] {
                 let call = Call::trsm(

@@ -10,8 +10,8 @@ use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::SimExecutor;
 use dla_core::mat::stats::{Quantity, Summary};
 use dla_core::model::{
-    FlagKey, ModelRepository, PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel,
-    VectorPolynomial,
+    CompiledRepository, CompiledRoutineModel, FlagKey, ModelRepository, PiecewiseModel, Polynomial,
+    Region, RegionModel, RoutineModel, VectorPolynomial,
 };
 use dla_core::modeler::online::dedupe_templates;
 use dla_core::modeler::{OnlineRefiner, OnlineRefinerConfig};
@@ -154,6 +154,18 @@ fn probe_points(space: &Region) -> Vec<Vec<usize>> {
     points
 }
 
+/// The compiled model of `routine` on `machine_id` under `locality`, looked
+/// up through the routing table, as `Predictor` serves it.
+fn compiled_model<'a>(
+    compiled: &'a CompiledRepository,
+    routine: Routine,
+    machine_id: &str,
+    locality: Locality,
+) -> Option<&'a CompiledRoutineModel> {
+    let slot = compiled.resolve(machine_id, locality).slot(routine)?;
+    compiled.model_at(slot)
+}
+
 /// Both repositories produce identical compiled-engine predictions on every
 /// submodel (compiled vs compiled, probing through the repository-level
 /// compiled form).
@@ -164,11 +176,9 @@ fn assert_compiled_equivalent(original: &ModelRepository, reloaded: &ModelReposi
     for (key, model) in original.iter() {
         let locality = Locality::from_name(&key.locality).unwrap();
         let routine = Routine::from_name(&key.routine).unwrap();
-        let a = compiled_a
-            .get(routine, &key.machine_id, locality)
+        let a = compiled_model(&compiled_a, routine, &key.machine_id, locality)
             .expect("original compiled model");
-        let b = compiled_b
-            .get(routine, &key.machine_id, locality)
+        let b = compiled_model(&compiled_b, routine, &key.machine_id, locality)
             .expect("reloaded compiled model");
         assert_eq!(a.submodel_count(), b.submodel_count());
         for (flags, submodel) in &model.submodels {
@@ -311,6 +321,9 @@ fn refined_repository_survives_save_load_compile() {
     assert_eq!(text, reloaded.to_text().unwrap());
     let compiled_a = refined.compiled();
     let compiled_b = reloaded.compiled();
+    let model_a = compiled_model(&compiled_a, Routine::Trsm, &machine.id(), Locality::InCache);
+    let model_b = compiled_model(&compiled_b, Routine::Trsm, &machine.id(), Locality::InCache);
+    let (model_a, model_b) = (model_a.unwrap(), model_b.unwrap());
     for n in (16..=176).step_by(8) {
         let call = Call::trsm(
             Side::Left,
@@ -321,16 +334,8 @@ fn refined_repository_survives_save_load_compile() {
             n + 8,
             1.0,
         );
-        let a = compiled_a
-            .get(Routine::Trsm, &machine.id(), Locality::InCache)
-            .unwrap()
-            .estimate(&call)
-            .unwrap();
-        let b = compiled_b
-            .get(Routine::Trsm, &machine.id(), Locality::InCache)
-            .unwrap()
-            .estimate(&call)
-            .unwrap();
+        let a = model_a.estimate(&call).unwrap();
+        let b = model_b.estimate(&call).unwrap();
         for q in Quantity::ALL {
             assert!(
                 same(a.get(q), b.get(q)),

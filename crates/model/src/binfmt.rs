@@ -737,7 +737,8 @@ mod tests {
         assert_eq!(sub.regions[0].region.hi(), &[512, 1 << 40]);
         assert!(CompiledPiecewise::compile(sub).is_none());
         // The compiled repository still answers, as the reference does.
-        let model = compiled.get(Routine::Trsm, "m", Locality::InCache).unwrap();
+        let slot = compiled.resolve("m", Locality::InCache).slot(Routine::Trsm);
+        let model = compiled.model_at(slot.unwrap()).unwrap();
         let source = compiled.source().get(Routine::Trsm, "m", Locality::InCache);
         let call = Call::trsm(
             Side::Left,

@@ -9,13 +9,12 @@
 //! has to be fast.  This module compiles a repository **once** — at build or
 //! hot-swap time — into a form that answers point queries without allocating:
 //!
-//! * **Fused polynomials** ([`CompiledVectorPolynomial`]): the five quantity
-//!   polynomials of a [`VectorPolynomial`] share one monomial plan; each
-//!   monomial is computed once per point from per-dimension power ladders
-//!   (no `powi`) and feeds five fused dot products against an SoA
-//!   coefficient matrix.  Evaluation dispatches once on the dimension into a
-//!   kernel specialised for it, whose coordinates and ladders are
-//!   fixed-size arrays.
+//! * **Fused polynomials**: the five quantity polynomials of a
+//!   [`VectorPolynomial`] share one monomial plan; each monomial is computed
+//!   once per point from per-dimension power ladders (no `powi`) and feeds
+//!   five fused dot products against an SoA coefficient matrix.  Evaluation
+//!   dispatches once on the dimension into a kernel specialised for it,
+//!   whose coordinates and ladders are fixed-size arrays.
 //! * **Region index** ([`CompiledPiecewise`]): refinement regions stem from
 //!   axis-aligned splits, so their boundaries induce per-dimension sorted cut
 //!   arrays that divide the space into a grid of cells.  Every cell
@@ -32,6 +31,13 @@
 //!   [`FlagKey`](crate::FlagKey), and [`CompiledRepository::resolve`]
 //!   pre-resolves machine/locality into a [`RoutineTable`] so the per-call
 //!   path performs no hashing and no string comparison.
+//! * **Cell ids**: [`CompiledRepository::compile`] numbers every region of
+//!   the repository once, densely from 0: models in key order, then
+//!   submodels in flag-key order, then regions in source order.  The traced
+//!   evaluation ([`CompiledRoutineModel::estimate_traced`]) reports the
+//!   answering region by that id, and [`CompiledRepository::cells`] maps an
+//!   id back to its routine, submodel key and source region, so the serving
+//!   layer's telemetry is one counter array indexed by it.
 //!
 //! Shapes the fast path cannot represent (dimension above [`MAX_DIM`],
 //! exponents beyond the power ladder, a cell table or locate table beyond
@@ -61,8 +67,8 @@ use dla_mat::stats::Summary;
 use crate::piecewise::error_order;
 use crate::routine_model::{decode_call, FlagKey};
 use crate::{
-    ModelError, ModelKey, ModelRepository, PiecewiseModel, Region, Result, RoutineModel,
-    VectorPolynomial,
+    ModelError, ModelKey, ModelRepository, PiecewiseModel, Region, RegionModel, Result,
+    RoutineModel, VectorPolynomial,
 };
 
 /// Dimensionality bound of the zero-allocation scratch buffers (the modelled
@@ -113,7 +119,7 @@ impl Arity {
 /// The five quantity polynomials of a [`VectorPolynomial`] compiled into one
 /// shared monomial plan with an SoA coefficient matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledVectorPolynomial {
+struct CompiledVectorPolynomial {
     arity: Arity,
     /// Term-major exponent matrix, `term_count * dim` entries, each at most
     /// [`MAX_EXP`].
@@ -130,7 +136,7 @@ impl CompiledVectorPolynomial {
     /// Compiles a vector polynomial; `None` when the shape does not fit the
     /// fast path (wrong arity, dimension above [`MAX_DIM`], exponent above
     /// the ladder bound).
-    pub fn compile(vp: &VectorPolynomial, dim: usize) -> Option<CompiledVectorPolynomial> {
+    fn compile(vp: &VectorPolynomial, dim: usize) -> Option<CompiledVectorPolynomial> {
         let arity = Arity::new(dim)?;
         // The shared plan: union of the five exponent lists, first-seen order
         // (the polynomials of one fit share the same basis, so the common
@@ -179,26 +185,11 @@ impl CompiledVectorPolynomial {
         })
     }
 
-    /// Number of terms in the shared monomial plan.
-    pub fn term_count(&self) -> usize {
-        self.coefficients.len() / 5
-    }
-
-    /// Evaluates all five quantities at a normalised point (its first `dim`
-    /// coordinates), with the same non-negativity clamp and NaN preservation
-    /// as [`VectorPolynomial::eval`].
-    pub fn eval(&self, x: &[f64; MAX_DIM]) -> [f64; 5] {
-        match self.arity {
-            Arity::One => self.kernel(&leading::<1>(x)),
-            Arity::Two => self.kernel(&leading::<2>(x)),
-            Arity::Three => self.kernel(&leading::<3>(x)),
-            Arity::Four => self.kernel(&leading::<4>(x)),
-        }
-    }
-
-    /// The fused kernel for `D == self.dim()`: one power ladder per
-    /// dimension, then one basis product and five multiply-adds per term, in
-    /// term order.
+    /// The fused kernel for `D` equal to the polynomial's dimension: all
+    /// five quantities at a normalised point, with the same non-negativity
+    /// clamp and NaN preservation as [`VectorPolynomial::eval`].  One power
+    /// ladder per dimension, then one basis product and five multiply-adds
+    /// per term, in term order.
     #[inline(always)]
     fn kernel<const D: usize>(&self, x: &[f64; D]) -> [f64; 5] {
         // lint: hot-path begin
@@ -235,16 +226,6 @@ impl CompiledVectorPolynomial {
         // lint: hot-path end
         acc
     }
-}
-
-/// The first `D` coordinates of a scratch point.
-#[inline(always)]
-fn leading<const D: usize>(x: &[f64; MAX_DIM]) -> [f64; D] {
-    let mut out = [0.0; D];
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = v;
-    }
-    out
 }
 
 /// One region with precomputed bounds and its compiled polynomial.
@@ -498,11 +479,6 @@ impl CompiledPiecewise {
         self.regions.len()
     }
 
-    /// Point dimensionality this model evaluates.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Evaluates the compiled model at a raw integer point — the fast,
     /// allocation-free equivalent of [`PiecewiseModel::eval`].
     pub fn eval(&self, point: &[usize]) -> Result<Summary> {
@@ -510,9 +486,10 @@ impl CompiledPiecewise {
     }
 
     /// [`CompiledPiecewise::eval`], additionally reporting which region
-    /// answered (its index in compiled — i.e. source — region order).  The
-    /// serving layer's telemetry records this index per query; tracing adds
-    /// no work beyond returning the index the evaluator already holds.
+    /// answered (its index in compiled — i.e. source — region order).
+    /// [`CompiledRoutineModel::estimate_traced`] adds the submodel's first
+    /// cell id to it; tracing adds no work beyond returning the index the
+    /// evaluator already holds.
     pub fn eval_traced(&self, point: &[usize]) -> Result<(Summary, u32)> {
         if point.len() != self.dim {
             // lint: allow(hot-path): arity-error branch, never taken by in-contract callers
@@ -620,14 +597,17 @@ pub struct CompiledRoutineModel {
     routine: Routine,
     space_lo: [usize; MAX_DIM],
     space_hi: [usize; MAX_DIM],
-    /// Submodels under fixed-size keys; the handful of flag combinations per
-    /// routine makes an in-order scan faster than hashing.
-    submodels: Vec<(FlagKey, CompiledSubmodel)>,
+    /// Submodels under fixed-size keys, each with the cell id of its first
+    /// region; the handful of flag combinations per routine makes an
+    /// in-order scan faster than hashing.
+    submodels: Vec<(FlagKey, u32, CompiledSubmodel)>,
 }
 
 impl CompiledRoutineModel {
-    /// Compiles a routine model, keeping its submodels in key order.
-    pub fn compile(model: &RoutineModel) -> CompiledRoutineModel {
+    /// Compiles a routine model, keeping its submodels in key order and
+    /// numbering their regions from the cell id `next_cell` on, which it
+    /// advances past them.
+    pub(crate) fn compile(model: &RoutineModel, next_cell: &mut u32) -> CompiledRoutineModel {
         let mut space_lo = [0usize; MAX_DIM];
         let mut space_hi = [usize::MAX; MAX_DIM];
         let dims = model.space.dim().min(MAX_DIM);
@@ -636,7 +616,11 @@ impl CompiledRoutineModel {
         let submodels = model
             .submodels
             .iter()
-            .map(|(&key, submodel)| (key, CompiledSubmodel::compile(submodel)))
+            .map(|(&key, submodel)| {
+                let first = *next_cell;
+                *next_cell += submodel.regions.len() as u32;
+                (key, first, CompiledSubmodel::compile(submodel))
+            })
             .collect();
         CompiledRoutineModel {
             routine: model.routine,
@@ -659,17 +643,16 @@ impl CompiledRoutineModel {
     /// Estimates the performance of `call` — the allocation-free equivalent
     /// of [`RoutineModel::estimate`], with identical clamping semantics.
     pub fn estimate(&self, call: &Call) -> Result<Summary> {
-        self.estimate_traced(call).map(|(summary, _, _)| summary)
+        self.estimate_traced(call).map(|(summary, _)| summary)
     }
 
-    /// [`CompiledRoutineModel::estimate`], additionally reporting which
-    /// submodel (flag key) and region (index in source region order) answered
-    /// — the per-call hook behind the serving layer's refinement telemetry.
-    pub fn estimate_traced(&self, call: &Call) -> Result<(Summary, FlagKey, u32)> {
+    /// [`CompiledRoutineModel::estimate`], additionally reporting the cell id
+    /// of the region that answered (see [`CompiledRepository::cells`]) — the
+    /// per-call hook behind the serving layer's refinement telemetry.
+    pub fn estimate_traced(&self, call: &Call) -> Result<(Summary, u32)> {
         let (_, key, sizes, len) = decode_call(call);
         let sizes = sizes.get(..len).unwrap_or_default();
-        let (summary, region) = self.estimate_parts(call, key, sizes)?;
-        Ok((summary, key, region))
+        self.estimate_parts(call, key, sizes)
     }
 
     /// The evaluation step of
@@ -679,7 +662,7 @@ impl CompiledRoutineModel {
     /// evaluates only the first call of each distinct shape, here.  `call`
     /// itself is read only for its routine and for the flag spelling of a
     /// missing-submodel error.  Returns the estimate and the answering
-    /// region.
+    /// region's cell id.
     pub fn estimate_parts(
         &self,
         call: &Call,
@@ -693,11 +676,11 @@ impl CompiledRoutineModel {
                 call.routine()
             )));
         }
-        let submodel = self
+        let (first, submodel) = self
             .submodels
             .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| s)
+            .find(|(k, _, _)| *k == key)
+            .map(|(_, first, s)| (*first, s))
             .ok_or_else(|| {
                 ModelError::MissingSubmodel(format!(
                     "no submodel for {} flags {:?} ({})",
@@ -713,7 +696,15 @@ impl CompiledRoutineModel {
         }
         // More sizes than MAX_DIM leave an empty point, which the
         // submodel's arity check rejects.
-        submodel.eval_traced(clamped.get(..sizes.len()).unwrap_or_default())
+        let point = clamped.get(..sizes.len()).unwrap_or_default();
+        // Offsetting the region index in place turns it into the cell id
+        // and lets the submodel write its answer straight into the return
+        // value, without copying the summary.
+        let mut answer = submodel.eval_traced(point);
+        if let Ok((_, region)) = &mut answer {
+            *region += first;
+        }
+        answer
     }
 }
 
@@ -739,13 +730,32 @@ impl CompiledRepository {
         CompiledRepository::compile_arc(Arc::new(repository))
     }
 
-    /// Compiles an already-shared repository snapshot.
+    /// Compiles an already-shared repository snapshot, numbering its
+    /// regions in [`cells`](CompiledRepository::cells) order.
     pub fn compile_arc(source: Arc<ModelRepository>) -> CompiledRepository {
+        let mut next_cell = 0;
         let entries = source
             .iter()
-            .map(|(key, model)| (key.clone(), CompiledRoutineModel::compile(model)))
+            .map(|(key, model)| {
+                let compiled = CompiledRoutineModel::compile(model, &mut next_cell);
+                (key.clone(), compiled)
+            })
             .collect();
         CompiledRepository { source, entries }
+    }
+
+    /// Every region of the repository with its routine and submodel key, in
+    /// cell-id order: the `i`-th item is the region that the traced
+    /// evaluation reports as cell `i`.  Models come in key order, submodels
+    /// in flag-key order and regions in source order, the order
+    /// [`compile_arc`](CompiledRepository::compile_arc) numbers them in.
+    pub fn cells(&self) -> impl Iterator<Item = (Routine, FlagKey, &RegionModel)> {
+        self.source.iter().flat_map(|(_, model)| {
+            model.submodels.iter().flat_map(move |(&key, submodel)| {
+                let regions = submodel.regions.iter();
+                regions.map(move |region| (model.routine, key, region))
+            })
+        })
     }
 
     /// The uncompiled source repository (the reference implementation).
@@ -761,24 +771,6 @@ impl CompiledRepository {
     /// Returns `true` when the repository holds no models.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Looks up the compiled model for a routine / machine / locality
-    /// combination.
-    pub fn get(
-        &self,
-        routine: Routine,
-        machine_id: &str,
-        locality: Locality,
-    ) -> Option<&CompiledRoutineModel> {
-        self.entries
-            .iter()
-            .find(|(key, _)| {
-                key.routine == routine.name()
-                    && key.locality == locality.name()
-                    && key.machine_id == machine_id
-            })
-            .map(|(_, model)| model)
     }
 
     /// Pre-resolves one machine/locality combination into a per-routine
@@ -885,10 +877,8 @@ mod tests {
         let compiled = CompiledVectorPolynomial::compile(&rm.poly, 2).unwrap();
         for p in region.sample_grid(7, 8) {
             let x_vec = region.normalize(&p);
-            let mut x = [0.0; MAX_DIM];
-            x[..2].copy_from_slice(&x_vec);
             let reference = rm.poly.eval(&x_vec);
-            let fused = compiled.eval(&x);
+            let fused = compiled.kernel::<2>(&[x_vec[0], x_vec[1]]);
             for q in Quantity::ALL {
                 assert!(
                     close(reference.get(q), fused[q.index()]),
@@ -898,7 +888,8 @@ mod tests {
                 );
             }
         }
-        assert!(compiled.term_count() >= 6);
+        // The plan holds the six terms of a degree-2 fit in two dimensions.
+        assert!(compiled.coefficients.len() / 5 >= 6);
     }
 
     #[test]
@@ -1240,7 +1231,7 @@ mod tests {
         let fast = compiled.model_at(slot).unwrap();
         assert_eq!(fast.routine(), Routine::Trsm);
         assert_eq!(fast.submodel_count(), 1);
-        assert!(matches!(fast.submodels[0].1, CompiledSubmodel::Fast(_)));
+        assert!(matches!(fast.submodels[0].2, CompiledSubmodel::Fast(_)));
         assert!(compiled.model_at(compiled.len()).is_none());
         let estimate = fast.estimate(&call).unwrap();
         let reference = model.estimate(&call).unwrap();
@@ -1251,10 +1242,12 @@ mod tests {
         // Missing pieces surface exactly like the reference.
         assert!(table.slot(Routine::Gemm).is_none());
         assert!(compiled
-            .get(Routine::Trsm, "machine-b", Locality::InCache)
+            .resolve("machine-b", Locality::InCache)
+            .slot(Routine::Trsm)
             .is_none());
         assert!(compiled
-            .get(Routine::Trsm, "machine-a", Locality::OutOfCache)
+            .resolve("machine-a", Locality::OutOfCache)
+            .slot(Routine::Trsm)
             .is_none());
         let upper = Call::trsm(
             Side::Left,
@@ -1271,5 +1264,139 @@ mod tests {
         ));
         let gemm = Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 8, 8, 1.0, 0.0);
         assert!(fast.estimate(&gemm).is_err());
+    }
+
+    /// A routine model over `space` with one submodel per `(call, regions)`
+    /// pair, keyed by the call's flags.
+    fn routine_model(space: &Region, submodels: Vec<(Call, Vec<RegionModel>)>) -> RoutineModel {
+        let routine = submodels[0].0.routine();
+        let mut model = RoutineModel::new(routine, "m", Locality::InCache, space.clone());
+        for (call, regions) in submodels {
+            let samples = regions.len();
+            let pw = PiecewiseModel::new(space.clone(), regions, samples);
+            model.insert_submodel(crate::submodel_key(&call), pw);
+        }
+        model
+    }
+
+    /// Every cell id that the traced evaluation reports names, through
+    /// [`CompiledRepository::cells`], the routine, the submodel key and the
+    /// source region that the reference evaluator picks for the call.
+    #[test]
+    fn cell_ids_name_the_reference_region() {
+        use dla_blas::{Diag, Side, Trans, Uplo};
+
+        let space = Region::new(vec![8, 8], vec![512, 512]);
+        let trsm =
+            |side, m, n| Call::trsm(side, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, m, n, 1.0);
+        let trmm = |m, n| {
+            Call::trmm(
+                Side::Left,
+                Uplo::Lower,
+                Trans::NoTrans,
+                Diag::NonUnit,
+                m,
+                n,
+                1.0,
+            )
+        };
+        // Fast submodels with four and three regions (the three overlap, so
+        // the error order picks between them).
+        let quarters: Vec<RegionModel> = space
+            .split(32, 8)
+            .iter()
+            .map(|r| fitted_region(r, 3))
+            .collect();
+        assert_eq!(quarters.len(), 4);
+        let mut thirds: Vec<RegionModel> = [
+            ([8, 8], [512, 200]),
+            ([8, 200], [300, 512]),
+            ([250, 150], [512, 512]),
+        ]
+        .iter()
+        .map(|(lo, hi)| fitted_region(&Region::new(lo.to_vec(), hi.to_vec()), 3))
+        .collect();
+        for (i, rm) in thirds.iter_mut().enumerate() {
+            rm.error = 0.1 * (3 - i) as f64;
+        }
+        // A reference submodel: degree-9 exponents exceed the power ladder.
+        let steep = |k: usize| {
+            let poly =
+                Polynomial::new(2, vec![vec![9, 0], vec![0, 0]], vec![1.0, k as f64]).unwrap();
+            VectorPolynomial::new(vec![poly; 5]).unwrap()
+        };
+        let halves: Vec<RegionModel> = [([8, 8], [256, 512]), ([257, 8], [512, 512])]
+            .iter()
+            .enumerate()
+            .map(|(k, (lo, hi))| RegionModel {
+                region: Region::new(lo.to_vec(), hi.to_vec()),
+                poly: steep(k + 1),
+                error: 0.0,
+                samples_used: 1,
+                revision: 0,
+            })
+            .collect();
+        let mut repo = ModelRepository::new();
+        repo.insert(routine_model(
+            &space,
+            vec![
+                (trsm(Side::Left, 8, 8), quarters),
+                (trsm(Side::Right, 8, 8), thirds),
+            ],
+        ));
+        repo.insert(routine_model(&space, vec![(trmm(8, 8), halves)]));
+        let compiled = CompiledRepository::compile(repo);
+        let table = compiled.resolve("m", Locality::InCache);
+        let trmm_model = compiled
+            .model_at(table.slot(Routine::Trmm).unwrap())
+            .unwrap();
+        assert!(matches!(
+            trmm_model.submodels[0].2,
+            CompiledSubmodel::Reference(_)
+        ));
+
+        let total: usize = compiled
+            .source()
+            .iter()
+            .flat_map(|(_, model)| model.submodels.values())
+            .map(|submodel| submodel.region_count())
+            .sum();
+        assert_eq!(total, 9);
+        assert_eq!(compiled.cells().count(), total);
+
+        // A grid over the space and past its upper bounds (clamped).
+        let sizes: Vec<usize> = (0..12).map(|i| 8 + 48 * i).collect();
+        let mut calls = Vec::new();
+        for &m in &sizes {
+            for &n in &sizes {
+                calls.extend([trsm(Side::Left, m, n), trsm(Side::Right, m, n), trmm(m, n)]);
+            }
+        }
+        let mut reached = vec![false; total];
+        for call in &calls {
+            let model = compiled
+                .model_at(table.slot(call.routine()).unwrap())
+                .unwrap();
+            let (summary, id) = model.estimate_traced(call).unwrap();
+            let (routine, key, region) = compiled.cells().nth(id as usize).unwrap();
+            let (_, call_key, raw, len) = decode_call(call);
+            assert_eq!((routine, key), (call.routine(), call_key), "{call}");
+            // The reference evaluator, on the clamped point.
+            let source = compiled
+                .source()
+                .get(routine, "m", Locality::InCache)
+                .unwrap();
+            let point: Vec<usize> = raw[..len]
+                .iter()
+                .zip(source.space.lo().iter().zip(source.space.hi()))
+                .map(|(&p, (&lo, &hi))| p.clamp(lo, hi))
+                .collect();
+            let submodel = source.submodel(call_key).unwrap();
+            let (expected, index) = submodel.eval_traced(&point).unwrap();
+            assert!(std::ptr::eq(region, &submodel.regions[index]), "{call}");
+            assert!(close(summary.median, expected.median), "{call}");
+            reached[id as usize] = true;
+        }
+        assert!(reached.iter().all(|&r| r), "unreached cells: {reached:?}");
     }
 }

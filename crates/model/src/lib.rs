@@ -61,8 +61,7 @@ mod telemetry;
 mod validate;
 
 pub use eval::{
-    CompiledPiecewise, CompiledRepository, CompiledRoutineModel, CompiledVectorPolynomial,
-    RoutineTable, MAX_DIM,
+    CompiledPiecewise, CompiledRepository, CompiledRoutineModel, RoutineTable, MAX_DIM,
 };
 pub use fit::FitWorkspace;
 pub use piecewise::{error_order, PiecewiseModel, RegionModel, VectorPolynomial};

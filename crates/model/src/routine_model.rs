@@ -595,7 +595,7 @@ mod tests {
             model.estimate(&call),
             Err(ModelError::OutOfDomain(_))
         ));
-        let compiled = crate::CompiledRoutineModel::compile(&model);
+        let compiled = crate::CompiledRoutineModel::compile(&model, &mut 0);
         assert!(matches!(
             compiled.estimate(&call),
             Err(ModelError::OutOfDomain(_))

@@ -4,14 +4,15 @@
 //! The paper's core idea is *error-driven* sampling: measure where the model
 //! is wrong, not everywhere.  Offline, that drives Adaptive Refinement; the
 //! types in this module carry the same signal **online**, from the serving
-//! layer back to the Modeler.  The serving layer counts, per `(routine,
-//! flags, region)` cell, how many queries each region answered (the compiled
-//! evaluators report the answering region at zero extra cost, and the counts
-//! are plain relaxed atomics on the hot path).  A [`RefinementReport`]
-//! snapshots those counters and ranks the cells by `queries × fit_error` —
-//! the regions that are both *hot* (queried a lot) and *bad* (large recorded
-//! fit error) come first, and an online refiner can re-sample exactly those
-//! through the normal fit fast paths.
+//! layer back to the Modeler.  The serving layer counts how many queries
+//! each region answered: the compiled engine reports the answering region's
+//! cell id at zero extra cost (every region of a compiled repository has
+//! one, see [`CompiledRepository::cells`](crate::CompiledRepository::cells)),
+//! and the counts are plain relaxed atomics indexed by it on the hot path.
+//! A [`RefinementReport`] snapshots those counters and ranks the cells by
+//! `queries × fit_error` — the regions that are both *hot* (queried a lot)
+//! and *bad* (large recorded fit error) come first, and an online refiner
+//! can re-sample exactly those through the normal fit fast paths.
 //!
 //! The report is a plain value: producing it does not pause serving, and
 //! consuming it requires nothing but a model repository snapshot.  The

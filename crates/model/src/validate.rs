@@ -3,8 +3,9 @@
 //! The serving layer must never adopt a repository that could make it serve a
 //! non-finite prediction or lose coverage of a parameter space it previously
 //! answered.  [`RepositoryValidator`] checks exactly the invariants evaluation
-//! relies on — finite polynomial coefficients, non-empty models, regions
-//! inside their submodel space, and a non-degenerate region cover — so
+//! relies on — one model dimension per size argument of the routine, finite
+//! polynomial coefficients, non-empty models, regions inside their submodel
+//! space, and a non-degenerate region cover — so
 //! `ModelService::swap`/`merge` can reject a corrupt repository and keep
 //! serving the last good generation instead.
 //!
@@ -12,6 +13,7 @@
 //! telemetry, not served values, and the ranking paths order NaN explicitly
 //! (see [`error_order`](crate::error_order)).
 
+use crate::routine_model::check_model_dim;
 use crate::{ModelError, ModelRepository, PiecewiseModel, Result, RoutineModel};
 
 /// Probe-grid resolution per dimension for the region-cover check (the same
@@ -48,6 +50,8 @@ impl RepositoryValidator {
             model.machine_id,
             model.locality
         );
+        check_model_dim(model.routine, model.space.dim())
+            .map_err(|msg| ModelError::Validation(format!("{context}: {msg}")))?;
         if model.submodels.is_empty() {
             return Err(ModelError::Validation(format!(
                 "{context}: routine model has no submodels"
@@ -119,7 +123,7 @@ mod tests {
 
     fn model_with(submodel: PiecewiseModel) -> RoutineModel {
         let mut model = RoutineModel::new(
-            Routine::Gemm,
+            Routine::Trsm,
             "machine-a",
             Locality::InCache,
             submodel.space.clone(),
@@ -148,7 +152,7 @@ mod tests {
     fn empty_routine_model_is_rejected() {
         let mut repo = ModelRepository::new();
         repo.insert(RoutineModel::new(
-            Routine::Gemm,
+            Routine::Trsm,
             "machine-a",
             Locality::InCache,
             Region::new(vec![8, 8], vec![64, 64]),
@@ -200,6 +204,22 @@ mod tests {
         repo.insert(model_with(sub));
         let err = RepositoryValidator::new().validate(&repo).unwrap_err();
         assert!(matches!(err, ModelError::Validation(ref m) if m.contains("degenerate")));
+    }
+
+    #[test]
+    fn a_model_whose_dimension_is_not_its_size_count_is_rejected() {
+        // trsm calls have two sizes: a one-dimensional trsm model would
+        // answer every trsm call with an arity error.
+        let space = Region::new(vec![8], vec![64]);
+        let sub = PiecewiseModel::new(space, vec![fitted_region(vec![8], vec![64])], 3);
+        assert!(RepositoryValidator::new().validate_submodel(&sub).is_ok());
+        let mut repo = ModelRepository::new();
+        repo.insert(model_with(sub));
+        let err = RepositoryValidator::new().validate(&repo).unwrap_err();
+        assert!(
+            matches!(err, ModelError::Validation(ref m) if m.contains("dimension 1")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -207,9 +207,10 @@ impl Predictor {
     }
 
     /// [`predict_call`](Predictor::predict_call), additionally reporting the
-    /// submodel (flag key) and region index that answered — the hook behind
-    /// the service's per-region telemetry.
-    pub(crate) fn predict_call_traced(&self, call: &Call) -> Result<(Summary, FlagKey, u32)> {
+    /// cell id of the region that answered (see
+    /// [`CompiledRepository::cells`]) — the hook behind the service's
+    /// per-region telemetry.
+    pub(crate) fn predict_call_traced(&self, call: &Call) -> Result<(Summary, u32)> {
         self.model(call.routine())?.estimate_traced(call)
     }
 
@@ -254,9 +255,9 @@ impl Predictor {
     /// [`TraceEvaluator::predict_trace`] over each trace.
     ///
     /// When `answered` is given and the whole batch succeeds, it is called
-    /// once per evaluated shape with the routine, submodel and region that
-    /// answered and the number of predicted calls of that shape: the counts
-    /// a call-by-call walk over
+    /// once per evaluated shape with the cell id of the region that answered
+    /// and the number of predicted calls of that shape: the counts a
+    /// call-by-call walk over
     /// [`predict_call_traced`](Predictor::predict_call_traced) would see.
     ///
     /// # Panics
@@ -265,7 +266,7 @@ impl Predictor {
     pub(crate) fn predict_traces_batched(
         &self,
         traces: &[&[Call]],
-        answered: Option<&mut dyn FnMut(Routine, FlagKey, u32, u64)>,
+        answered: Option<&mut dyn FnMut(u32, u64)>,
     ) -> Result<Vec<TracePrediction>> {
         let calls = traces.iter().map(|trace| trace.len()).sum();
         assert!(
@@ -310,13 +311,13 @@ impl Predictor {
         let mut answers = Vec::with_capacity(shapes.len());
         for (shape, call) in shapes.iter().zip(&firsts) {
             let sizes = &shape.sizes[..shape.routine.size_count()];
-            let (summary, region) = self
+            let (summary, cell) = self
                 .model(shape.routine)?
                 .estimate_parts(call, shape.key, sizes)?;
             answers.push(Answer {
                 summary,
                 flops: call.flops(),
-                region,
+                cell,
                 uses: 0,
             });
         }
@@ -350,8 +351,8 @@ impl Predictor {
             });
         }
         if let Some(answered) = answered {
-            for (shape, answer) in shapes.iter().zip(&answers) {
-                answered(shape.routine, shape.key, answer.region, answer.uses);
+            for answer in &answers {
+                answered(answer.cell, answer.uses);
             }
         }
         Ok(out)
@@ -403,7 +404,8 @@ const DEGENERATE: u32 = u32::MAX;
 struct Answer {
     summary: Summary,
     flops: f64,
-    region: u32,
+    /// The cell id of the region that answered.
+    cell: u32,
     /// Predicted calls of the batch that this answer stands for.
     uses: u64,
 }
@@ -643,16 +645,16 @@ mod tests {
         let batched = predictor
             .predict_traces_batched(
                 &traces,
-                Some(&mut |_, key, region, uses| {
-                    *counted.entry((key, region)).or_insert(0) += uses;
+                Some(&mut |cell, uses| {
+                    *counted.entry(cell).or_insert(0) += uses;
                 }),
             )
             .unwrap();
         assert_eq!(batched, pointwise);
         let mut walked = std::collections::BTreeMap::new();
         for call in traces.iter().flat_map(|t| t.iter()) {
-            let (_, key, region) = predictor.predict_call_traced(call).unwrap();
-            *walked.entry((key, region)).or_insert(0) += 1;
+            let (_, cell) = predictor.predict_call_traced(call).unwrap();
+            *walked.entry(cell).or_insert(0) += 1;
         }
         assert_eq!(counted, walked);
     }

@@ -24,15 +24,18 @@
 //!   cache across requests: a compiled evaluation costs less than hashing
 //!   the call into a shared, synchronised one, while a batch's own shape
 //!   table is private and hashes cheaply;
-//! * it keeps lightweight **refinement telemetry**: the compiled evaluators
-//!   report which `(routine, flags, region)` cell answered each query, and
-//!   the service counts queries per cell with relaxed atomics.
-//!   [`refinement_report`](ModelService::refinement_report) snapshots the
-//!   counters into a [`RefinementReport`] ranked by `queries × fit_error` —
-//!   the input an online refiner needs to re-sample exactly where serving
-//!   traffic meets model error.  The counters belong to the published
-//!   handle, so every swap/merge starts the next generation with a clean
-//!   slate and no query can count into a generation it did not evaluate.
+//! * it keeps lightweight **refinement telemetry**: the compiled engine
+//!   reports the cell id of the region that answered each query (every
+//!   region of a compiled repository has one, see
+//!   [`CompiledRepository::cells`]), and the service counts queries in one
+//!   relaxed atomic per cell, indexed by that id.
+//!   [`refinement_report`](ModelService::refinement_report) reads each
+//!   queried cell's routine, flags, bounds and fit error through the engine
+//!   and ranks the cells by `queries × fit_error` — the input an online
+//!   refiner needs to re-sample exactly where serving traffic meets model
+//!   error.  The counters belong to the published handle, so every
+//!   swap/merge starts the next generation with a clean slate and no query
+//!   can count into a generation it did not evaluate.
 //!
 //! The service is `Sync`: wrap it in an `Arc` and clone the handle into as
 //! many threads as needed.
@@ -45,7 +48,7 @@
 //! section here replaces one `Arc`, so recovering from a panicked holder
 //! serves a consistent generation instead of unwinding the serving tier.
 
-use dla_blas::{Call, Routine};
+use dla_blas::Call;
 use dla_machine::{Locality, MachineConfig};
 use dla_mat::stats::Summary;
 // Concurrency primitives come from the `dla_sync` facade (model-checked
@@ -54,94 +57,32 @@ use dla_mat::stats::Summary;
 use dla_model::sync::atomic::{AtomicU64, Ordering};
 use dla_model::sync::{Arc, RwLock};
 use dla_model::{
-    CompiledRepository, FlagKey, HotRegion, ModelRepository, RefinementReport, Region,
-    RepositoryValidator,
+    CompiledRepository, HotRegion, ModelRepository, RefinementReport, RepositoryValidator,
 };
 use dla_modeler::RefineOutcome;
 
 use crate::health::{HealthCounters, ServiceHealth};
 use crate::predictor::{EfficiencyPrediction, Predictor, TraceEvaluator, TracePrediction};
 
-/// Static metadata of one telemetry cell: the `(routine, flags, region)`
-/// identity a query counter belongs to, plus the region's recorded fit error
-/// and provenance at publication time.
-struct TelemetryCell {
-    routine: Routine,
-    flags: FlagKey,
-    region: Region,
-    error: f64,
-    revision: u32,
-}
-
-/// Per-generation refinement telemetry: one relaxed query counter per region
-/// served for this machine/locality, plus the slot layout that maps a traced
-/// evaluation `(routine, flag key, region index)` to its counter.
+/// Per-generation refinement telemetry: one relaxed query counter per cell
+/// of the compiled repository, indexed by the cell id that the traced
+/// evaluation reports (see [`CompiledRepository::cells`]).
 struct Telemetry {
-    /// Per routine (indexed by [`Routine::index`]): the flag keys of its
-    /// submodels with each key's base slot and region count.
-    index: Vec<Vec<(FlagKey, u32, u32)>>,
-    /// One counter per entry of `cells`, same order.
     counters: Box<[AtomicU64]>,
-    cells: Vec<TelemetryCell>,
 }
 
 impl Telemetry {
-    /// Builds the slot layout for every region the snapshot serves under
-    /// `machine_id`/`locality`.  Runs once per repository generation, next
-    /// to the routing-table resolution, never on the query path.
-    fn build(snapshot: &ModelRepository, machine_id: &str, locality: Locality) -> Telemetry {
-        let mut index: Vec<Vec<(FlagKey, u32, u32)>> = vec![Vec::new(); Routine::ALL.len()];
-        let mut cells: Vec<TelemetryCell> = Vec::new();
-        for (key, model) in snapshot.iter() {
-            if key.machine_id != machine_id || key.locality != locality.name() {
-                continue;
-            }
-            let Some(routine) = Routine::from_name(&key.routine) else {
-                continue;
-            };
-            // Deterministic layout: flag keys in order, regions in source
-            // order (the order both the compiled and the reference
-            // evaluators report their region indices in).
-            for (&flags, submodel) in &model.submodels {
-                index[routine.index()].push((
-                    flags,
-                    cells.len() as u32,
-                    submodel.regions.len() as u32,
-                ));
-                for region in &submodel.regions {
-                    cells.push(TelemetryCell {
-                        routine,
-                        flags,
-                        region: region.region.clone(),
-                        error: region.error,
-                        revision: region.revision,
-                    });
-                }
-            }
-        }
-        let counters = cells.iter().map(|_| AtomicU64::new(0)).collect();
+    /// One zeroed counter per cell of `compiled`.  Runs once per repository
+    /// generation, next to the routing-table resolution, never on the query
+    /// path.
+    fn new(compiled: &CompiledRepository) -> Telemetry {
         Telemetry {
-            index,
-            counters,
-            cells,
+            counters: compiled.cells().map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// The counter of `region` of `routine`'s submodel `key`, or `None` for
-    /// a cell outside the layout, which is not counted.
-    fn cell_counter(&self, routine: Routine, key: FlagKey, region: u32) -> Option<&AtomicU64> {
-        let slot = self
-            .index
-            .get(routine.index())
-            .and_then(|keys| {
-                keys.iter()
-                    .find(|(k, _, count)| *k == key && region < *count)
-            })
-            .map(|(_, base, _)| (base + region) as usize);
-        slot.and_then(|slot| self.counters.get(slot))
-    }
-
-    /// Counts one query answered by `region` of `routine`'s submodel `key`.
+    /// Counts one query answered by cell `cell`; an id outside the
+    /// repository is not counted.
     ///
     /// The increment is a relaxed load + store, **deliberately not an RMW**:
     /// a lock-prefixed `fetch_add` costs a sizable share of the one compiled
@@ -151,22 +92,21 @@ impl Telemetry {
     /// window is a few instructions and the statistic is best-effort
     /// (refinement ranks by magnitudes, not exact counts).  Counts from a
     /// single thread are exact.
-    fn count_one(&self, routine: Routine, key: FlagKey, region: u32) {
-        if let Some(counter) = self.cell_counter(routine, key, region) {
+    fn count_one(&self, cell: u32) {
+        if let Some(counter) = self.counters.get(cell as usize) {
             // ordering: Relaxed on both halves — no other memory depends on
             // this value; see the method docs for what a race can lose.
             counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         }
     }
 
-    /// Counts the `queries` calls of one batch that `region` of `routine`'s
-    /// submodel `key` answered.
+    /// Counts the `queries` calls of one batch that cell `cell` answered.
     ///
     /// One relaxed `fetch_add`: a batch counts each cell once with all its
     /// calls, so the RMW is paid once per distinct shape, and two batches
     /// never lose each other's counts.
-    fn count_batch(&self, routine: Routine, key: FlagKey, region: u32, queries: u64) {
-        if let Some(counter) = self.cell_counter(routine, key, region) {
+    fn count_batch(&self, cell: u32, queries: u64) {
+        if let Some(counter) = self.counters.get(cell as usize) {
             // ordering: Relaxed — no other memory depends on this value.
             counter.fetch_add(queries, Ordering::Relaxed);
         }
@@ -190,15 +130,15 @@ pub struct Published {
 }
 
 impl Published {
-    /// Resolves the routing table and lays out the telemetry for an already
-    /// compiled repository.  The generation number is assigned at
+    /// Resolves the routing table and allocates the telemetry counters for
+    /// an already compiled repository.  The generation number is assigned at
     /// publication, under the service's lock.
     fn build(
         compiled: Arc<CompiledRepository>,
         machine: &MachineConfig,
         locality: Locality,
     ) -> Published {
-        let telemetry = Telemetry::build(compiled.source(), &machine.id(), locality);
+        let telemetry = Telemetry::new(&compiled);
         Published {
             generation: 0,
             predictor: Predictor::from_compiled(compiled, machine.clone(), locality),
@@ -425,8 +365,8 @@ impl ModelService {
     // lint: panic-free
     pub(crate) fn predict_call_tagged(&self, call: &Call) -> dla_model::Result<(Summary, u64)> {
         let current = self.current.read();
-        let (summary, key, region) = current.predictor.predict_call_traced(call)?;
-        current.telemetry.count_one(call.routine(), key, region);
+        let (summary, cell) = current.predictor.predict_call_traced(call)?;
+        current.telemetry.count_one(cell);
         Ok((summary, current.generation))
     }
 
@@ -441,10 +381,10 @@ impl ModelService {
     /// region must re-earn its place in the next report).
     pub fn refinement_report(&self) -> RefinementReport {
         let current = self.published();
-        let telemetry = &current.telemetry;
         let mut total_queries = 0u64;
         let mut cells = Vec::new();
-        for (cell, counter) in telemetry.cells.iter().zip(telemetry.counters.iter()) {
+        let counters = current.telemetry.counters.iter();
+        for ((routine, flags, region), counter) in current.compiled().cells().zip(counters) {
             // ordering: Relaxed — each counter is an independent statistic;
             // the report needs magnitudes, not a cross-counter snapshot, and
             // the handle pins the generation the counts belong to.
@@ -452,11 +392,11 @@ impl ModelService {
             total_queries += queries;
             if queries > 0 {
                 cells.push(HotRegion {
-                    routine: cell.routine,
-                    flags: cell.flags,
-                    region: cell.region.clone(),
-                    fit_error: cell.error,
-                    revision: cell.revision,
+                    routine,
+                    flags,
+                    region: region.region.clone(),
+                    fit_error: region.error,
+                    revision: region.revision,
                     queries,
                 });
             }
@@ -487,9 +427,7 @@ impl ModelService {
         let telemetry = &current.telemetry;
         current.predictor.predict_traces_batched(
             traces,
-            Some(&mut |routine, key, region, uses| {
-                telemetry.count_batch(routine, key, region, uses)
-            }),
+            Some(&mut |cell, uses| telemetry.count_batch(cell, uses)),
         )
     }
 
@@ -533,9 +471,9 @@ mod tests {
     use super::*;
     use crate::modelset::{build_repository, ModelSetConfig, Workload};
     use dla_blas::flops::is_empty_call;
-    use dla_blas::{Trans, Uplo};
+    use dla_blas::{Diag, Routine, Side, Trans, Uplo};
     use dla_machine::presets::harpertown_openblas;
-    use dla_model::{submodel_key, ModelError};
+    use dla_model::{submodel_key, ModelError, Region};
 
     fn quick_service() -> ModelService {
         let machine = harpertown_openblas();
@@ -927,27 +865,67 @@ mod tests {
         // The repeated shape's cell counts every call it answered, each
         // repeat included, although the batch evaluated the shape once.
         let predictor = batched.predictor();
-        let (_, key, region) = predictor.predict_call_traced(&repeated(1.0)).unwrap();
+        let (_, cell) = predictor.predict_call_traced(&repeated(1.0)).unwrap();
         let in_cell = slices
             .iter()
             .flat_map(|trace| trace.iter())
             .filter(|c| !is_empty_call(c))
-            .filter(|c| {
-                let (_, k, r) = predictor.predict_call_traced(c).unwrap();
-                (k, r) == (key, region)
-            })
+            .filter(|c| predictor.predict_call_traced(c).unwrap().1 == cell)
             .count();
         assert!(in_cell >= 6, "{in_cell}");
-        let snapshot = batched.snapshot();
-        let model = snapshot
-            .get(Routine::Gemm, &report.machine_id, report.locality)
-            .unwrap();
-        let answering = &model.submodel(key).unwrap().regions[region as usize].region;
+        let compiled = batched.compiled_snapshot();
+        let (routine, key, answering) = compiled.cells().nth(cell as usize).unwrap();
+        assert_eq!(routine, Routine::Gemm);
         let cell = report
             .cells
             .iter()
-            .find(|c| c.flags == key && &c.region == answering)
+            .find(|c| c.flags == key && c.region == answering.region)
             .unwrap();
         assert_eq!(cell.queries, in_cell as u64);
+    }
+
+    #[test]
+    fn a_model_of_the_wrong_dimension_is_not_published() {
+        use dla_model::{PiecewiseModel, RegionModel, RoutineModel};
+        let service = quick_service();
+        let call = Call::trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            96,
+            64,
+            1.0,
+        );
+        let expected = service.predict_call(&call).unwrap();
+        // A one-dimensional trsm model: every trsm call has two sizes, so
+        // serving it would answer every trsm call with an arity error.
+        let space = Region::new(vec![8], vec![128]);
+        let samples: Vec<(Vec<usize>, Summary)> = space
+            .sample_grid(4, 8)
+            .into_iter()
+            .map(|p| (p.clone(), Summary::exact(100.0 + p[0] as f64)))
+            .collect();
+        let region = RegionModel::fit(space.clone(), &samples, 1).unwrap();
+        let mut model = RoutineModel::new(
+            Routine::Trsm,
+            service.machine().id(),
+            Locality::InCache,
+            space.clone(),
+        );
+        model.insert_submodel(
+            submodel_key(&call),
+            PiecewiseModel::new(space, vec![region], samples.len()),
+        );
+        let mut repo = ModelRepository::new();
+        repo.insert(model);
+        let err = service.swap(repo).unwrap_err();
+        assert!(matches!(err, ModelError::Validation(ref m) if m.contains("dimension")));
+        let health = service.health();
+        assert_eq!(health.publishes_rejected, 1);
+        assert_eq!(health.last_good_generation, 0);
+        // The previous generation still answers.
+        assert_eq!(service.published().generation(), 0);
+        assert_eq!(service.predict_call(&call).unwrap(), expected);
     }
 }

@@ -174,7 +174,7 @@ fn hot_swap_never_serves_torn_state() {
 fn merge_during_swap_linearizes() {
     let machine = harpertown_openblas();
     let machine_id = machine.id();
-    let swap_repo = repo_with(Routine::Gemm, &machine_id);
+    let swap_repo = repo_with(Routine::Trmm, &machine_id);
     let merge_repo = repo_with(Routine::Trsm, &machine_id);
     interleave::model(|| {
         let service = Arc::new(ModelService::new(
@@ -196,11 +196,11 @@ fn merge_during_swap_linearizes() {
         );
         let final_repo = service.snapshot();
         assert!(
-            has(&final_repo, Routine::Gemm, &machine_id),
+            has(&final_repo, Routine::Trmm, &machine_id),
             "the swapped-in repository must survive every interleaving"
         );
-        // merge-then-swap leaves {gemm}; swap-then-merge (including a merge
-        // that started early and redid itself) leaves {gemm, trsm}.
+        // merge-then-swap leaves {trmm}; swap-then-merge (including a merge
+        // that started early and redid itself) leaves {trmm, trsm}.
         assert!(
             final_repo.len() == 1
                 || (final_repo.len() == 2 && has(&final_repo, Routine::Trsm, &machine_id)),
@@ -218,7 +218,7 @@ fn concurrent_merges_lose_nothing() {
     let machine = harpertown_openblas();
     let machine_id = machine.id();
     let merge_a = repo_with(Routine::Trsm, &machine_id);
-    let merge_b = repo_with(Routine::Gemm, &machine_id);
+    let merge_b = repo_with(Routine::Trmm, &machine_id);
     interleave::model(|| {
         let service = Arc::new(ModelService::new(
             ModelRepository::new(),
@@ -236,7 +236,7 @@ fn concurrent_merges_lose_nothing() {
         let final_repo = service.snapshot();
         assert!(
             has(&final_repo, Routine::Trsm, &machine_id)
-                && has(&final_repo, Routine::Gemm, &machine_id),
+                && has(&final_repo, Routine::Trmm, &machine_id),
             "a racing merge was lost"
         );
     });
