@@ -16,32 +16,37 @@ use std::fmt;
 use crate::{Diag, Side, Trans, Uplo};
 
 /// Identifies a modelled routine.
+///
+/// Each routine carries a stable number, its discriminant (see
+/// [`Routine::index`]).  Number 3 belonged to a retired routine and stays
+/// unused, so the numbers already written never move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Routine {
     /// General matrix-matrix multiply (`dgemm`).
-    Gemm,
+    Gemm = 0,
     /// Triangular solve with multiple right-hand sides (`dtrsm`).
-    Trsm,
+    Trsm = 1,
     /// Triangular matrix-matrix multiply (`dtrmm`).
-    Trmm,
-    /// Symmetric rank-k update (`dsyrk`).
-    Syrk,
+    Trmm = 2,
     /// Unblocked triangular inversion (`dtrtri` unblocked).
-    TrtriUnb,
+    TrtriUnb = 4,
     /// Unblocked triangular Sylvester solve.
-    SylvUnb,
+    SylvUnb = 5,
 }
 
 impl Routine {
-    /// All routines known to the stack.
-    pub const ALL: [Routine; 6] = [
+    /// All routines known to the stack, in number order.
+    pub const ALL: [Routine; 5] = [
         Routine::Gemm,
         Routine::Trsm,
         Routine::Trmm,
-        Routine::Syrk,
         Routine::TrtriUnb,
         Routine::SylvUnb,
     ];
+
+    /// One more than the largest routine number: the length of a table
+    /// indexed by [`Routine::index`].
+    pub const TABLE_LEN: usize = Routine::SylvUnb as usize + 1;
 
     /// BLAS/LAPACK-style lower-case name.
     pub fn name(&self) -> &'static str {
@@ -49,7 +54,6 @@ impl Routine {
             Routine::Gemm => "dgemm",
             Routine::Trsm => "dtrsm",
             Routine::Trmm => "dtrmm",
-            Routine::Syrk => "dsyrk",
             Routine::TrtriUnb => "dtrtri_unb",
             Routine::SylvUnb => "dsylv_unb",
         }
@@ -60,17 +64,12 @@ impl Routine {
         Routine::ALL.into_iter().find(|r| r.name() == name)
     }
 
-    /// Stable position of the routine in [`Routine::ALL`] (used by the
-    /// compiled evaluation engine's pre-resolved routing tables).
+    /// The routine's stable number, below [`Routine::TABLE_LEN`].  The
+    /// simulator hashes it into its flag factors, `dlaperf-bin` stores it
+    /// and the compiled engine's routing tables are indexed by it, so a
+    /// routine keeps its number for good.
     pub fn index(&self) -> usize {
-        match self {
-            Routine::Gemm => 0,
-            Routine::Trsm => 1,
-            Routine::Trmm => 2,
-            Routine::Syrk => 3,
-            Routine::TrtriUnb => 4,
-            Routine::SylvUnb => 5,
-        }
+        *self as usize
     }
 
     /// Number of flag arguments the routine takes.
@@ -78,7 +77,6 @@ impl Routine {
         match self {
             Routine::Gemm => 2,
             Routine::Trsm | Routine::Trmm => 4,
-            Routine::Syrk => 2,
             Routine::TrtriUnb => 2,
             Routine::SylvUnb => 0,
         }
@@ -89,7 +87,6 @@ impl Routine {
         match self {
             Routine::Gemm => 3,
             Routine::Trsm | Routine::Trmm => 2,
-            Routine::Syrk => 2,
             Routine::TrtriUnb => 1,
             Routine::SylvUnb => 2,
         }
@@ -171,25 +168,6 @@ pub enum Call {
         /// Leading dimension of `B`.
         ldb: usize,
     },
-    /// `C <- alpha * A * A^T + beta * C` (or `A^T * A`).
-    Syrk {
-        /// Referenced triangle of `C`.
-        uplo: Uplo,
-        /// Whether `A` or `A^T` forms the product.
-        trans: Trans,
-        /// Order of `C`.
-        n: usize,
-        /// Common dimension.
-        k: usize,
-        /// Scaling of the product.
-        alpha: f64,
-        /// Scaling of `C` on input.
-        beta: f64,
-        /// Leading dimension of `A`.
-        lda: usize,
-        /// Leading dimension of `C`.
-        ldc: usize,
-    },
     /// In-place unblocked triangular inversion.
     TrtriUnb {
         /// Referenced triangle of `A`.
@@ -229,7 +207,6 @@ impl Call {
             Call::Gemm { .. } => Routine::Gemm,
             Call::Trsm { .. } => Routine::Trsm,
             Call::Trmm { .. } => Routine::Trmm,
-            Call::Syrk { .. } => Routine::Syrk,
             Call::TrtriUnb { .. } => Routine::TrtriUnb,
             Call::SylvUnb { .. } => Routine::SylvUnb,
         }
@@ -271,11 +248,6 @@ impl Call {
                 flags[3] = diag.as_index() as u8;
                 4
             }
-            Call::Syrk { uplo, trans, .. } => {
-                flags[0] = uplo.as_index() as u8;
-                flags[1] = trans.as_index() as u8;
-                2
-            }
             Call::TrtriUnb { uplo, diag, .. } => {
                 flags[0] = uplo.as_index() as u8;
                 flags[1] = diag.as_index() as u8;
@@ -304,7 +276,6 @@ impl Call {
                 diag,
                 ..
             } => format!("{side}{uplo}{transa}{diag}"),
-            Call::Syrk { uplo, trans, .. } => format!("{uplo}{trans}"),
             Call::TrtriUnb { uplo, diag, .. } => format!("{uplo}{diag}"),
             Call::SylvUnb { .. } => String::new(),
         }
@@ -337,11 +308,6 @@ impl Call {
                 sizes[1] = *n;
                 2
             }
-            Call::Syrk { n, k, .. } => {
-                sizes[0] = *n;
-                sizes[1] = *k;
-                2
-            }
             Call::TrtriUnb { n, .. } => {
                 sizes[0] = *n;
                 1
@@ -360,7 +326,6 @@ impl Call {
         match self {
             Call::Gemm { alpha, beta, .. } => vec![*alpha, *beta],
             Call::Trsm { alpha, .. } | Call::Trmm { alpha, .. } => vec![*alpha],
-            Call::Syrk { alpha, beta, .. } => vec![*alpha, *beta],
             Call::TrtriUnb { .. } | Call::SylvUnb { .. } => vec![],
         }
     }
@@ -370,7 +335,6 @@ impl Call {
         match self {
             Call::Gemm { lda, ldb, ldc, .. } => vec![*lda, *ldb, *ldc],
             Call::Trsm { lda, ldb, .. } | Call::Trmm { lda, ldb, .. } => vec![*lda, *ldb],
-            Call::Syrk { lda, ldc, .. } => vec![*lda, *ldc],
             Call::TrtriUnb { lda, .. } => vec![*lda],
             Call::SylvUnb { ldl, ldu, ldx, .. } => vec![*ldl, *ldu, *ldx],
         }
@@ -411,14 +375,6 @@ impl Call {
                 };
                 dims[0] = (order, order);
                 dims[1] = (*m, *n);
-                2
-            }
-            Call::Syrk { trans, n, k, .. } => {
-                dims[0] = match trans {
-                    Trans::NoTrans => (*n, *k),
-                    Trans::Trans => (*k, *n),
-                };
-                dims[1] = (*n, *n);
                 2
             }
             Call::TrtriUnb { n, .. } => {
@@ -466,10 +422,6 @@ impl Call {
                 *lda = ld;
                 *ldb = ld;
             }
-            Call::Syrk { lda, ldc, .. } => {
-                *lda = ld;
-                *ldc = ld;
-            }
             Call::TrtriUnb { lda, .. } => {
                 *lda = ld;
             }
@@ -505,10 +457,6 @@ impl Call {
             Call::Trsm { m, n, .. } | Call::Trmm { m, n, .. } => {
                 *m = sizes[0];
                 *n = sizes[1];
-            }
-            Call::Syrk { n, k, .. } => {
-                *n = sizes[0];
-                *k = sizes[1];
             }
             Call::TrtriUnb { n, .. } => {
                 *n = sizes[0];
@@ -621,28 +569,6 @@ impl Call {
                         lda,
                         ldb,
                     }
-                }
-            }
-            Routine::Syrk => {
-                let uplo =
-                    Uplo::from_char(parse_flag(next("uplo")?, "uplo")?).ok_or("bad uplo flag")?;
-                let trans = Trans::from_char(parse_flag(next("trans")?, "trans")?)
-                    .ok_or("bad trans flag")?;
-                let n = parse_usize(next("n")?, "n")?;
-                let k = parse_usize(next("k")?, "k")?;
-                let alpha = parse_f64(next("alpha")?, "alpha")?;
-                let beta = parse_f64(next("beta")?, "beta")?;
-                let lda = parse_usize(next("lda")?, "lda")?;
-                let ldc = parse_usize(next("ldc")?, "ldc")?;
-                Call::Syrk {
-                    uplo,
-                    trans,
-                    n,
-                    k,
-                    alpha,
-                    beta,
-                    lda,
-                    ldc,
                 }
             }
             Routine::TrtriUnb => {
@@ -781,24 +707,6 @@ impl Call {
         }
     }
 
-    /// Builds a `dsyrk` call with leading dimensions tied to the sizes.
-    pub fn syrk(uplo: Uplo, trans: Trans, n: usize, k: usize, alpha: f64, beta: f64) -> Call {
-        Call::Syrk {
-            uplo,
-            trans,
-            n,
-            k,
-            alpha,
-            beta,
-            lda: if matches!(trans, Trans::NoTrans) {
-                n.max(1)
-            } else {
-                k.max(1)
-            },
-            ldc: n.max(1),
-        }
-    }
-
     /// Builds an unblocked triangular-inversion call.
     pub fn trtri_unb(uplo: Uplo, diag: Diag, n: usize) -> Call {
         Call::TrtriUnb {
@@ -878,7 +786,6 @@ mod tests {
                 32,
                 1.0,
             ),
-            Call::syrk(Uplo::Upper, Trans::Trans, 40, 50, 1.0, 0.5),
             Call::trtri_unb(Uplo::Upper, Diag::Unit, 32),
             Call::sylv_unb(8, 16),
         ];
@@ -893,9 +800,16 @@ mod tests {
             assert!(dim_len <= dims.len());
             assert!(dims[dim_len..].iter().all(|&d| d == (0, 0)), "dims of {c}");
         }
-        for (i, r) in Routine::ALL.into_iter().enumerate() {
-            assert_eq!(r.index(), i);
-        }
+    }
+
+    #[test]
+    fn routine_numbers_are_stable() {
+        // Two readers depend on these numbers never moving: the simulator
+        // hashes them into its flag factors, so a renumbered routine would
+        // time differently, and `dlaperf-bin` files store them.
+        let numbers: Vec<usize> = Routine::ALL.iter().map(Routine::index).collect();
+        assert_eq!(numbers, [0, 1, 2, 4, 5]);
+        assert!(numbers.iter().all(|&n| n < Routine::TABLE_LEN));
     }
 
     #[test]
@@ -956,7 +870,6 @@ mod tests {
     fn parse_all_routines() {
         assert!(Call::parse("dgemm N T 8 16 24 1.0 0.0 2500 2500 2500").is_ok());
         assert!(Call::parse("dtrmm L U T N 64 32 1.0 2500 2500").is_ok());
-        assert!(Call::parse("dsyrk L N 100 50 1.0 1.0 2500 2500").is_ok());
         assert!(Call::parse("dtrtri_unb L N 96 2500").is_ok());
         assert!(Call::parse("dsylv_unb 96 96 2500 2500 2500").is_ok());
     }

@@ -10,7 +10,7 @@
 use dla_mat::gen::MatrixGenerator;
 use dla_mat::Matrix;
 
-use crate::{dgemm, dsylv_unb, dsyrk, dtrmm, dtrsm, dtrtri_unb, Call, Diag, Side, Trans, Uplo};
+use crate::{dgemm, dsylv_unb, dtrmm, dtrsm, dtrtri_unb, Call, Diag, Side, Trans, Uplo};
 
 /// A routine call together with allocated operands, ready to run repeatedly.
 #[derive(Debug)]
@@ -49,13 +49,6 @@ enum Kernel {
         transa: Trans,
         diag: Diag,
         alpha: f64,
-        a: Matrix,
-    },
-    Syrk {
-        uplo: Uplo,
-        trans: Trans,
-        alpha: f64,
-        beta: f64,
         a: Matrix,
     },
     Trtri {
@@ -152,28 +145,6 @@ impl PreparedCall {
                 };
                 (kernel, g.general(m, n))
             }
-            Call::Syrk {
-                uplo,
-                trans,
-                n,
-                k,
-                alpha,
-                beta,
-                ..
-            } => {
-                let a = match trans {
-                    Trans::NoTrans => g.general(n, k),
-                    Trans::Trans => g.general(k, n),
-                };
-                let kernel = Kernel::Syrk {
-                    uplo,
-                    trans,
-                    alpha,
-                    beta,
-                    a,
-                };
-                (kernel, g.general(n, n))
-            }
             Call::TrtriUnb { uplo, diag, n, .. } => {
                 (Kernel::Trtri { uplo, diag }, triangular(&mut g, uplo, n))
             }
@@ -200,9 +171,7 @@ impl PreparedCall {
     pub fn operand_bytes(&self) -> usize {
         let inputs = match &self.kernel {
             Kernel::Gemm { a, b, .. } => a.as_slice().len() + b.as_slice().len(),
-            Kernel::Trsm { a, .. } | Kernel::Trmm { a, .. } | Kernel::Syrk { a, .. } => {
-                a.as_slice().len()
-            }
+            Kernel::Trsm { a, .. } | Kernel::Trmm { a, .. } => a.as_slice().len(),
             Kernel::Trtri { .. } => 0,
             Kernel::Sylv { l, u } => l.as_slice().len() + u.as_slice().len(),
         };
@@ -246,13 +215,6 @@ impl PreparedCall {
                 alpha,
                 a,
             } => dtrmm(*side, *uplo, *transa, *diag, *alpha, a.as_ref(), out),
-            Kernel::Syrk {
-                uplo,
-                trans,
-                alpha,
-                beta,
-                a,
-            } => dsyrk(*uplo, *trans, *alpha, a.as_ref(), *beta, out),
             Kernel::Trtri { uplo, diag } => dtrtri_unb(*uplo, *diag, out),
             Kernel::Sylv { l, u } => dsylv_unb(l.as_ref(), u.as_ref(), out),
         }
@@ -311,10 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn prepared_sylv_and_syrk_run() {
+    fn prepared_sylv_runs() {
         let mut p = PreparedCall::new(&Call::sylv_unb(10, 14), 4);
-        p.reset_and_run();
-        let mut p = PreparedCall::new(&Call::syrk(Uplo::Upper, Trans::Trans, 9, 6, 1.0, 0.0), 5);
         p.reset_and_run();
     }
 

@@ -25,11 +25,6 @@ pub fn trmm_flops(side: Side, m: usize, n: usize) -> f64 {
     trsm_flops(side, m, n)
 }
 
-/// Flop count of a symmetric rank-k update.
-pub fn syrk_flops(n: usize, k: usize) -> f64 {
-    n as f64 * (n as f64 + 1.0) * k as f64
-}
-
 /// Flop count of inverting a triangular matrix of order `n`.
 pub fn trtri_flops(n: usize) -> f64 {
     let n = n as f64;
@@ -60,7 +55,6 @@ pub fn call_flops(call: &Call) -> f64 {
         Call::Gemm { m, n, k, .. } => gemm_flops(*m, *n, *k),
         Call::Trsm { side, m, n, .. } => trsm_flops(*side, *m, *n),
         Call::Trmm { side, m, n, .. } => trmm_flops(*side, *m, *n),
-        Call::Syrk { n, k, .. } => syrk_flops(*n, *k),
         Call::TrtriUnb { n, .. } => trtri_flops(*n),
         Call::SylvUnb { m, n, .. } => sylv_flops(*m, *n),
     }
@@ -124,8 +118,6 @@ mod tests {
         assert!((call_flops(&c) - (1000.0 / 3.0 + 20.0 / 3.0)).abs() < 1e-9);
         let c = Call::sylv_unb(10, 20);
         assert_eq!(call_flops(&c), 6000.0);
-        let c = Call::syrk(Uplo::Lower, Trans::NoTrans, 10, 4, 1.0, 0.0);
-        assert_eq!(call_flops(&c), 440.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! *Performance Modeling for Dense Linear Algebra* (Peise & Bientinesi,
 //! SC 2012):
 //!
-//! * Level-3: [`dgemm`], [`dtrsm`], [`dtrmm`], [`dsyrk`] with the full BLAS
+//! * Level-3: [`dgemm`], [`dtrsm`], [`dtrmm`] with the full BLAS
 //!   flag semantics (`side`, `uplo`, `trans`, `diag`).
 //! * Level-2: [`dtrsv`] and [`dtrmv`], on which `dtrsm` and `dtrmm` are
 //!   built.
@@ -37,7 +37,6 @@ mod call;
 mod flags;
 mod gemm;
 mod level2;
-mod syrk;
 mod trmm;
 mod trsm;
 mod unblocked;
@@ -50,7 +49,6 @@ pub use call::{Call, Routine};
 pub use flags::{Diag, Side, Trans, Uplo};
 pub use gemm::dgemm;
 pub use level2::{dtrmv, dtrsv};
-pub use syrk::dsyrk;
 pub use trmm::dtrmm;
 pub use trsm::dtrsm;
 pub use unblocked::{dsylv_unb, dtrtri_unb};

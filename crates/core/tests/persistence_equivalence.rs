@@ -10,8 +10,8 @@ use dla_core::machine::presets::harpertown_openblas;
 use dla_core::machine::SimExecutor;
 use dla_core::mat::stats::{Quantity, Summary};
 use dla_core::model::{
-    CompiledRepository, CompiledRoutineModel, FlagKey, ModelRepository, PiecewiseModel, Polynomial,
-    Region, RegionModel, RoutineModel, VectorPolynomial,
+    submodel_key, CompiledRepository, CompiledRoutineModel, FlagKey, ModelRepository,
+    PiecewiseModel, Polynomial, Region, RegionModel, RoutineModel, VectorPolynomial,
 };
 use dla_core::modeler::online::dedupe_templates;
 use dla_core::modeler::{OnlineRefiner, OnlineRefinerConfig};
@@ -103,6 +103,25 @@ fn random_region_model(gen: &mut Gen, region: &Region) -> RegionModel {
     }
 }
 
+/// The submodel key of a `routine` call whose flags all have index `f`:
+/// a key the routine's calls produce.
+fn uniform_key(routine: Routine, f: usize) -> FlagKey {
+    let (side, uplo, trans, diag) = (
+        Side::VALUES[f],
+        Uplo::VALUES[f],
+        Trans::VALUES[f],
+        Diag::VALUES[f],
+    );
+    let call = match routine {
+        Routine::Gemm => Call::gemm(trans, trans, 8, 8, 8, 1.0, 0.0),
+        Routine::Trsm => Call::trsm(side, uplo, trans, diag, 8, 8, 1.0),
+        Routine::Trmm => Call::trmm(side, uplo, trans, diag, 8, 8, 1.0),
+        Routine::TrtriUnb => Call::trtri_unb(uplo, diag, 8),
+        Routine::SylvUnb => Call::sylv_unb(8, 8),
+    };
+    submodel_key(&call)
+}
+
 /// A random routine model with 1–3 flag-variant submodels.
 fn random_routine_model(gen: &mut Gen, routine: Routine, machine_id: &str) -> RoutineModel {
     let dim = routine.size_count();
@@ -111,7 +130,6 @@ fn random_routine_model(gen: &mut Gen, routine: Routine, machine_id: &str) -> Ro
     let mut model = RoutineModel::new(routine, machine_id, Locality::InCache, space.clone());
     let variants = gen.range(1, 3);
     for v in 0..variants {
-        let flags: Vec<usize> = (0..routine.flag_count().min(3)).map(|_| v % 2).collect();
         let mut regions = Vec::new();
         for part in space.split(gen.range(16, 64), 8) {
             regions.push(random_region_model(gen, &part));
@@ -121,8 +139,10 @@ fn random_routine_model(gen: &mut Gen, routine: Routine, machine_id: &str) -> Ro
             regions.push(random_region_model(gen, &space));
         }
         let total = regions.iter().map(|r| r.samples_used).sum();
-        let flags = FlagKey::from_slice(&flags).expect("at most 3 binary flags");
-        model.insert_submodel(flags, PiecewiseModel::new(space.clone(), regions, total));
+        model.insert_submodel(
+            uniform_key(routine, v % 2),
+            PiecewiseModel::new(space.clone(), regions, total),
+        );
     }
     model
 }

@@ -58,8 +58,6 @@ pub struct BlasProfile {
     pub trsm: RoutineParams,
     /// Per-routine parameters for `dtrmm`.
     pub trmm: RoutineParams,
-    /// Per-routine parameters for `dsyrk`.
-    pub syrk: RoutineParams,
     /// Per-routine parameters for the unblocked triangular inversion.
     pub trtri_unb: RoutineParams,
     /// Per-routine parameters for the unblocked Sylvester solve.
@@ -101,7 +99,6 @@ impl BlasProfile {
             Routine::Gemm => self.gemm,
             Routine::Trsm => self.trsm,
             Routine::Trmm => self.trmm,
-            Routine::Syrk => self.syrk,
             Routine::TrtriUnb => self.trtri_unb,
             Routine::SylvUnb => self.sylv_unb,
         }
@@ -112,9 +109,10 @@ impl BlasProfile {
     ///
     /// The paper observes (Fig. III.1) that flag combinations affect
     /// performance with no obvious pattern, except that `diag` has only a
-    /// minor impact.  We reproduce that with a small hash of the flag indices,
-    /// where the last flag of `dtrsm`/`dtrmm` (`diag`) is given a much smaller
-    /// weight.
+    /// minor impact.  We reproduce that with a small hash of the routine's
+    /// stable number ([`Routine::index`]) and the flag indices, where the
+    /// last flag of `dtrsm`/`dtrmm` (`diag`) is given a much smaller weight.
+    /// Renumbering a routine would change every measurement of it.
     pub fn flag_factor(&self, call: &Call) -> f64 {
         let (flags, flag_len) = call.flag_indices_fixed();
         let flags = &flags[..flag_len];
@@ -161,7 +159,6 @@ pub fn openblas_like() -> BlasProfile {
         gemm: RoutineParams::new(0.90, 24.0, 0.85),
         trsm: RoutineParams::new(0.80, 28.0, 0.75),
         trmm: RoutineParams::new(0.83, 26.0, 0.80),
-        syrk: RoutineParams::new(0.85, 26.0, 0.80),
         trtri_unb: RoutineParams::new(0.16, 12.0, 0.20).with_large_dim_decay(512.0),
         sylv_unb: RoutineParams::new(0.24, 20.0, 0.20).with_large_dim_decay(96.0),
         call_overhead_cycles: 2_000.0,
@@ -186,7 +183,6 @@ pub fn mkl_like() -> BlasProfile {
         gemm: RoutineParams::new(0.93, 18.0, 0.88),
         trsm: RoutineParams::new(0.86, 20.0, 0.80),
         trmm: RoutineParams::new(0.86, 20.0, 0.82),
-        syrk: RoutineParams::new(0.88, 20.0, 0.82),
         trtri_unb: RoutineParams::new(0.18, 10.0, 0.22).with_large_dim_decay(512.0),
         sylv_unb: RoutineParams::new(0.26, 18.0, 0.22).with_large_dim_decay(104.0),
         call_overhead_cycles: 3_000.0,
@@ -211,7 +207,6 @@ pub fn atlas_like() -> BlasProfile {
         gemm: RoutineParams::new(0.72, 40.0, 0.70),
         trsm: RoutineParams::new(0.60, 44.0, 0.62),
         trmm: RoutineParams::new(0.62, 42.0, 0.65),
-        syrk: RoutineParams::new(0.66, 42.0, 0.65),
         trtri_unb: RoutineParams::new(0.12, 14.0, 0.18).with_large_dim_decay(448.0),
         sylv_unb: RoutineParams::new(0.20, 24.0, 0.18).with_large_dim_decay(80.0),
         call_overhead_cycles: 4_000.0,
@@ -241,7 +236,6 @@ pub fn openblas_like_sandy_bridge() -> BlasProfile {
     p.gemm = RoutineParams::new(0.82, 90.0, 0.70);
     p.trsm = RoutineParams::new(0.84, 36.0, 0.85);
     p.trmm = RoutineParams::new(0.88, 30.0, 0.88);
-    p.syrk = RoutineParams::new(0.84, 34.0, 0.80);
     p.internal_block = 768;
     p.block_kink_drop = 0.04;
     p
@@ -259,7 +253,6 @@ pub fn openblas_like_sandy_bridge_threaded() -> BlasProfile {
     p.gemm.parallel_efficiency = 0.28;
     p.trsm.parallel_efficiency = 0.80;
     p.trmm.parallel_efficiency = 0.85;
-    p.syrk.parallel_efficiency = 0.70;
     p.trtri_unb.parallel_efficiency = 0.10;
     p.sylv_unb.parallel_efficiency = 0.10;
     p.thread_spawn_cycles = 30_000.0;

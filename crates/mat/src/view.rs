@@ -250,33 +250,6 @@ impl<'a> MatMut<'a> {
         unsafe { MatMut::from_raw_parts(self.ptr, self.rows, self.cols, self.ld) }
     }
 
-    /// Splits this view into two disjoint mutable blocks.
-    ///
-    /// Panics if the blocks overlap or do not fit.
-    pub fn split_two_mut(self, a: Rect, b: Rect) -> (MatMut<'a>, MatMut<'a>) {
-        assert!(a.fits_in(self.rows, self.cols), "block {a} out of bounds");
-        assert!(b.fits_in(self.rows, self.cols), "block {b} out of bounds");
-        assert!(!a.overlaps(&b), "blocks {a} and {b} overlap");
-        // SAFETY: the two blocks are element-disjoint, so handing out two
-        // mutable views cannot alias; both fit in the parent.
-        unsafe {
-            (
-                MatMut::from_raw_parts(
-                    self.ptr.add(a.col * self.ld + a.row),
-                    a.rows,
-                    a.cols,
-                    self.ld,
-                ),
-                MatMut::from_raw_parts(
-                    self.ptr.add(b.col * self.ld + b.row),
-                    b.rows,
-                    b.cols,
-                    self.ld,
-                ),
-            )
-        }
-    }
-
     /// Fills the view with a constant.
     pub fn fill(&mut self, v: f64) {
         for j in 0..self.cols {
@@ -366,28 +339,6 @@ mod tests {
         let m = Matrix::zeros(3, 3);
         let v = m.as_ref();
         let _ = v.submatrix(Rect::new(2, 2, 2, 2));
-    }
-
-    #[test]
-    fn split_two_mut_disjoint() {
-        let mut m = Matrix::zeros(4, 4);
-        {
-            let v = m.as_mut();
-            let (mut a, mut b) = v.split_two_mut(Rect::new(0, 0, 2, 2), Rect::new(2, 2, 2, 2));
-            a.fill(1.0);
-            b.fill(2.0);
-        }
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(3, 3)], 2.0);
-        assert_eq!(m[(0, 3)], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn split_two_mut_overlapping_panics() {
-        let mut m = Matrix::zeros(4, 4);
-        let v = m.as_mut();
-        let _ = v.split_two_mut(Rect::new(0, 0, 3, 3), Rect::new(2, 2, 2, 2));
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!
 //! ```text
 //! repository  model count u32, then each model in ascending key order
-//! model       routine index u32, locality u32, machine-id offset u32 and
+//! model       routine number u32 (Routine::index: 0 gemm, 1 trsm, 2 trmm,
+//!             4 trtri_unb, 5 sylv_unb), locality u32, machine-id offset u32 and
 //!             length u32 (into STRS), dimension u32, [space lo, hi: U64S],
 //!             submodel count u32, then each submodel in ascending flag order
 //! submodel    flag count u32, flags u64 each, total samples u64,
@@ -70,7 +71,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
-use crate::routine_model::check_model_dim;
+use crate::routine_model::{check_model_dim, check_submodel_key};
 use crate::{
     CompiledRepository, FlagKey, ModelError, ModelKey, ModelRepository, PiecewiseModel, Polynomial,
     Region, RegionModel, Result, RoutineModel, VectorPolynomial,
@@ -565,8 +566,9 @@ pub(crate) fn decode_models(bytes: &[u8]) -> Result<ModelRepository> {
 
 fn decode_model(r: &mut Reader<'_>) -> Result<RoutineModel> {
     let routine_idx = r.count("routine index")?;
-    let routine = *Routine::ALL
-        .get(routine_idx)
+    let routine = Routine::ALL
+        .into_iter()
+        .find(|routine| routine.index() == routine_idx)
         .ok_or_else(|| perr(format!("unknown routine index {routine_idx}")))?;
     let locality = match r.u32()? {
         0 => Locality::InCache,
@@ -596,6 +598,7 @@ fn decode_model(r: &mut Reader<'_>) -> Result<RoutineModel> {
             .collect::<Result<_>>()?;
         let flags = FlagKey::from_slice(&flags)
             .ok_or_else(|| perr("submodel flag key cannot come from any call"))?;
+        check_submodel_key(routine, flags).map_err(perr)?;
         // Strictly ascending flag keys (the writer's order) rule out a
         // duplicate key silently replacing an earlier submodel.
         if prev_flags.is_some_and(|prev| prev >= flags) {
@@ -773,6 +776,50 @@ mod tests {
         // stored key that nothing can query.
         match decode(&with_first_flag(bytes, 256)) {
             Err(ModelError::Parse(msg)) => assert!(msg.contains("flag key"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_key_no_call_of_the_routine_produces_is_a_decode_error() {
+        // trsm calls keep three flags of 0 or 1.  A flag of 2 fits a key,
+        // and the writer stores a two-flag key it is given, but no trsm
+        // call could reach either submodel.
+        let bytes = one_region_file();
+        let mut model = decode_models(&bytes)
+            .unwrap()
+            .get(Routine::Trsm, "m", Locality::InCache)
+            .unwrap()
+            .clone();
+        let sub = model.submodels.pop_first().unwrap().1;
+        model.insert_submodel(FlagKey::from_slice(&[0, 0]).unwrap(), sub);
+        let mut short_key = ModelRepository::new();
+        short_key.insert(model);
+        for bad in [
+            with_first_flag(bytes, 2),
+            encode_models(&short_key).unwrap(),
+        ] {
+            match decode(&bad) {
+                Err(ModelError::Parse(msg)) => {
+                    assert!(msg.contains("cannot come from any call"), "{msg}")
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn routine_number_3_is_unknown() {
+        // In `META` the model's routine number follows the model count.
+        let bytes = one_region_file();
+        let at = section(&bytes, 0).start + 4;
+        assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "trsm is number 1");
+        let mut patched = bytes;
+        patched[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        match decode(&resealed(patched)) {
+            Err(ModelError::Parse(msg)) => {
+                assert!(msg.contains("unknown routine index 3"), "{msg}")
+            }
             other => panic!("expected a parse error, got {other:?}"),
         }
     }

@@ -804,7 +804,7 @@ impl CompiledRepository {
 /// [`CompiledRepository`] slot per routine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoutineTable {
-    slots: [Option<u32>; Routine::ALL.len()],
+    slots: [Option<u32>; Routine::TABLE_LEN],
 }
 
 impl RoutineTable {

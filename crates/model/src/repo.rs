@@ -15,7 +15,7 @@ use dla_blas::Routine;
 use dla_machine::Locality;
 use dla_mat::stats::Quantity;
 
-use crate::routine_model::check_model_dim;
+use crate::routine_model::{check_model_dim, check_submodel_key};
 use crate::{
     FlagKey, ModelError, PiecewiseModel, Polynomial, Region, RegionModel, Result, RoutineModel,
     VectorPolynomial,
@@ -433,6 +433,7 @@ fn parse_model(lines: &mut Lines<'_>) -> Result<RoutineModel> {
                 format!("flag key '{}' cannot come from any call", toks[1]),
             )
         })?;
+        check_submodel_key(routine, flags).map_err(|msg| parse_err(n, msg))?;
         let total_samples: usize = toks[3]
             .parse()
             .map_err(|_| parse_err(n, format!("bad sample count '{}'", toks[3])))?;
@@ -765,6 +766,16 @@ mod tests {
             "{FORMAT_HEADER}\nmodel dtrsm machine m locality in-cache dim 1\nspace 8 16\nend_model\n"
         );
         assert!(ModelRepository::from_text(&wrong_dim).is_err());
+        // trsm calls keep three flags, so no call could reach a submodel
+        // keyed by two.
+        let wrong_key = format!(
+            "{FORMAT_HEADER}\nmodel dtrsm machine m locality in-cache dim 2\nspace 8 8 16 16\n\
+             submodel 0,0 samples 4\nend_submodel\nend_model\n"
+        );
+        match ModelRepository::from_text(&wrong_key) {
+            Err(ModelError::Parse(msg)) => assert!(msg.contains("cannot come from any call")),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! key in the stack: [`submodel_key`] derives it from a call, routine models
 //! store their submodels under it, both repository codecs read and write it,
 //! and the compiled engine and the serving telemetry look submodels up by
-//! it.  A key no call can produce (more than [`Call::MAX_FLAGS`] flags, or a
-//! flag above 255) is rejected where it would enter — by the text and binary
-//! decoders — instead of being stored and never queried.  The decoders
-//! likewise reject a model whose dimension is not its routine's size count
-//! ([`check_model_dim`]).
+//! it.  A key no call of its routine can produce (a flag count other than
+//! the one [`decode_call`] keeps, or a flag other than 0 or 1) is rejected
+//! where it would enter — by the text and binary decoders and by the
+//! publication gate ([`check_submodel_key`]) — instead of being stored and
+//! never queried.  They likewise reject a model whose dimension is not its
+//! routine's size count ([`check_model_dim`]).
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -151,15 +152,6 @@ pub fn decode_call(call: &Call) -> (Routine, FlagKey, [usize; Call::MAX_SIZES], 
             [m, n, 0],
             2,
         ),
-        Call::Syrk {
-            uplo, trans, n, k, ..
-        } => (
-            Routine::Syrk,
-            [uplo.as_index(), trans.as_index(), 0],
-            2,
-            [n, k, 0],
-            2,
-        ),
         Call::TrtriUnb { uplo, n, .. } => {
             (Routine::TrtriUnb, [uplo.as_index(), 0, 0], 1, [n, 0, 0], 1)
         }
@@ -203,6 +195,31 @@ pub(crate) fn check_model_dim(routine: Routine, dim: usize) -> std::result::Resu
     } else {
         Err(format!(
             "{routine} model has dimension {dim}, but {routine} calls have {sizes} sizes"
+        ))
+    }
+}
+
+/// Checks that `key` is the submodel key of some call of `routine`: it holds
+/// as many flags as [`decode_call`] keeps for the routine (gemm 2, trsm and
+/// trmm 3, trtri_unb 1, sylv_unb 0), and each flag is 0 or 1.  A submodel
+/// under any other key could never be queried.  Both repository decoders and
+/// the publication gate reject such a key, with this message.
+pub(crate) fn check_submodel_key(
+    routine: Routine,
+    key: FlagKey,
+) -> std::result::Result<(), String> {
+    let len = match routine {
+        Routine::Gemm => 2,
+        Routine::Trsm | Routine::Trmm => 3,
+        Routine::TrtriUnb => 1,
+        Routine::SylvUnb => 0,
+    };
+    if key.len() == len && key.flags().all(|f| f <= 1) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{routine} submodel key {key:?} cannot come from any call: \
+             {routine} keys hold {len} flags of 0 or 1"
         ))
     }
 }
@@ -452,7 +469,6 @@ mod tests {
                     calls.push(Call::gemm(ta, tb, m, n, k, 1.0, 0.0));
                 }
                 for uplo in Uplo::VALUES {
-                    calls.push(Call::syrk(uplo, ta, n, k, 1.0, 0.0));
                     for side in Side::VALUES {
                         for diag in Diag::VALUES {
                             calls.push(Call::trsm(side, uplo, ta, diag, m, n, 1.0));
@@ -474,7 +490,7 @@ mod tests {
     #[test]
     fn decode_call_agrees_with_the_separate_accessors() {
         let calls = every_call();
-        assert_eq!(calls.len(), 5 * (4 + 4 + 32 + 4 + 1));
+        assert_eq!(calls.len(), 5 * (4 + 32 + 4 + 1));
         for call in &calls {
             let (routine, key, sizes, len) = decode_call(call);
             assert_eq!(routine, call.routine(), "{call}");
@@ -491,6 +507,20 @@ mod tests {
             let expected: Vec<usize> = flags[..kept].iter().map(|&f| usize::from(f)).collect();
             assert_eq!(Some(key), FlagKey::from_slice(&expected), "{call}");
             assert_eq!(submodel_key(call), key, "{call}");
+            assert_eq!(check_submodel_key(routine, key), Ok(()), "{call}");
+        }
+        // Keys of the wrong length, or with a flag other than 0 or 1, come
+        // from no call.
+        for (routine, flags) in [
+            (Routine::Trsm, &[0, 0][..]),
+            (Routine::Trsm, &[0, 0, 0, 0]),
+            (Routine::Trsm, &[0, 2, 0]),
+            (Routine::Gemm, &[0, 0, 0]),
+            (Routine::TrtriUnb, &[0, 1]),
+            (Routine::SylvUnb, &[0]),
+        ] {
+            let err = check_submodel_key(routine, key(flags)).unwrap_err();
+            assert!(err.contains("cannot come from any call"), "{err}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! The serving layer must never adopt a repository that could make it serve a
 //! non-finite prediction or lose coverage of a parameter space it previously
 //! answered.  [`RepositoryValidator`] checks exactly the invariants evaluation
-//! relies on — one model dimension per size argument of the routine, finite
-//! polynomial coefficients, non-empty models, regions inside their submodel
-//! space, and a non-degenerate region cover — so
+//! relies on — one model dimension per size argument of the routine,
+//! submodel keys that calls of the routine produce, finite polynomial
+//! coefficients, non-empty models, regions inside their submodel space, and
+//! a non-degenerate region cover — so
 //! `ModelService::swap`/`merge` can reject a corrupt repository and keep
 //! serving the last good generation instead.
 //!
@@ -13,7 +14,7 @@
 //! telemetry, not served values, and the ranking paths order NaN explicitly
 //! (see [`error_order`](crate::error_order)).
 
-use crate::routine_model::check_model_dim;
+use crate::routine_model::{check_model_dim, check_submodel_key};
 use crate::{ModelError, ModelRepository, PiecewiseModel, Result, RoutineModel};
 
 /// Probe-grid resolution per dimension for the region-cover check (the same
@@ -57,7 +58,9 @@ impl RepositoryValidator {
                 "{context}: routine model has no submodels"
             )));
         }
-        for (flags, submodel) in &model.submodels {
+        for (&flags, submodel) in &model.submodels {
+            check_submodel_key(model.routine, flags)
+                .map_err(|msg| ModelError::Validation(format!("{context}: {msg}")))?;
             self.validate_submodel(submodel).map_err(|e| match e {
                 ModelError::Validation(msg) => {
                     ModelError::Validation(format!("{context}, flags {flags:?}: {msg}"))
@@ -128,7 +131,7 @@ mod tests {
             Locality::InCache,
             submodel.space.clone(),
         );
-        model.insert_submodel(crate::FlagKey::from_slice(&[0, 0]).unwrap(), submodel);
+        model.insert_submodel(crate::FlagKey::from_slice(&[0, 0, 0]).unwrap(), submodel);
         model
     }
 
@@ -218,6 +221,24 @@ mod tests {
         let err = RepositoryValidator::new().validate(&repo).unwrap_err();
         assert!(
             matches!(err, ModelError::Validation(ref m) if m.contains("dimension 1")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_submodel_key_no_call_produces_is_rejected() {
+        // trsm calls keep three flags: a submodel keyed [0, 0] would leave
+        // every trsm call without a submodel.
+        let space = Region::new(vec![8, 8], vec![64, 64]);
+        let sub = PiecewiseModel::new(space, vec![fitted_region(vec![8, 8], vec![64, 64])], 9);
+        let mut model = model_with(sub);
+        let submodel = model.submodels.pop_first().unwrap().1;
+        model.insert_submodel(crate::FlagKey::from_slice(&[0, 0]).unwrap(), submodel);
+        let mut repo = ModelRepository::new();
+        repo.insert(model);
+        let err = RepositoryValidator::new().validate(&repo).unwrap_err();
+        assert!(
+            matches!(err, ModelError::Validation(ref m) if m.contains("cannot come from any call")),
             "{err:?}"
         );
     }

@@ -245,17 +245,6 @@ impl<E: Executor> OnlineRefiner<E> {
         self.config = config;
     }
 
-    /// Sets only the per-round distinct-sample budget, keeping every other
-    /// knob (and all cross-round state: quarantine breakers, sampler,
-    /// templates, fit workspace) in place.  This is the fleet tier's budget
-    /// arbitration hook: each round, the fleet splits one shared measurement
-    /// budget across its shards proportionally to drift × traffic
-    /// (`FleetService::arbitrate_refinement_budget`) and hands every shard's
-    /// refiner its slice through this method.
-    pub fn set_sample_budget(&mut self, samples: usize) {
-        self.config.sample_budget = samples;
-    }
-
     /// The machine id of the refiner's executor.
     pub fn machine_id(&self) -> String {
         self.sampler.machine().id()

@@ -34,9 +34,10 @@
 //! in the [`FleetHealth`] roll-up, which also drives the **refinement budget
 //! arbitration** ([`FleetService::arbitrate_refinement_budget`]): the shared
 //! sampling budget is apportioned toward the shard whose drift × traffic
-//! pressure is worst, closing the loop back into each shard's
-//! [`OnlineRefiner`](dla_modeler::OnlineRefiner) via
-//! [`set_sample_budget`](dla_modeler::OnlineRefiner::set_sample_budget).
+//! pressure is worst.  The fleet only computes the slices: a caller that
+//! refines a shard sets its slice as the
+//! [`sample_budget`](dla_modeler::OnlineRefinerConfig::sample_budget) of that
+//! shard's [`OnlineRefiner`](dla_modeler::OnlineRefiner).
 //!
 //! Fault injection mirrors the measurement layer's
 //! [`ChaosExecutor`](dla_machine::ChaosExecutor): a [`ChaosShard`] wraps any
@@ -939,8 +940,10 @@ pub struct ShardBudget {
     pub machine_id: String,
     /// The shard's drift × traffic pressure (Σ hot-region priorities).
     pub pressure: f64,
-    /// Samples apportioned to the shard this round — feed it to the shard's
-    /// refiner via [`set_sample_budget`](dla_modeler::OnlineRefiner::set_sample_budget).
+    /// Samples apportioned to the shard this round.  The fleet does not
+    /// apply it: a caller that refines the shard sets it as the
+    /// [`sample_budget`](dla_modeler::OnlineRefinerConfig::sample_budget) of
+    /// the shard's refiner.
     pub sample_budget: usize,
 }
 
@@ -2241,12 +2244,12 @@ mod tests {
             ask(&fleet, 0, trsm_call()).served,
             Served::Fresh { generation: 0 }
         );
-        // The shard has no syrk model: each syrk call fails definitively.
+        // The shard has no gemm model: each gemm call fails definitively.
         // The shard did answer, so its breaker must not be struck — six
         // strikes would take the default breaker down.
-        let syrk = Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 64, 1.0, 1.0);
+        let gemm = Call::gemm(Trans::NoTrans, Trans::NoTrans, 64, 64, 64, 1.0, 1.0);
         for id in 1..=6 {
-            let response = ask(&fleet, id, syrk.clone());
+            let response = ask(&fleet, id, gemm.clone());
             assert_eq!(
                 response.served,
                 Served::Shed {

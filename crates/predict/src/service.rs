@@ -787,6 +787,39 @@ mod tests {
     }
 
     #[test]
+    fn a_swap_keying_a_submodel_no_call_reaches_is_rejected() {
+        let service = quick_service();
+        let call = Call::trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            Diag::NonUnit,
+            64,
+            64,
+            1.0,
+        );
+        let answer = service.predict_call(&call).unwrap();
+        // trsm calls keep three flags: published under the key [0, 0], the
+        // trsm model would fail every trsm call.
+        let machine_id = service.machine().id();
+        let mut repo = (*service.snapshot()).clone();
+        let mut model = repo
+            .get(Routine::Trsm, &machine_id, Locality::InCache)
+            .unwrap()
+            .clone();
+        let (_, sub) = model.submodels.pop_first().unwrap();
+        model.submodels.clear();
+        model.insert_submodel(dla_model::FlagKey::from_slice(&[0, 0]).unwrap(), sub);
+        repo.insert(model);
+        let err = service.swap(repo).unwrap_err();
+        assert!(matches!(err, ModelError::Validation(_)), "{err:?}");
+        let health = service.health();
+        assert_eq!(health.publishes_rejected, 1);
+        assert_eq!(health.last_good_generation, 0);
+        assert_eq!(service.predict_call(&call).unwrap(), answer);
+    }
+
+    #[test]
     fn trace_predictions_match_an_uncached_predictor() {
         let service = quick_service();
         let predictor = uncached_predictor(&service);
@@ -805,10 +838,10 @@ mod tests {
     #[test]
     fn a_failing_batch_counts_no_telemetry() {
         let service = quick_service();
-        // The trinv repository models no syrk: the batch's last call fails
-        // after three shapes have been evaluated.
-        let syrk = Call::syrk(Uplo::Lower, Trans::NoTrans, 64, 64, 1.0, 1.0);
-        let traces: Vec<Vec<Call>> = vec![vec![gemm(96), gemm(32), gemm(96)], vec![gemm(64), syrk]];
+        // The trinv repository models no sylv_unb: the batch's last call
+        // fails after three shapes have been evaluated.
+        let sylv = Call::sylv_unb(64, 64);
+        let traces: Vec<Vec<Call>> = vec![vec![gemm(96), gemm(32), gemm(96)], vec![gemm(64), sylv]];
         let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
         assert!(service.predict_traces(&slices).is_err());
         let report = service.refinement_report();

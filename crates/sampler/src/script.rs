@@ -77,9 +77,22 @@ fn apply_directive<E: Executor>(sampler: &mut Sampler<E>, directive: &str) -> Re
 }
 
 /// Formats the measured outcomes as a plain-text report, one line per call.
+///
+/// The call column is as wide as the longest call, so the columns after it
+/// line up; one space always separates two columns.
 pub fn format_report(outcomes: &[LineOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str("# routine                         locality      median        mean         min         max        std\n");
+    let header = "# routine";
+    let width = outcomes
+        .iter()
+        .filter_map(|outcome| match outcome {
+            LineOutcome::Measured(r) => Some(r.call.to_string().len()),
+            _ => None,
+        })
+        .fold(header.len(), usize::max);
+    let mut out = format!(
+        "{header:<width$} {:<12} {:>11} {:>11} {:>11} {:>11} {:>10}\n",
+        "locality", "median", "mean", "min", "max", "std"
+    );
     for outcome in outcomes {
         match outcome {
             LineOutcome::Skipped => {}
@@ -88,7 +101,7 @@ pub fn format_report(outcomes: &[LineOutcome]) -> String {
             }
             LineOutcome::Measured(r) => {
                 out.push_str(&format!(
-                    "{:<34}{:<12}{:>12.0}{:>12.0}{:>12.0}{:>12.0}{:>11.0}\n",
+                    "{:<width$} {:<12} {:>11.0} {:>11.0} {:>11.0} {:>11.0} {:>10.0}\n",
                     r.call.to_string(),
                     r.locality.name(),
                     r.ticks.median,
@@ -185,5 +198,22 @@ mod tests {
         assert!(report.contains("# error"));
         // one header line + one measurement + one error line
         assert_eq!(report.lines().count(), 3);
+
+        // The call column fits the longest call: a space separates it from
+        // the locality, and the columns after it align.
+        let outcomes = run_script(
+            &mut s,
+            "dtrsm R L N U 512 128 0.37 256 512\ndtrtri_unb L N 96 2500\n",
+        );
+        let report = format_report(&outcomes);
+        let lines: Vec<&str> = report.lines().collect();
+        assert!(
+            lines[1].contains("dtrsm(R, L, N, U, 512, 128, 0.37, 256, 512) in-cache"),
+            "{report}"
+        );
+        let column = |line: &str| line.find("in-cache");
+        assert_eq!(column(lines[1]), column(lines[2]), "{report}");
+        assert_eq!(lines[1].len(), lines[2].len(), "{report}");
+        assert_eq!(lines[0].find("locality"), column(lines[1]), "{report}");
     }
 }
