@@ -12,10 +12,14 @@
 //! * **Duplicate-rich batch**: the 16 Sylvester-variant traces that
 //!   `rank_sylv_variants` predicts at n = 1024, b = 32 (22 328 calls, 296
 //!   distinct shapes), through the batched trace path, which evaluates each
-//!   distinct shape once, versus the pointwise walk over every call.
+//!   distinct shape once, versus the pointwise walk over every call.  The
+//!   run fails unless the batched path is at least 2x faster, the reason
+//!   it exists.
 //! * **Block-size sweep** (duplicate-poor): the paper's trinv block-size
 //!   sweep driven by the batched trace path versus the same call stream
-//!   answered one `eval` at a time (reference and compiled).
+//!   answered one `eval` at a time (reference and compiled).  The sweep row
+//!   also generates its traces; `sweep/batched_traces` times the batched
+//!   path alone over the traces the pointwise rows walk.
 //!
 //! Run with `cargo bench -p dla-bench --bench persistence`; writes
 //! `BENCH_persistence.json`.
@@ -119,9 +123,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         sylv_predictor.predict_traces(&rank_slices).expect("batch")
     })?;
     let rank_pointwise = bench.time("duplicate_rich/pointwise", "predict.eval", walk)?;
-    println!(
-        "  batched vs pointwise: {:.2}x",
-        rank_pointwise / rank_batched
+    let batch_speedup = rank_pointwise / rank_batched;
+    println!("  batched vs pointwise: {batch_speedup:.2}x");
+    assert!(
+        batch_speedup >= 2.0,
+        "the batched trace path is only {batch_speedup:.2}x faster than the pointwise walk"
     );
 
     // Block-size sweep: the paper's trinv tuning sweep, evaluated three ways
@@ -151,6 +157,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let sweep_batched = bench.time("sweep/batched", "predict", || {
         optimize_block_size_trinv(&predictor, TrinvVariant::V3, n, &candidates).expect("sweep")
     })?;
+    let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
+    let sweep_traces = bench.time("sweep/batched_traces", "predict.eval", || {
+        predictor.predict_traces(&slices).expect("batch")
+    })?;
     let sweep_compiled = bench.time("sweep/compiled_pointwise", "predict.eval", || {
         for t in &traces {
             black_box(TraceEvaluator::predict_trace(&predictor, t).expect("trace"));
@@ -167,9 +177,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         acc
     })?;
     println!(
-        "  batched vs reference: {:.2}x, vs compiled pointwise: {:.2}x",
+        "  batched vs reference: {:.2}x, vs compiled pointwise: {:.2}x \
+         (batched traces alone: {:.2}x)",
         sweep_reference / sweep_batched,
-        sweep_compiled / sweep_batched
+        sweep_compiled / sweep_batched,
+        sweep_compiled / sweep_traces
     );
     Ok(bench.finish()?)
 }

@@ -389,13 +389,20 @@ proptest! {
 /// Trace batches mixing routines, duplicate calls across traces, degenerate
 /// (skipped) calls, flag combinations that may miss their submodel, and the
 /// calls a shape intern could get wrong: a `diag`-only difference, sizes a
-/// packed key would alias, and degenerate calls of unmodelled routines.
+/// packed key would alias, sizes past a key lane, and degenerate calls of
+/// unmodelled routines.
 fn interesting_traces() -> Vec<Vec<Vec<Call>>> {
     let gemm = |n: usize| Call::gemm(Trans::NoTrans, Trans::NoTrans, n, n, n.min(64), 1.0, 1.0);
     let trsm_diag = |diag: Diag, m: usize, n: usize| {
         Call::trsm(Side::Left, Uplo::Lower, Trans::NoTrans, diag, m, n, 1.0)
     };
     let trsm = |m: usize, n: usize| trsm_diag(Diag::NonUnit, m, n);
+    let gemm3 = |m: usize, n: usize, k: usize| {
+        Call::gemm(Trans::NoTrans, Trans::NoTrans, m, n, k, 1.0, 1.0)
+    };
+    const HALF: usize = 1 << 31;
+    const TOP: usize = u32::MAX as usize;
+    const PAST: usize = (1 << 32) + 8;
     vec![
         // Same calls repeated within and across traces.
         vec![
@@ -503,6 +510,35 @@ fn interesting_traces() -> Vec<Vec<Vec<Call>>> {
                     1.0,
                 ),
                 Call::gemm(Trans::NoTrans, Trans::NoTrans, 8, 64, 32, 1.0, 1.0),
+            ],
+        ],
+        // Sizes 2^31 apart inside a 32-bit key lane, with the neighbours a
+        // 31-bit lane would alias them with; the lane's top value; and sizes
+        // past the lane, whose calls each get a shape id of their own.
+        // Each repeats within and across traces.
+        vec![
+            vec![
+                gemm3(8, 8, 8),
+                gemm3(8 + HALF, 8, 8),
+                gemm3(8, 9, 8),
+                gemm3(8, 8 + HALF, 8),
+                gemm3(8, 8, 9),
+                gemm3(8, 8, 8 + HALF),
+                gemm3(TOP, 8, 8),
+                gemm3(PAST, 8, 8),
+                gemm3(8, PAST, 8),
+                gemm3(8, 8, PAST),
+                gemm3(8 + HALF, 8, 8),
+                gemm3(PAST, 8, 8),
+                gemm3(TOP, 8, 8),
+            ],
+            vec![
+                gemm3(PAST, 8, 8),
+                gemm3(8, 8, 8 + HALF),
+                gemm3(8, 8, 8),
+                gemm3(TOP, 8, 8),
+                gemm3(8, PAST, 8),
+                gemm3(8 + HALF, 8, 8),
             ],
         ],
         // Trace 0 fails late, on a trmm call (a routine the random

@@ -121,7 +121,7 @@ impl RobustTrim {
 }
 
 /// Summary of a set of repeated measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
     /// Smallest observation.
     pub min: f64,
@@ -342,11 +342,9 @@ impl Summary {
 
     /// Accumulates another summary describing an *independent, sequential*
     /// stage of execution: minima, means, medians and maxima add, and the
-    /// variances add (standard deviations combine in quadrature).
-    ///
-    /// This is exactly the accumulation the paper performs when summing the
-    /// per-call estimates of an algorithm's trace into a whole-algorithm
-    /// prediction.
+    /// variances add (standard deviations combine in quadrature).  Each call
+    /// takes a square root, so a long sum that needs only its final spread
+    /// is cheaper summing the variances and taking the root once.
     pub fn accumulate(&mut self, other: &Summary) {
         self.min += other.min;
         self.mean += other.mean;

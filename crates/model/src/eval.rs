@@ -48,9 +48,8 @@
 //!
 //! Every query is a point query: there is no separate batch kernel.  Batch
 //! callers (`dla-predict`'s batched trace path) evaluate each distinct call
-//! once through [`CompiledRoutineModel::estimate_parts`], which takes the
-//! submodel key and sizes they already extracted, so a call is decoded
-//! once.
+//! shape once, from its first call, through
+//! [`CompiledRoutineModel::estimate_traced`].
 
 // The compile-time builders below are index-heavy loops over fixed-size
 // arrays; iterator rewrites obscure the per-dimension structure (same policy
@@ -650,32 +649,14 @@ impl CompiledRoutineModel {
     /// of the region that answered (see [`CompiledRepository::cells`]) — the
     /// per-call hook behind the serving layer's refinement telemetry.
     pub fn estimate_traced(&self, call: &Call) -> Result<(Summary, u32)> {
-        let (_, key, sizes, len) = decode_call(call);
-        let sizes = sizes.get(..len).unwrap_or_default();
-        self.estimate_parts(call, key, sizes)
-    }
-
-    /// The evaluation step of
-    /// [`estimate_traced`](CompiledRoutineModel::estimate_traced), from the
-    /// submodel key and sizes that [`decode_call`] read from `call`: the
-    /// batched trace path decodes every call once to intern it, and
-    /// evaluates only the first call of each distinct shape, here.  `call`
-    /// itself is read only for its routine and for the flag spelling of a
-    /// missing-submodel error.  Returns the estimate and the answering
-    /// region's cell id.
-    pub fn estimate_parts(
-        &self,
-        call: &Call,
-        key: FlagKey,
-        sizes: &[usize],
-    ) -> Result<(Summary, u32)> {
-        if call.routine() != self.routine {
+        let (routine, key, sizes, len) = decode_call(call);
+        if routine != self.routine {
             return Err(ModelError::MissingSubmodel(format!(
-                "model is for {}, call is {}",
-                self.routine,
-                call.routine()
+                "model is for {}, call is {routine}",
+                self.routine
             )));
         }
+        let sizes = sizes.get(..len).unwrap_or_default();
         let (first, submodel) = self
             .submodels
             .iter()

@@ -68,12 +68,6 @@ impl FlagKey {
         let flags = self.flags.get(..self.len()).unwrap_or_default();
         flags.iter().map(|&f| usize::from(f))
     }
-
-    /// The key as one integer, distinct for distinct keys: the flag count
-    /// above bit 32 and the flags in the low bytes.  A cheap hash input.
-    pub fn to_bits(self) -> u64 {
-        u64::from(self.len) << 32 | u64::from(u32::from_le_bytes(self.flags))
-    }
 }
 
 impl Ord for FlagKey {
@@ -452,9 +446,6 @@ mod tests {
         for a in lists {
             for b in lists {
                 assert_eq!(key(a).cmp(&key(b)), a.cmp(b), "{a:?} vs {b:?}");
-                // The packed bits tell keys apart exactly when the lists
-                // differ (`[]` vs `[0]` included).
-                assert_eq!(key(a).to_bits() == key(b).to_bits(), a == b);
             }
         }
     }

@@ -1,12 +1,14 @@
 //! Trace prediction: evaluating and accumulating per-call model estimates.
 //!
 //! A trace is predicted as the paper does it (Section IV): evaluate the
-//! model of every call and accumulate the estimates.  Blocked algorithms
-//! issue the same calls again and again, so the batched path behind
-//! [`TraceEvaluator::predict_traces`] runs in three passes: it interns
-//! every call of a batch as a shape id (routine, submodel key, raw sizes,
-//! decoded in one `match`), evaluates the distinct shapes back to back on
-//! the compiled engine, and accumulates each trace in call order from those
+//! model of every call and accumulate the estimates.  Minima, means,
+//! medians and maxima add in call order; the variances add too, and the
+//! trace's standard deviation is their square root, taken once.  Blocked
+//! algorithms issue the same calls again and again, so the batched path
+//! behind [`TraceEvaluator::predict_traces`] runs in three passes: it
+//! interns every call of a batch by one exact integer key (routine number,
+//! submodel flag bits and raw sizes), evaluates each distinct shape once
+//! from its first call, and accumulates each trace in call order from those
 //! answers.  The results are bit-identical to the pointwise walk of
 //! [`TraceEvaluator::predict_trace`].
 
@@ -22,10 +24,11 @@ use dla_model::{
 };
 
 /// The predicted execution time of a whole trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TracePrediction {
-    /// Accumulated tick statistics (per-call estimates summed; standard
-    /// deviations combined in quadrature).
+    /// Accumulated tick statistics: the per-call minima, means, medians and
+    /// maxima summed in call order, and the square root of the summed
+    /// variances, taken once per trace.
     pub ticks: Summary,
     /// Total floating-point operations of the trace.
     pub flops: f64,
@@ -73,26 +76,15 @@ pub trait TraceEvaluator {
     /// estimates (paper Section IV: "these estimates are then accumulated");
     /// degenerate calls (a zero dimension) are skipped at zero cost.
     fn predict_trace(&self, trace: &[Call]) -> Result<TracePrediction> {
-        let mut ticks = Summary::zero();
-        let mut flops = 0.0;
-        let mut predicted = 0;
-        let mut skipped = 0;
+        let mut sum = TraceSum::default();
         for call in trace {
             if is_empty_call(call) {
-                skipped += 1;
-                continue;
+                sum.prediction.skipped_calls += 1;
+            } else {
+                sum.add(&self.predict_call(call)?, call.flops());
             }
-            let estimate = self.predict_call(call)?;
-            ticks.accumulate(&estimate);
-            flops += call.flops();
-            predicted += 1;
         }
-        Ok(TracePrediction {
-            ticks,
-            flops,
-            predicted_calls: predicted,
-            skipped_calls: skipped,
-        })
+        Ok(sum.finish())
     }
 
     /// Predicts a batch of traces — the bulk entry point used by rankings
@@ -114,6 +106,37 @@ pub trait TraceEvaluator {
             useful_flops,
             &prediction.ticks,
         ))
+    }
+}
+
+/// A trace's running sum, shared by the pointwise and the batched walk so
+/// that both give the same bits: the prediction's `std_dev` stays zero
+/// until [`finish`](TraceSum::finish) takes the root of `variance`.
+#[derive(Default)]
+struct TraceSum {
+    prediction: TracePrediction,
+    variance: f64,
+}
+
+impl TraceSum {
+    /// Adds one predicted call: its estimate's minimum, mean, median, max,
+    /// count and variance, and its flop count.
+    fn add(&mut self, estimate: &Summary, flops: f64) {
+        let sum = &mut self.prediction;
+        sum.ticks.min += estimate.min;
+        sum.ticks.mean += estimate.mean;
+        sum.ticks.median += estimate.median;
+        sum.ticks.max += estimate.max;
+        sum.ticks.count += estimate.count;
+        sum.flops += flops;
+        sum.predicted_calls += 1;
+        self.variance += estimate.std_dev * estimate.std_dev;
+    }
+
+    /// The trace's prediction, with the one square root of its variance.
+    fn finish(mut self) -> TracePrediction {
+        self.prediction.ticks.std_dev = self.variance.sqrt();
+        self.prediction
     }
 }
 
@@ -240,16 +263,20 @@ impl Predictor {
     /// It runs in three passes over the batch:
     ///
     /// 1. **Intern.**  Every call is decoded once, by [`decode_call`], into
-    ///    its [`Shape`] (routine, submodel key, raw sizes).  A degenerate
+    ///    one exact `u128` key: the three raw sizes in 32-bit lanes, the
+    ///    submodel key's flag bits and the routine number.  A degenerate
     ///    call (a zero size) gets the `DEGENERATE` id; any other call the id
-    ///    of its shape in the batch's list of distinct shapes, which the
-    ///    per-batch [`ShapeTable`] finds.
+    ///    of its shape, which the per-batch [`ShapeTable`] finds with one
+    ///    multiplicative hash and integer compares.  A call with a size past
+    ///    its lane gets an id of its own.
     /// 2. **Evaluate.**  The distinct shapes are evaluated back to back, in
     ///    first-occurrence order, each from its first call, through
-    ///    [`CompiledRoutineModel::estimate_parts`].  First-occurrence order
-    ///    is batch order, so the first failing shape is the first failing
-    ///    call, and the batch returns the error the pointwise walk would.
-    /// 3. **Accumulate.**  Each trace sums its calls' answers in call order.
+    ///    [`predict_call_traced`](Predictor::predict_call_traced).
+    ///    First-occurrence order is batch order, so the first failing shape
+    ///    is the first failing call, and the batch returns the error the
+    ///    pointwise walk would.
+    /// 3. **Accumulate.**  Each trace sums its calls' answers in call order
+    ///    and takes one square root of its summed variances.
     ///
     /// The results are bit-identical to
     /// [`TraceEvaluator::predict_trace`] over each trace.
@@ -274,46 +301,27 @@ impl Predictor {
             "a batch of {calls} calls overflows its u32 shape ids"
         );
 
-        // Pass 1: intern.  `shapes[i]` was first seen at `firsts[i]`.
+        // Pass 1: intern.
         let mut table = ShapeTable::for_calls(calls);
-        let mut shapes: Vec<Shape> = Vec::new();
-        let mut firsts: Vec<&Call> = Vec::new();
         let mut ids: Vec<u32> = Vec::with_capacity(calls);
-        for trace in traces {
-            for call in *trace {
-                let (routine, key, sizes, len) = decode_call(call);
-                // Sizes past `len` are zero: only the first `len` count.
-                let [s0, s1, s2] = sizes;
-                if s0 == 0 || (s1 == 0 && len > 1) || (s2 == 0 && len > 2) {
-                    ids.push(DEGENERATE);
-                    continue;
-                }
-                let shape = Shape {
-                    routine,
-                    key,
-                    sizes,
-                };
-                let id = match table.probe(&shape, &shapes) {
-                    Ok(id) => id,
-                    Err(slot) => {
-                        table.remember(slot, shapes.len());
-                        shapes.push(shape);
-                        firsts.push(call);
-                        shapes.len() - 1
-                    }
-                };
-                // Below `DEGENERATE`: the batch holds fewer calls.
-                ids.push(id as u32);
-            }
+        // lint: hot-path begin
+        for call in traces.iter().flat_map(|trace| trace.iter()) {
+            let (routine, flags, sizes, len) = decode_call(call);
+            // Sizes past `len` are zero: only the first `len` count.
+            let [s0, s1, s2] = sizes;
+            let id = if s0 == 0 || (s1 == 0 && len > 1) || (s2 == 0 && len > 2) {
+                DEGENERATE
+            } else {
+                table.intern(shape_key(routine, flags, sizes), call)
+            };
+            ids.push(id);
         }
+        // lint: hot-path end
 
         // Pass 2: evaluate each distinct shape once, in batch order.
-        let mut answers = Vec::with_capacity(shapes.len());
-        for (shape, call) in shapes.iter().zip(&firsts) {
-            let sizes = &shape.sizes[..shape.routine.size_count()];
-            let (summary, cell) = self
-                .model(shape.routine)?
-                .estimate_parts(call, shape.key, sizes)?;
+        let mut answers = Vec::with_capacity(table.shapes.len());
+        for &(_, call) in &table.shapes {
+            let (summary, cell) = self.predict_call_traced(call)?;
             answers.push(Answer {
                 summary,
                 flops: call.flops(),
@@ -328,27 +336,20 @@ impl Predictor {
         for trace in traces {
             let (trace_ids, tail) = rest.split_at(trace.len());
             rest = tail;
-            let mut ticks = Summary::zero();
-            let mut flops = 0.0;
-            let mut predicted = 0;
-            let mut skipped = 0;
+            let mut sum = TraceSum::default();
+            // lint: hot-path begin
             for &id in trace_ids {
-                if id == DEGENERATE {
-                    skipped += 1;
-                    continue;
+                // `DEGENERATE` is past every answer.
+                match answers.get_mut(id as usize) {
+                    Some(answer) => {
+                        answer.uses += 1;
+                        sum.add(&answer.summary, answer.flops);
+                    }
+                    None => sum.prediction.skipped_calls += 1,
                 }
-                let answer = &mut answers[id as usize];
-                answer.uses += 1;
-                ticks.accumulate(&answer.summary);
-                flops += answer.flops;
-                predicted += 1;
             }
-            out.push(TracePrediction {
-                ticks,
-                flops,
-                predicted_calls: predicted,
-                skipped_calls: skipped,
-            });
+            // lint: hot-path end
+            out.push(sum.finish());
         }
         if let Some(answered) = answered {
             for answer in &answers {
@@ -369,32 +370,18 @@ impl Predictor {
     }
 }
 
-/// A call's shape: everything its estimate and flop count depend on (the
-/// routine, the submodel key with `diag` folded away, and the raw sizes).
-/// Calls that differ only in scalars, leading dimensions or `diag` share a
-/// shape.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Shape {
-    routine: Routine,
-    key: FlagKey,
-    /// [`Call::sizes_fixed`]'s array: entries past the routine's size count
-    /// are zero, so comparing whole arrays compares the sizes exactly.
-    sizes: [usize; Call::MAX_SIZES],
-}
-
-impl Shape {
-    /// A multiplicative mix of every field.  The table compares shapes
-    /// exactly, so the hash only has to spread them; its top bits are the
-    /// best mixed.
-    fn hash(&self) -> u64 {
-        const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-        let head = self.key.to_bits() << 3 | self.routine.index() as u64;
-        let mut h = head.wrapping_mul(MIX);
-        for &size in &self.sizes {
-            h = (h ^ size as u64).wrapping_mul(MIX);
-        }
-        h
-    }
+/// A call's shape as one exact integer: the three raw sizes in 32-bit lanes
+/// from bit 0 up, then the submodel key's flag bits above the routine
+/// number (below 8) in the top lane.  A routine fixes its key's flag count
+/// and [`decode_call`] gives every flag as 0 or 1, so distinct shapes get
+/// distinct keys; calls that differ only in scalars, leading dimensions or
+/// `diag` share one.  `None` if a size does not fit its lane.
+fn shape_key(routine: Routine, flags: FlagKey, sizes: [usize; Call::MAX_SIZES]) -> Option<u128> {
+    let bits = flags.flags().fold(0, |bits, flag| bits << 1 | flag);
+    let head = (bits << 3 | routine.index()) as u128;
+    sizes.iter().rev().try_fold(head, |key, &size| {
+        Some(key << 32 | u128::from(u32::try_from(size).ok()?))
+    })
 }
 
 /// The shape id of a degenerate call, which no shape has.
@@ -417,47 +404,54 @@ struct Answer {
 /// 64 KiB table.
 const MAX_SLOTS: usize = 1 << 14;
 
-/// A batch's open-addressed shape table (linear probing, load at most one
-/// half): a slot holds one plus the id of a remembered shape, or 0 when
-/// free.
-struct ShapeTable {
+/// A batch's distinct shapes by id, each with its key and first call, and
+/// an open-addressed index over them (linear probing, load at most one
+/// half) whose slots hold one plus a remembered shape's id, or 0 when free.
+struct ShapeTable<'a> {
+    shapes: Vec<(u128, &'a Call)>,
     slots: Vec<u32>,
-    /// `64 - log2(slots.len())`: a hash's top bits pick its first slot.
+    /// `128 - log2(slots.len())`: a key's hash's top bits pick its first slot.
     shift: u32,
 }
 
-impl ShapeTable {
+impl<'a> ShapeTable<'a> {
     /// A table sized for a batch of `calls` calls: twice the call count,
     /// rounded up to a power of two, within 16..=[`MAX_SLOTS`].
-    fn for_calls(calls: usize) -> ShapeTable {
+    fn for_calls(calls: usize) -> ShapeTable<'a> {
         let len = (2 * calls.min(MAX_SLOTS / 2)).next_power_of_two().max(16);
         ShapeTable {
+            shapes: Vec::new(),
             slots: vec![0; len],
-            shift: 64 - len.trailing_zeros(),
+            shift: 128 - len.trailing_zeros(),
         }
     }
 
-    /// The index of `shape` in `shapes`, or the free slot that ends its
-    /// probe.
-    fn probe(&self, shape: &Shape, shapes: &[Shape]) -> std::result::Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = (shape.hash() >> self.shift) as usize;
-        loop {
-            match self.slots[slot] as usize {
-                0 => return Err(slot),
-                held if shapes[held - 1] == *shape => return Ok(held - 1),
-                _ => slot = (slot + 1) & mask,
+    /// The id of `call`'s shape, keyed `key`.  A key the table holds keeps
+    /// its id; any other makes `call` the first call of a new shape, which
+    /// the table remembers while it holds fewer shapes than half its slots.
+    /// A call without a key gets an id of its own.
+    fn intern(&mut self, key: Option<u128>, call: &'a Call) -> u32 {
+        // Below `DEGENERATE`: the batch holds fewer calls.
+        let id = self.shapes.len() as u32;
+        if let Some(key) = key {
+            // One multiply spreads the key; its top bits are the best mixed.
+            const MIX: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
+            let mask = self.slots.len() - 1;
+            let mut slot = (key.wrapping_mul(MIX) >> self.shift) as usize;
+            while let Some(&held) = self.slots.get(slot).filter(|&&held| held != 0) {
+                if self.shapes.get(held as usize - 1).map(|&(k, _)| k) == Some(key) {
+                    return held - 1;
+                }
+                slot = (slot + 1) & mask;
+            }
+            if (id as usize) < self.slots.len() / 2 {
+                if let Some(free) = self.slots.get_mut(slot) {
+                    *free = id + 1;
+                }
             }
         }
-    }
-
-    /// Remembers shape `id` in the free `slot` that
-    /// [`probe`](ShapeTable::probe) returned, unless the table already holds
-    /// its share of shapes.
-    fn remember(&mut self, slot: usize, id: usize) {
-        if id < self.slots.len() / 2 {
-            self.slots[slot] = id as u32 + 1;
-        }
+        self.shapes.push((key.unwrap_or_default(), call));
+        id
     }
 }
 
@@ -499,11 +493,20 @@ mod tests {
     use dla_modeler::{Modeler, RefinementConfig, Strategy};
 
     fn small_repo() -> (ModelRepository, MachineConfig) {
+        small_repo_measured_by(SimExecutor::noiseless(harpertown_openblas()), 1)
+    }
+
+    /// trsm and trmm models on harpertown, fitted to `executor`'s samples,
+    /// `repetitions` per point.
+    fn small_repo_measured_by(
+        executor: SimExecutor,
+        repetitions: usize,
+    ) -> (ModelRepository, MachineConfig) {
         let machine = harpertown_openblas();
         let mut modeler = Modeler::new(
-            SimExecutor::noiseless(machine.clone()),
+            executor,
             Locality::InCache,
-            1,
+            repetitions,
             Strategy::Refinement(RefinementConfig {
                 error_bound: 0.15,
                 min_region_size: 128,
@@ -566,7 +569,9 @@ mod tests {
 
     #[test]
     fn predict_trace_accumulates() {
-        let (repo, machine) = small_repo();
+        // Repeated noisy samples, so that every estimate has a spread.
+        let executor = SimExecutor::new(harpertown_openblas(), 7);
+        let (repo, machine) = small_repo_measured_by(executor, 5);
         let predictor = Predictor::new(&repo, machine, Locality::InCache);
         let a = Call::trsm(
             Side::Left,
@@ -588,12 +593,24 @@ mod tests {
         );
         let single_a = predictor.predict_trace(std::slice::from_ref(&a)).unwrap();
         let single_b = predictor.predict_trace(std::slice::from_ref(&b)).unwrap();
+        let (sd_a, sd_b) = (single_a.ticks.std_dev, single_b.ticks.std_dev);
+        assert!(sd_a > 0.0 && sd_b > 0.0, "{sd_a} {sd_b}");
         let both = predictor.predict_trace(&[a.clone(), b.clone()]).unwrap();
-        assert!((both.ticks.median - single_a.ticks.median - single_b.ticks.median).abs() < 1e-6);
+        // Location quantities add in call order; the variances add and the
+        // trace takes one square root.
+        let median = single_a.ticks.median + single_b.ticks.median;
+        assert_eq!(both.ticks.median.to_bits(), median.to_bits());
+        let std_dev = (sd_a * sd_a + sd_b * sd_b).sqrt();
+        assert_eq!(both.ticks.std_dev.to_bits(), std_dev.to_bits());
         assert_eq!(both.predicted_calls, 2);
         assert_eq!(both.flops, a.flops() + b.flops());
-        // std devs combine in quadrature, so the total is below the plain sum
-        assert!(both.ticks.std_dev <= single_a.ticks.std_dev + single_b.ticks.std_dev + 1e-9);
+        // A longer trace, on which a square root per call rounds
+        // differently: one root of the variances summed in call order.
+        let trace = [a.clone(), b.clone(), a.clone(), a, b];
+        let long = predictor.predict_trace(&trace).unwrap();
+        let sds = [sd_a, sd_b, sd_a, sd_a, sd_b];
+        let variance: f64 = sds.iter().map(|sd| sd * sd).sum();
+        assert_eq!(long.ticks.std_dev.to_bits(), variance.sqrt().to_bits());
     }
 
     #[test]

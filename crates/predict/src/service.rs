@@ -918,6 +918,41 @@ mod tests {
     }
 
     #[test]
+    fn calls_past_a_key_lane_count_telemetry_like_a_call_by_call_walk() {
+        let walked = quick_service();
+        let batched = quick_service();
+        let gemm3 = |m, n, k| Call::gemm(Trans::NoTrans, Trans::NoTrans, m, n, k, 1.0, 1.0);
+        // 2^31 apart inside a 32-bit key lane, its top value, and past it:
+        // each call past the lane is evaluated on its own.
+        let (half, top, past) = (1 << 31, u32::MAX as usize, (1 << 32) + 8);
+        let traces: Vec<Vec<Call>> = vec![
+            vec![
+                gemm3(8, 8, 8),
+                gemm3(8 + half, 8, 8),
+                gemm3(past, 8, 8),
+                gemm3(top, 8, 8),
+                gemm3(past, 8, 8),
+                gemm3(8, 8, 8),
+            ],
+            vec![gemm3(past, 8, 8), gemm3(8 + half, 8, 8), gemm3(8, past, 8)],
+        ];
+        let slices: Vec<&[Call]> = traces.iter().map(Vec::as_slice).collect();
+        for call in traces.iter().flatten() {
+            walked.predict_call(call).unwrap();
+        }
+        let predictions = batched.predict_traces(&slices).unwrap();
+        let predictor = batched.predictor();
+        let pointwise: Vec<TracePrediction> = slices
+            .iter()
+            .map(|t| TraceEvaluator::predict_trace(&predictor, t).unwrap())
+            .collect();
+        assert_eq!(predictions, pointwise);
+        let report = batched.refinement_report();
+        assert_eq!(report.total_queries, 9);
+        assert_eq!(report, walked.refinement_report());
+    }
+
+    #[test]
     fn a_model_of_the_wrong_dimension_is_not_published() {
         use dla_model::{PiecewiseModel, RegionModel, RoutineModel};
         let service = quick_service();
